@@ -2,13 +2,16 @@
 
 Usage, from the root of a checkout::
 
-    python3 perfbench/run.py --workload cli-twirl-io --seed 1 --seconds 30 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload cli-twirl-io --seed 1 --seconds 40 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 40 --trace 0
 
-A run sets up (fresh-interpreter import of the package, seeded input
-generation, one warm-up op) three times and reports the median set-up,
-then calls the workload's op back to back for ``--seconds`` seconds.
-Every op's output is checked outside its timed interval.  With
+A run generates the seeded inputs and warms up, then runs three cold
+set-ups, each in a fresh interpreter (coldstart.py: import, one op, input
+generation), for ``setup_s`` and ``peak_rss_mib``, then calls the
+workload's op back to back for ``--seconds`` seconds, with a fixed
+reference task timed before the first op and after each one, so that op
+times are reported in units of the reference task's time.  Every
+op's output is checked outside its timed interval.  With
 ``--trace 1`` the first half of the time runs untraced and the second
 half traced, and the per-layer metrics replace the end-to-end ones.
 
@@ -33,7 +36,6 @@ import gc  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
-import resource  # noqa: E402
 import shutil  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
@@ -42,60 +44,42 @@ from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
 
 import spans  # noqa: E402
-from workloads import WORKLOADS, CheckFailed  # noqa: E402
+from coldstart import SRC, import_package  # noqa: E402
+from workloads import WORKLOADS, Log, Reference, run_op, write_inputs  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-SRC = ROOT / "src"
 RESULTS = HERE / "results"
 
 SETUP_REPEATS = 3
-# The tail is the highest percentile with at least this many samples beyond it.
-# Below 2 * TAIL_BEYOND + 1 samples that percentile is at or below the
-# median, so the maximum is reported instead.
+# The tail is the percentile with TAIL_BEYOND samples beyond it, but never
+# below TAIL_FLOOR: with fewer than TAIL_BEYOND / (1 - TAIL_FLOOR) = 100 ops
+# the first would fall toward the median.  The level moves continuously
+# with the op count, so the figure cannot jump when a run makes a few more
+# or fewer ops.
 TAIL_BEYOND = 10
+TAIL_FLOOR = 0.9
 
 SCOPE = (
     "measures only its own processes; no machine-wide tracing, no cache "
     "dropping, no cgroup or kernel settings touched"
 )
 
+# Op times in units of the reference task's time ("ref"); see workloads.Reference.
 END_TO_END = {
-    "op_p50_s": "s",
-    "op_tail_s": "s",
-    "ops_per_s": "1/s",
+    "op_p50_ref": "ref",
+    "op_tail_ref": "ref",
+    "ops_per_ref": "1/ref",
     "setup_s": "s",
     "peak_rss_mib": "MiB",
 }
-
-IMPORT_PROBE = (
-    "import sys, time; sys.path.insert(0, sys.argv[1]); t = time.perf_counter(); "
-    "import permutwirl.cli; print(time.perf_counter() - t)"
-)
-
-
-def import_package():
-    """Import permutwirl from this checkout's ``src``, or exit 2."""
-    if not (SRC / "permutwirl" / "__init__.py").is_file():
-        sys.stderr.write(f"error: no permutwirl package under {SRC}\n")
-        raise SystemExit(2)
-    sys.path.insert(0, str(SRC))
-    import permutwirl
-    import permutwirl.cli  # noqa: F401
-
-    if Path(permutwirl.__file__).resolve().parent != SRC / "permutwirl":
-        sys.stderr.write(f"error: imported permutwirl from {permutwirl.__file__}, not {SRC}\n")
-        raise SystemExit(2)
-    return permutwirl
-
-
-def fresh_import_s() -> float:
-    """Time of ``import permutwirl.cli`` in a new interpreter, as measured inside it."""
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, str(SRC)],
-        capture_output=True, text=True, timeout=60, check=True,
-    )
-    return float(proc.stdout.strip())
+# Printed and kept in the result file, but not gated: they move with the host's speed.
+SECONDS = {
+    "op_p50_s": "s",
+    "op_tail_s": "s",
+    "ops_per_s": "1/s",
+    "reference_p50_s": "s",
+}
 
 
 def _git(*args) -> str | None:
@@ -137,59 +121,42 @@ def provenance(seed: int, sizes: dict) -> dict:
     }
 
 
-class Log:
-    """Ops attempted and failed, with the first few failure messages."""
-
-    def __init__(self):
-        self.attempted = 0
-        self.failed = 0
-        self.messages = []
-
-    def check(self, workload, result) -> None:
-        self.attempted += 1
-        try:
-            if isinstance(result, Exception):
-                raise CheckFailed(f"op raised {type(result).__name__}: {result}")
-            workload.check(result)
-        except (CheckFailed, ValueError, KeyError, TypeError) as exc:
-            # ValueError/KeyError/TypeError: output that does not parse as expected.
-            self.failed += 1
-            if len(self.messages) < 5:
-                self.messages.append(f"{type(exc).__name__}: {exc}")
-
-
-def run_op(workload):
-    """One op; an exception is returned, not raised, and counts as a failure."""
-    try:
-        return workload.op()
-    except Exception as exc:  # noqa: BLE001 - any crash of the program is a failed op
-        return exc
-
-
-def set_up(workload, seed: int, workdir: str, log: Log) -> dict:
-    """Import, generate and warm up, SETUP_REPEATS times; report medians."""
+def set_up(name: str, seed: int, workdir: str, log: Log) -> dict:
+    """SETUP_REPEATS cold set-ups, each in a fresh interpreter; report medians."""
     reps = []
-    for _ in range(SETUP_REPEATS):
-        import_s = fresh_import_s()
-        t0 = perf_counter()
-        workload.install(workload.generate(seed), workdir, seed)
-        t1 = perf_counter()
-        result = run_op(workload)
-        t2 = perf_counter()
-        log.check(workload, result)
-        reps.append({"import_s": import_s, "generate_s": t1 - t0, "warmup_s": t2 - t1})
-    total = [r["import_s"] + r["generate_s"] + r["warmup_s"] for r in reps]
+    for k in range(SETUP_REPEATS):
+        cold_dir = os.path.join(workdir, f"cold{k}")
+        os.mkdir(cold_dir)
+        proc = subprocess.run(
+            [sys.executable, str(HERE / "coldstart.py"), name, str(seed),
+             os.path.join(workdir, "inputs"), cold_dir],
+            capture_output=True, text=True, timeout=150,
+        )
+        if proc.returncode != 0:
+            sys.stderr.write(proc.stderr)
+            raise SystemExit(f"error: cold set-up exited with code {proc.returncode}")
+        rep = json.loads(proc.stdout.strip().splitlines()[-1])
+        log.attempted += rep.pop("attempted")
+        log.failed += rep.pop("failed")
+        log.messages.extend(rep.pop("failures")[: 5 - len(log.messages)])
+        reps.append(rep)
     return {
-        "setup_s": statistics.median(total),
+        "setup_s": statistics.median(r["import_s"] + r["generate_s"] + r["warmup_s"] for r in reps),
         "import_s": statistics.median(r["import_s"] for r in reps),
+        "peak_rss_mib": statistics.median(r["peak_rss_mib"] for r in reps),
         "repeats": reps,
     }
 
 
-def timed_ops(workload, seconds: float, log: Log, before_op=None) -> list[float]:
-    """Closed loop: the next op starts when the previous one and its check end."""
+def timed_ops(workload, seconds: float, log: Log, reference: Reference, before_op=None):
+    """Closed loop: the next op starts when the previous one and its check end.
+
+    Returns the op times and the reference task's times: one before the
+    first op and one after each op's check.
+    """
     times = []
     deadline = perf_counter() + seconds
+    refs = [reference()]
     while True:
         gc.collect()
         if before_op is not None:
@@ -199,27 +166,39 @@ def timed_ops(workload, seconds: float, log: Log, before_op=None) -> list[float]
         times.append(perf_counter() - t0)
         log.check(workload, result)
         del result
+        refs.append(reference())
         if perf_counter() >= deadline:
-            return times
+            return times, refs
+
+
+def relative(times: list[float], refs: list[float]) -> list[float]:
+    """Each op's time over the mean of the reference times just before and after it."""
+    return [t / (0.5 * (before + after)) for t, before, after in zip(times, refs, refs[1:])]
 
 
 def tail(times: list[float]) -> dict:
-    """Highest percentile with TAIL_BEYOND samples beyond it; the maximum when too few."""
+    """Op time at level max(TAIL_FLOOR, 1 - TAIL_BEYOND / n), interpolated between order statistics."""
     ordered = sorted(times)
     n = len(ordered)
-    if n > 2 * TAIL_BEYOND:
-        return {"value": ordered[n - TAIL_BEYOND - 1], "percentile": 100.0 * (n - TAIL_BEYOND) / n,
-                "beyond": TAIL_BEYOND, "samples": n}
-    return {"value": ordered[-1], "percentile": 100.0, "beyond": 0, "samples": n}
+    level = max(TAIL_FLOOR, 1.0 - TAIL_BEYOND / n)
+    pos = (n - 1) * level
+    i = int(pos)
+    value = ordered[i] if i + 1 == n else ordered[i] + (pos - i) * (ordered[i + 1] - ordered[i])
+    return {"value": value, "percentile": 100.0 * level, "samples": n}
 
 
-def end_to_end(times: list[float], setup: dict) -> dict:
+def end_to_end(times: list[float], refs: list[float], setup: dict) -> dict:
+    ratios = relative(times, refs)
     return {
+        "op_p50_ref": statistics.median(ratios),
+        "op_tail_ref": tail(ratios)["value"],
+        "ops_per_ref": len(ratios) / sum(ratios),
+        "setup_s": setup["setup_s"],
+        "peak_rss_mib": setup["peak_rss_mib"],
         "op_p50_s": statistics.median(times),
         "op_tail_s": tail(times)["value"],
         "ops_per_s": len(times) / sum(times),
-        "setup_s": setup["setup_s"],
-        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "reference_p50_s": statistics.median(refs),
     }
 
 
@@ -234,9 +213,14 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
     workload = WORKLOADS[name](permutwirl)
     log = Log()
     RESULTS.mkdir(parents=True, exist_ok=True)
-    workdir = tempfile.mkdtemp(prefix=f"inputs-{name}-", dir=RESULTS)
+    workdir = tempfile.mkdtemp(prefix=f"run-{name}-", dir=RESULTS)
     try:
-        setup = set_up(workload, seed, workdir, log)
+        inputs = workload.generate(seed)
+        write_inputs(os.path.join(workdir, "inputs"), inputs)
+        workload.install(inputs, workdir, seed)
+        del inputs
+        log.check(workload, run_op(workload))  # warm-up of this process, untimed
+        setup = set_up(name, seed, workdir, log)
         record = {
             "workload": name,
             "why": workload.why,
@@ -245,21 +229,23 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
             "provenance": provenance(seed, workload.sizes()),
             "setup": setup,
         }
+        reference = Reference(workdir)
         if not trace:
-            times = timed_ops(workload, seconds, log)
-            metrics = end_to_end(times, setup)
+            times, refs = timed_ops(workload, seconds, log, reference)
+            metrics = end_to_end(times, refs, setup)
             record["op_times_s"] = times
-            record["tail"] = tail(times)
+            record["reference_times_s"] = refs
+            record["tail"] = tail(relative(times, refs))
         else:
-            plain = timed_ops(workload, seconds / 2, log)
+            plain = relative(*timed_ops(workload, seconds / 2, log, reference))
             tracer = spans.Tracer()
             with tracer.active():
-                traced = timed_ops(workload, seconds / 2, log, before_op=tracer.begin_op)
+                traced = relative(*timed_ops(workload, seconds / 2, log, reference, tracer.begin_op))
             overhead = statistics.median(traced) / statistics.median(plain) - 1.0
             metrics = tracer.metrics(len(traced), setup["import_s"], overhead)
-            record["op_times_s"] = {"untraced": plain, "traced": traced}
-            # One file per workload, overwritten: a cli-verify op alone has ~300k spans.
-            write_json(RESULTS / f"{name}-spans.json", {
+            record["op_times_ref"] = {"untraced": plain, "traced": traced}
+            # Spans of the first traced op only: a cli-verify op alone has ~300k.
+            write_json(RESULTS / f"{name}-seed{seed}-spans.json", {
                 "workload": name,
                 "seed": seed,
                 "traced_ops": len(traced),
@@ -288,7 +274,10 @@ def report(record: dict, trace: bool) -> dict:
     print(f"  {'error_rate':32s} {record['error_rate']:.6g} ({record['failed']}/{record['attempted']} ops)")
     if not trace:
         t = record["tail"]
-        print(f"  op_tail_s is p{t['percentile']:.1f} of {t['samples']} ops")
+        print(f"  op_tail_ref and op_tail_s are p{t['percentile']:.1f} of {t['samples']} timed ops")
+        print("  in seconds, not gated:")
+        for name, unit in SECONDS.items():
+            print(f"  {name:32s} {record['metrics'][name]:.6g} {unit}")
     for message in record["failures"]:
         print(f"  failure: {message}")
     return {
@@ -329,7 +318,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=[*WORKLOADS, "all"])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if args.seed < 0:
@@ -341,7 +330,7 @@ def main(argv=None) -> int:
         return run_all(args.seed, args.seconds, trace)
     record = run_workload(args.workload, args.seed, args.seconds, trace)
     print(json.dumps(report(record, trace)))
-    return 0
+    return 1 if record["failed"] else 0
 
 
 if __name__ == "__main__":

@@ -107,8 +107,8 @@ def public_functions(module):
 class Tracer:
     """Records spans at the public functions of the package's layers."""
 
-    def __init__(self, package: str = "permutwirl"):
-        self.modules = {layer: importlib.import_module(f"{package}.{layer}") for layer in LAYERS}
+    def __init__(self):
+        self.modules = {layer: importlib.import_module(f"permutwirl.{layer}") for layer in LAYERS}
         self.names = []  # function id -> "layer.function"
         self.fid = {}
         for layer, module in self.modules.items():

@@ -22,6 +22,7 @@ sys.path.insert(0, str(HERE.parent / "src"))
 
 import permutwirl  # noqa: E402
 import permutwirl.cli  # noqa: E402,F401
+import run  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
 from workloads import CheckFailed  # noqa: E402
@@ -111,6 +112,47 @@ class ChecksRejectCorruptedOutput(WorkdirCase):
             w.check(workloads.OpResult([0], json.dumps(doc)))
         with self.assertRaises(CheckFailed):
             w.check(workloads.OpResult([3], result.stdout))
+
+
+class FailedOps(WorkdirCase):
+    def test_any_exception_of_the_op_or_the_check_is_a_failed_op(self):
+        w = self.installed(workloads.CliTwirlIo)
+        result = w.op()
+        Path(w.out_path).unlink()  # the check's read raises FileNotFoundError
+        log = workloads.Log()
+        log.check(w, result)
+        log.check(w, RuntimeError("op crashed"))
+        self.assertEqual((log.attempted, log.failed), (2, 2))
+        self.assertTrue(log.messages[0].startswith("FileNotFoundError"))
+
+
+class Tail(unittest.TestCase):
+    def test_level_is_ten_beyond_but_at_least_p90(self):
+        for n in (1, 15, 99, 100, 101, 1000):
+            self.assertEqual(run.tail([float(k) for k in range(n)])["percentile"], 100.0 * max(0.9, 1.0 - 10 / n))
+        self.assertEqual(run.tail([float(k) for k in range(1000)])["value"], 989.01)
+
+    def test_one_more_op_moves_the_tail_by_less_than_one_spacing(self):
+        for n in (20, 99, 100, 150):
+            self.assertLess(abs(run.tail(list(map(float, range(n + 1))))["value"]
+                                - run.tail(list(map(float, range(n))))["value"]), 1.0)
+
+
+class RelativeTimes(WorkdirCase):
+    def test_each_op_is_divided_by_the_mean_of_the_references_around_it(self):
+        self.assertEqual(run.relative([1.0, 3.0], [0.5, 1.5, 1.5]), [1.0, 2.0])
+
+    def test_reference_task_never_calls_the_package(self):
+        reference = workloads.Reference(self.workdir)
+        tracer = spans.Tracer()
+        with tracer.active():
+            self.assertGreater(reference(), 0.0)
+        self.assertEqual(len(tracer.funcs), 0)
+
+    def test_reference_input_is_the_same_in_every_run(self):
+        first = Path(workloads.Reference(self.workdir).path).read_bytes()
+        second = Path(workloads.Reference(tempfile.mkdtemp(dir=self.workdir)).path).read_bytes()
+        self.assertEqual(first, second)
 
 
 class SeededInputs(unittest.TestCase):

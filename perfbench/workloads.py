@@ -13,11 +13,13 @@ averages, not from the package's formulas.
 """
 
 import contextlib
+import gc
 import io
 import json
 import math
 import os
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -33,6 +35,8 @@ ASSIST_SAMPLES = 3000
 ASSIST_STATES = ((3, 3), (5, 2))
 VERIFY_DMAX = 6
 VERIFY_SAMPLES = 100
+# The reference task's input is the same in every run, whatever --seed is.
+REFERENCE_SEED = 0
 
 
 class CheckFailed(Exception):
@@ -55,6 +59,35 @@ def run_cli(cli, argvs) -> OpResult:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         codes = [cli.main(argv) for argv in argvs]
     return OpResult(codes, out.getvalue(), err.getvalue())
+
+
+class Log:
+    """Ops attempted and failed, with the first few failure messages."""
+
+    def __init__(self):
+        self.attempted = 0
+        self.failed = 0
+        self.messages = []
+
+    def check(self, workload, result) -> None:
+        """Check one op's result; any exception, the op's or the check's, is a failed op."""
+        self.attempted += 1
+        try:
+            if isinstance(result, Exception):
+                raise CheckFailed(f"op raised {type(result).__name__}: {result}")
+            workload.check(result)
+        except Exception as exc:  # noqa: BLE001 - output that breaks the check is wrong output
+            self.failed += 1
+            if len(self.messages) < 5:
+                self.messages.append(f"{type(exc).__name__}: {exc}")
+
+
+def run_op(workload):
+    """One op; an exception is returned, not raised, and counts as a failure."""
+    try:
+        return workload.op()
+    except Exception as exc:  # noqa: BLE001 - any crash of the program is a failed op
+        return exc
 
 
 # ---------------------------------------------------------------- inputs
@@ -88,13 +121,47 @@ def read_state_file(path):
 
 
 def write_inputs(workdir, inputs: dict) -> dict:
-    """Write {name: bytes} into ``workdir``; return {name: path}."""
+    """Write {name: bytes} into ``workdir``, made if missing; return {name: path}."""
+    os.makedirs(workdir, exist_ok=True)
     paths = {}
     for name, data in inputs.items():
         paths[name] = os.path.join(workdir, name)
         with open(paths[name], "wb") as fh:
             fh.write(data)
     return paths
+
+
+# ---------------------------------------------------------- reference task
+
+
+class Reference:
+    """A fixed task, timed between ops, that an op's time is given as a multiple of.
+
+    The host's speed changes in phases of seconds to minutes by as much as
+    a third, and an op's time with it.  The reference task does the same
+    kind of work as the ops, with the benchmark's own code and never the
+    package's: it parses a D=256 state file with the json module, takes
+    its eigenvalues with numpy, and serialises it again.  So it slows down
+    with the host, but not with the program, and an op's time divided by
+    the reference times taken just before and just after it keeps the
+    program's cost and drops most of the host's phase.  It reads a file
+    of the same size as cli-twirl-io's input: with a smaller one it tracked
+    the host's phases less well.
+    """
+
+    def __init__(self, workdir: str):
+        d = TWIRL_IO_DIMS[0] * TWIRL_IO_DIMS[1]
+        mat = random_density(np.random.default_rng(REFERENCE_SEED), d, d)
+        self.path = write_inputs(workdir, {"reference.json": state_file_bytes(mat, TWIRL_IO_DIMS)})["reference.json"]
+
+    def __call__(self) -> float:
+        """Run the task once; return its wall time in seconds."""
+        gc.collect()
+        t0 = perf_counter()
+        mat, dims = read_state_file(self.path)
+        np.linalg.eigvalsh(mat)
+        state_file_bytes(mat, dims)
+        return perf_counter() - t0
 
 
 # ------------------------------------------------------------ references
@@ -244,6 +311,10 @@ class CliTwirlIo:
 
 
 class LibKernels:
+    # Runnable by name and by --workload all, but left out of BENCHMARK.json:
+    # the gate's time budget (4 + 22 runs per workload within 3420 s) fits
+    # runs long enough to be steady for two workloads only, and cli-verify
+    # covers more layers than this one.
     name = "lib-kernels"
     why = (
         "closed, one-sided A and B, and two-sided twirl at D=1024 on dims (32,32) "
