@@ -2,7 +2,7 @@
 
 Everything operates on ``numpy`` arrays of dtype complex128.  Matrix
 equality is always tolerance-based (max-abs entry difference), never
-bitwise; use :func:`max_abs_diff` / :func:`allclose`.
+bitwise; use :func:`max_abs_diff`.
 
 Bipartite operators use the row-major composite index ``i_A * d_B + i_B``,
 the same convention as ``numpy.kron``.
@@ -51,11 +51,6 @@ def max_abs_diff(a, b) -> float:
     return float(np.max(np.abs(a - b)))
 
 
-def allclose(a, b, tol: float = DEFAULT_TOL) -> bool:
-    """Tolerance-based matrix equality."""
-    return max_abs_diff(a, b) <= tol
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product, row-major block layout."""
     return np.kron(as_complex_matrix(a), as_complex_matrix(b))
@@ -82,13 +77,6 @@ def hs_inner(x, y) -> complex:
     # vdot conjugates its first argument and sums entrywise products,
     # which is exactly Tr(x^dagger y) for row-major flattening.
     return complex(np.vdot(xm, ym))
-
-
-def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
-    m = as_complex_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        return False
-    return max_abs_diff(m, m.conj().T) <= tol
 
 
 def hermitian_eigen(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

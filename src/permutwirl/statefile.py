@@ -4,12 +4,20 @@ Schema::
 
     {"dims": [2, 2], "matrix": [[re, im], ...], "label": "optional"}
 
-with the matrix flattened row-major, one [re, im] pair per entry.  Floats
-are emitted with full round-trip precision so that save followed by load
-is bit-exact.  The path '-' means stdin/stdout.
+with the matrix flattened row-major, one [re, im] pair per entry.  Each
+part is a finite JSON number, integer or float.  A load rejects NaN,
+Infinity, -Infinity and integers too large for a float; a save refuses a
+matrix holding NaN or an infinity.  Floats are written exactly as ``json.dumps`` writes them (``repr``), so
+save followed by load is bit-exact.  The path '-' means stdin/stdout.
+
+Both directions work on whole arrays: a load converts every pair in one
+``numpy`` call, and a save formats each distinct entry once.  An input
+the array route cannot take is parsed pair by pair, which finds the
+first bad index for the error message.
 """
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -33,6 +41,52 @@ def _read_text(source) -> str:
         return source.read()
     with open(source, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def _pairs_as_array(entries: list, text: str) -> np.ndarray | None:
+    """All pairs as one complex array, or None when the array route cannot vouch for them.
+
+    ``np.array`` turns JSON booleans mixed with numbers into 1.0/0.0, so any
+    ``true``/``false`` in the text sends the file to the per-pair route.
+    The view reinterprets (re, im) float pairs, so the bits equal
+    ``complex(re, im)``.
+    """
+    if "true" in text or "false" in text:
+        return None
+    try:
+        arr = np.array(entries)
+    except ValueError:  # ragged pairs
+        return None
+    if arr.dtype.kind not in "fi" or arr.shape != (len(entries), 2):
+        return None
+    arr = np.ascontiguousarray(arr, dtype=float)
+    if not np.isfinite(arr).all():
+        return None
+    return arr.view(complex).reshape(-1)
+
+
+def _pairs_one_by_one(entries: list) -> np.ndarray:
+    """Per-pair parse; raises at the first entry that is not a finite [re, im] pair."""
+    flat = np.empty(len(entries), dtype=complex)
+    for idx, pair in enumerate(entries):
+        if (
+            not isinstance(pair, list)
+            or len(pair) != 2
+            or not all(
+                isinstance(c, (int, float)) and not isinstance(c, bool) for c in pair
+            )
+        ):
+            raise StateFileError(f"field 'matrix'[{idx}] is not an [re, im] pair")
+        try:
+            z = complex(pair[0], pair[1])
+        except OverflowError as exc:
+            raise StateFileError(
+                f"field 'matrix'[{idx}] holds an integer too large for a float"
+            ) from exc
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise StateFileError(f"field 'matrix'[{idx}] holds a value that is not finite")
+        flat[idx] = z
+    return flat
 
 
 def load_raw(source) -> StateFile:
@@ -69,17 +123,9 @@ def load_raw(source) -> StateFile:
             f"field 'matrix' must hold {d * d} [re, im] pairs for dims {list(dims)}, "
             f"got {len(entries) if isinstance(entries, list) else type(entries).__name__}"
         )
-    flat = np.empty(d * d, dtype=complex)
-    for idx, pair in enumerate(entries):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(
-                isinstance(c, (int, float)) and not isinstance(c, bool) for c in pair
-            )
-        ):
-            raise StateFileError(f"field 'matrix'[{idx}] is not an [re, im] pair")
-        flat[idx] = complex(pair[0], pair[1])
+    flat = _pairs_as_array(entries, text)
+    if flat is None:
+        flat = _pairs_one_by_one(entries)
     label = doc.get("label")
     if label is not None and not isinstance(label, str):
         raise StateFileError("field 'label' must be a string")
@@ -93,16 +139,38 @@ def load_density(source, tol: float = states.VALIDATION_TOL) -> StateFile:
     return StateFile(mat=validated.mat, dims=validated.dims, label=raw.label)
 
 
+def _matrix_json(mat: np.ndarray) -> str:
+    """``json.dumps`` of the [[re, im], ...] list, spelling each distinct entry once.
+
+    Entries are grouped by the bit pattern of the (re, im) pair, so -0.0
+    keeps its own spelling; ``%r`` is the ``repr`` that ``json.dumps`` uses.
+    """
+    flat = np.ascontiguousarray(mat.reshape(-1))
+    if not np.isfinite(flat).all():
+        raise StateFileError(
+            "matrix holds a value that is not finite; state files store finite numbers only"
+        )
+    distinct, inverse = np.unique(flat.view(np.dtype((np.void, 16))), return_inverse=True)
+    spelled = np.array(
+        ["[%r, %r]" % (z.real, z.imag) for z in distinct.view(complex).tolist()], dtype=object
+    )
+    return "[" + ", ".join(spelled[inverse].tolist()) + "]"
+
+
 def save_state(target, mat: np.ndarray, dims, label: str | None = None) -> None:
-    """Write a state file; floats keep round-trip precision."""
-    mat = np.asarray(mat, dtype=complex)
-    doc = {
-        "dims": [int(k) for k in dims],
-        "matrix": [[float(z.real), float(z.imag)] for z in mat.reshape(-1)],
-    }
+    """Write a state file; floats keep round-trip precision.
+
+    The text is the one ``json.dumps`` gives for the schema document.
+    Raises StateFileError, before writing anything, if ``mat`` holds NaN
+    or an infinity.
+    """
+    text = (
+        '{"dims": ' + json.dumps([int(k) for k in dims])
+        + ', "matrix": ' + _matrix_json(np.asarray(mat, dtype=complex))
+    )
     if label is not None:
-        doc["label"] = label
-    text = json.dumps(doc)
+        text += ', "label": ' + json.dumps(label)
+    text += "}"
     if target == "-":
         sys.stdout.write(text + "\n")
     elif hasattr(target, "write"):

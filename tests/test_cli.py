@@ -93,6 +93,21 @@ def test_twirl_parse_error_exit_code(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [("NaN", "not finite"), ("-Infinity", "not finite"), ("1" + "0" * 400, "too large")],
+    ids=["nan", "minus-infinity", "integer-1e400"],
+)
+def test_non_finite_or_overflowing_entry_exit_code(tmp_path, capsys, entry, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"dims": [2], "matrix": [[0.5, 0], [%s, 0], [0, 0], [0.5, 0]]}' % entry)
+    for argv in (["twirl", str(bad)], ["twirl", str(bad), "--raw"], ["coherence", str(bad)]):
+        code, out, err = _run(capsys, argv)
+        assert code == cli.EXIT_INVALID
+        assert out == ""
+        assert "matrix'[1]" in err and message in err
+
+
 def test_twirl_validation_error_exit_code(tmp_path, capsys):
     path = str(tmp_path / "bad.json")
     statefile.save_state(path, states.SIGMA_3, (2,))
