@@ -38,7 +38,16 @@ def _default_seed() -> int:
 
 
 def _print_json(doc) -> None:
-    sys.stdout.write(json.dumps(doc) + "\n")
+    try:
+        text = json.dumps(doc, allow_nan=False)
+    except ValueError as exc:
+        raise PermutwirlError(f"result is not finite: {exc}") from exc
+    sys.stdout.write(text + "\n")
+
+
+def _json_float(value: float):
+    # NaN and infinity are not JSON: a failed check's NaN reads as null
+    return value if math.isfinite(value) else None
 
 
 def _complex_pair(z: complex) -> list[float]:
@@ -90,6 +99,10 @@ def _cmd_twirl(args) -> int:
             out, coeffs = twirl.twirl_two_sided(mat, dims)
         summary_doc = _coeff_doc(coeffs)
 
+    # Finite entries near the float limit can overflow in the sums; check
+    # the matrix here and the summary in _print_json, before any output.
+    if not np.isfinite(out).all():
+        raise PermutwirlError("twirl output holds a value that is not finite")
     _print_json(summary_doc)
     if args.out is not None:
         statefile.save_state(args.out, out, dims, label=loaded.label)
@@ -188,14 +201,14 @@ def _cmd_verify(args) -> int:
         "checks": [
             {
                 "name": r.name,
-                "max_residual": r.max_residual,
-                "tol": r.tol,
+                "max_residual": _json_float(r.max_residual),
+                "tol": _json_float(r.tol),
                 "passed": r.passed,
             }
             for r in results
         ],
     }
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     if not doc["passed"]:
         first = next(r.name for r in results if not r.passed)
         sys.stderr.write(f"verification failed: {first}\n")

@@ -27,10 +27,17 @@ SIDE_B = "B"
 
 
 def as_complex_matrix(a) -> np.ndarray:
-    """Coerce input to a 2-d complex128 array."""
+    """Coerce input to a 2-d complex128 array of finite entries.
+
+    Raises:
+        DimMismatchError: if the input is not 2-d.
+        ValueError: if an entry is NaN or infinite.
+    """
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise DimMismatchError(f"expected a 2-d matrix, got ndim={m.ndim}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has a NaN or infinite entry")
     return m
 
 

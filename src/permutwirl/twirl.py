@@ -15,6 +15,10 @@ the bipartite one-sided and two-sided actions, the channel's Choi matrix
 with its explicit separable decomposition, and the collective twirl
 (P x P on both factors), for which only the brute force is offered.
 
+The one-sided twirl, the two-sided twirl and its coefficients come from
+one orbit-mean pass: each entry is replaced by the mean of the entries
+in its orbit under permutations of the twirled factors.
+
 All twirl operations accept arbitrary square complex matrices; the maps
 are linear on the full matrix algebra.  Density-specific helpers
 validate separately.
@@ -194,29 +198,47 @@ def reconstruct_output_state(
     return DensityMatrix(mat, (d,))
 
 
-def _one_sided_formula(x: np.ndarray, d_a: int, d_b: int, side: str) -> np.ndarray:
-    # Twirling a side of dimension 1 is the identity map.
-    if side == linalg.SIDE_A:
-        if d_a == 1:
-            return x.copy()
-        e_minus_i = states.all_ones_projector(d_a) - np.eye(d_a)
-        marg = linalg.partial_trace(x, (d_a, d_b), linalg.SIDE_A)
-        skew = linalg.partial_trace(
-            x @ np.kron(e_minus_i, np.eye(d_b)), (d_a, d_b), linalg.SIDE_A
-        )
-        return np.kron(np.eye(d_a) / d_a, marg) + np.kron(
-            e_minus_i / (d_a * (d_a - 1)), skew
-        )
-    if d_b == 1:
-        return x.copy()
-    e_minus_i = states.all_ones_projector(d_b) - np.eye(d_b)
-    marg = linalg.partial_trace(x, (d_a, d_b), linalg.SIDE_B)
-    skew = linalg.partial_trace(
-        x @ np.kron(np.eye(d_a), e_minus_i), (d_a, d_b), linalg.SIDE_B
+def _factor_orbits(d: int, permuted: bool):
+    # Label of each index pair (i, j) of one factor, its number of runs and
+    # its orbit sizes.  A permuted factor's orbits, i == j and i != j (empty
+    # when d == 1), are split by the row i into d runs summed apart, as the
+    # matmul-and-trace formula does; a fixed factor keeps every pair apart.
+    if permuted:
+        i = np.arange(d)[:, None]
+        return 2 * i + (i != i.T), d, np.array([d, d * (d - 1)])
+    return np.arange(d * d).reshape(d, d), 1, np.ones(d * d, dtype=np.intp)
+
+
+def _orbit_mean(m: np.ndarray, dims: tuple[int, int], permuted: tuple[bool, bool]):
+    """Replace each entry of ``m`` by its mean over the orbit of its indices.
+
+    The group permutes each factor flagged in ``permuted`` independently
+    and fixes the others.  Returns ``(out, sums, means)``, the last two
+    indexed by orbit with the A factor's label major; an empty orbit has
+    mean 0.
+    """
+    (lab_a, r_a, size_a), (lab_b, r_b, size_b) = map(_factor_orbits, dims, permuted)
+    shape = (r_a, size_a.size, r_b, size_b.size)
+    # composite label (run_a, orbit_a, run_b, orbit_b) of each entry
+    labels = (lab_a[:, None, :, None] * r_b * size_b.size + lab_b[None, :, None, :]).ravel()
+    runs = np.empty(shape, dtype=complex)
+    runs.real = np.bincount(labels, m.real.ravel(), runs.size).reshape(shape)
+    runs.imag = np.bincount(labels, m.imag.ravel(), runs.size).reshape(shape)
+    sums = runs.sum(axis=(0, 2))
+    means = sums / np.maximum(size_a[:, None] * size_b, 1)
+    runs[...] = means[None, :, None, :]  # each run now holds its orbit's mean
+    return runs.ravel()[labels].reshape(m.shape), sums.ravel(), means.ravel()
+
+
+def _two_sided(m: np.ndarray, d_a: int, d_b: int):
+    # Orbits 0-3 pair with I x I, I x (E_B - I), (E_A - I) x I and
+    # (E_A - I) x (E_B - I): their sums are the overlaps, their means the
+    # coefficients.
+    out, sums, means = _orbit_mean(m, (d_a, d_b), (True, True))
+    coeffs = BipartiteTwirlCoefficients(
+        (d_a, d_b), *map(complex, means), *map(complex, sums[[2, 1, 3]])
     )
-    return np.kron(marg, np.eye(d_b) / d_b) + np.kron(
-        skew, e_minus_i / (d_b * (d_b - 1))
-    )
+    return out, coeffs
 
 
 def twirl_one_sided(x, dims, side: str) -> np.ndarray:
@@ -227,21 +249,20 @@ def twirl_one_sided(x, dims, side: str) -> np.ndarray:
         (I/d_A) x Tr_A(x)
         + ((E_A - I) / (d_A (d_A - 1))) x Tr_A(x (E_A - I) x I).
 
-    Side B applies the mirrored formula.
+    Side B applies the mirrored formula; both are orbit means of ``x``.
     """
     m = linalg.as_complex_matrix(x)
     d_a, d_b = linalg.split_dims(m, dims)
-    side = str(side).upper()
-    if side not in (linalg.SIDE_A, linalg.SIDE_B):
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    return _one_sided_formula(m, d_a, d_b, side)
+    side = linalg._check_side(side)
+    permuted = (side == linalg.SIDE_A, side == linalg.SIDE_B)
+    return _orbit_mean(m, (d_a, d_b), permuted)[0]
 
 
 def twirl_one_sided_bruteforce(x, dims, side: str) -> np.ndarray:
     """Average over permutations of one factor only (oracle)."""
     m = linalg.as_complex_matrix(x)
     d_a, d_b = linalg.split_dims(m, dims)
-    side = str(side).upper()
+    side = linalg._check_side(side)
     d_t = d_a if side == linalg.SIDE_A else d_b
     if d_t > MAX_BRUTE_DIM:
         raise DimensionTooLargeError(
@@ -290,28 +311,7 @@ def bipartite_coefficients(x, dims) -> BipartiteTwirlCoefficients:
     """
     m = linalg.as_complex_matrix(x)
     d_a, d_b = linalg.split_dims(m, dims)
-    e_a = states.all_ones_projector(d_a) - np.eye(d_a)
-    e_b = states.all_ones_projector(d_b) - np.eye(d_b)
-    i_a = np.eye(d_a)
-    i_b = np.eye(d_b)
-
-    overlap_a = complex(np.trace(m @ np.kron(e_a, i_b)))
-    overlap_b = complex(np.trace(m @ np.kron(i_a, e_b)))
-    overlap_ab = complex(np.trace(m @ np.kron(e_a, e_b)))
-
-    def _ratio(num: complex, den: float) -> complex:
-        return num / den if den > 0 else 0.0 + 0.0j
-
-    return BipartiteTwirlCoefficients(
-        dims=(d_a, d_b),
-        c0=complex(np.trace(m)) / (d_a * d_b),
-        c1=_ratio(overlap_b, d_a * d_b * (d_b - 1)),
-        c2=_ratio(overlap_a, d_a * d_b * (d_a - 1)),
-        c3=_ratio(overlap_ab, d_a * d_b * (d_a - 1) * (d_b - 1)),
-        overlap_a=overlap_a,
-        overlap_b=overlap_b,
-        overlap_ab=overlap_ab,
-    )
+    return _two_sided(m, d_a, d_b)[1]
 
 
 def coefficients_to_matrix(coeffs: BipartiteTwirlCoefficients) -> np.ndarray:
@@ -333,14 +333,12 @@ def twirl_two_sided(x, dims) -> tuple[np.ndarray, BipartiteTwirlCoefficients]:
     """Twirl both factors independently.
 
     Returns the output matrix (side A twirl followed by side B twirl; the
-    two commute) together with its invariant-basis coefficients.
+    two commute) together with its invariant-basis coefficients, both
+    from one pass over the entries of ``x``.
     """
     m = linalg.as_complex_matrix(x)
     d_a, d_b = linalg.split_dims(m, dims)
-    out = _one_sided_formula(
-        _one_sided_formula(m, d_a, d_b, linalg.SIDE_A), d_a, d_b, linalg.SIDE_B
-    )
-    return out, bipartite_coefficients(m, dims)
+    return _two_sided(m, d_a, d_b)
 
 
 def choi_matrix(d: int) -> DensityMatrix:

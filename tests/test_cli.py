@@ -108,6 +108,26 @@ def test_non_finite_or_overflowing_entry_exit_code(tmp_path, capsys, entry, mess
         assert "matrix'[1]" in err and message in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize(
+    "dims, side",
+    [([1, 2], "A"), ([1, 2], "both"), ([2], "none")],
+    ids=["side-A-summary", "both-sides", "whole-system"],
+)
+def test_twirl_overflowing_output_exit_code(tmp_path, capsys, dims, side):
+    # finite entries whose sums overflow: nothing printed, no file written
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dims": dims, "matrix": [[1e308, 0.0]] * 4}))
+    out_path = tmp_path / "out.json"
+    argv = ["twirl", str(path), "--raw", "--side", side, "--out", str(out_path)]
+    code, out, err = _run(capsys, argv)
+    assert code == cli.EXIT_INVALID
+    assert out == ""
+    assert "not finite" in err
+    assert not out_path.exists()
+
+
 def test_twirl_validation_error_exit_code(tmp_path, capsys):
     path = str(tmp_path / "bad.json")
     statefile.save_state(path, states.SIGMA_3, (2,))
@@ -319,6 +339,30 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     failing = [c["name"] for c in doc["checks"] if not c["passed"]]
     assert "closed_form_matches_bruteforce" in failing
     assert "verification failed" in err
+
+
+def test_verify_reports_nan_output_as_failure(capsys, monkeypatch):
+    # a kernel returning NaN must fail its check, not vanish inside max()
+    import permutwirl.twirl as twirl_module
+
+    original = twirl_module.twirl_two_sided
+
+    def nan_output(x, dims):
+        out, coeffs = original(x, dims)
+        return np.full_like(out, np.nan), coeffs
+
+    monkeypatch.setattr(twirl_module, "twirl_two_sided", nan_output)
+    results = {r.name: r for r in verify.run_suite(dmax=2, samples=2)}
+    assert results["two_sided_matches_nested_bruteforce"].passed is False
+    assert np.isnan(results["two_sided_matches_nested_bruteforce"].max_residual)
+    assert results["closed_form_matches_bruteforce"].passed is True
+
+    code, out, err = _run(capsys, ["verify", "--dmax", "2", "--samples", "2"])
+    assert code == cli.EXIT_VERIFY_FAILED
+    doc = json.loads(out, parse_constant=lambda token: pytest.fail(f"{token} in JSON"))
+    failed = {c["name"]: c for c in doc["checks"] if not c["passed"]}
+    assert failed["two_sided_matches_nested_bruteforce"]["max_residual"] is None
+    assert "verification failed: two_sided_matches_nested_bruteforce" in err
 
 
 def test_console_entry_point_matches_main():

@@ -37,6 +37,12 @@ def test_validate_density_hermiticity_error():
         states.validate_density(np.array([[0.5, 0.5], [0.1, 0.5]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_validate_density_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        states.validate_density(np.array([[0.5, bad], [bad, 0.5]]))
+
+
 def test_validate_density_positivity_error_reports_eigenvalue():
     # 2x2 formula: lambda_min = 0.5 - sqrt(0.1^2 + 0.55^2) < 0
     mat = np.array([[0.6, 0.55], [0.55, 0.4]])

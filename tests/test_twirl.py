@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from permutwirl import linalg, states, twirl
 from permutwirl.errors import (
@@ -415,6 +418,49 @@ def test_two_qubit_eigenvalue_combinations():
             ]
         )
         np.testing.assert_allclose(w, expected, atol=1e-12)
+
+
+def test_one_sided_bruteforce_rejects_unknown_side():
+    for fn in (twirl.twirl_one_sided, twirl.twirl_one_sided_bruteforce):
+        with pytest.raises(ValueError, match="side must be"):
+            fn(np.eye(4), (2, 2), "C")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bipartite_twirls_reject_non_finite_input(bad):
+    x = np.eye(4, dtype=complex) / 4
+    x[1, 2] = bad
+    for side in ("A", "B"):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            twirl.twirl_one_sided(x, (2, 2), side)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        twirl.twirl_two_sided(x, (2, 2))
+
+
+@st.composite
+def _bipartite_operators(draw):
+    # non-Hermitian complex operators; factors of dimension 1 included
+    dims = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    side = dims[0] * dims[1]
+    parts = draw(
+        hnp.arrays(np.float64, (2, side, side), elements=st.floats(-1.0, 1.0))
+    )
+    return parts[0] + 1j * parts[1], dims
+
+
+@settings(max_examples=120, deadline=None)
+@given(_bipartite_operators())
+def test_orbit_mean_twirls_match_oracles(operator):
+    x, dims = operator
+    for side in ("A", "B"):
+        assert linalg.max_abs_diff(
+            twirl.twirl_one_sided(x, dims, side),
+            twirl.twirl_one_sided_bruteforce(x, dims, side),
+        ) <= 1e-12
+    out, coeffs = twirl.twirl_two_sided(x, dims)
+    assert linalg.max_abs_diff(out, twirl.twirl_two_sided_bruteforce(x, dims)) <= 1e-12
+    assert linalg.max_abs_diff(out, twirl.coefficients_to_matrix(coeffs)) <= 1e-12
+    assert twirl.bipartite_coefficients(x, dims) == coeffs
 
 
 # ---------------------------------------------------------------- Choi matrix
