@@ -69,38 +69,41 @@ def _cmd_twirl(args) -> int:
             f"--side {side} needs a bipartite state file, got dims {list(dims)}"
         )
 
-    if side == "none":
-        flat_d = mat.shape[0]
-        if args.method == "brute":
-            out = twirl.twirl_bruteforce(mat)
-        else:
-            out = twirl.twirl_closed_form(mat)
-        if args.raw:
-            summary_doc = {"dims": list(dims), "raw": True}
-        else:
-            summary = twirl.twirl_params(states.DensityMatrix(mat, (flat_d,)))
-            summary_doc = {
-                "dim": summary.dim,
-                "off_diag": summary.off_diag,
-                "weight": summary.weight,
-            }
-    elif side in ("A", "B"):
-        if args.method == "brute":
-            out = twirl.twirl_one_sided_bruteforce(mat, dims, side)
-        else:
-            out = twirl.twirl_one_sided(mat, dims, side)
-        coeffs = twirl.bipartite_coefficients(mat, dims)
-        summary_doc = _coeff_doc(coeffs)
-    else:  # both
-        if args.method == "brute":
-            out = twirl.twirl_two_sided_bruteforce(mat, dims)
+    # Finite entries near the float limit can overflow in the sums.  The
+    # check below refuses such a result, so numpy's warnings are noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if side == "none":
+            flat_d = mat.shape[0]
+            if args.method == "brute":
+                out = twirl.twirl_bruteforce(mat)
+            else:
+                out = twirl.twirl_closed_form(mat)
+            if args.raw:
+                summary_doc = {"dims": list(dims), "raw": True}
+            else:
+                summary = twirl.twirl_params(states.DensityMatrix(mat, (flat_d,)))
+                summary_doc = {
+                    "dim": summary.dim,
+                    "off_diag": summary.off_diag,
+                    "weight": summary.weight,
+                }
+        elif side in ("A", "B"):
+            if args.method == "brute":
+                out = twirl.twirl_one_sided_bruteforce(mat, dims, side)
+            else:
+                out = twirl.twirl_one_sided(mat, dims, side)
             coeffs = twirl.bipartite_coefficients(mat, dims)
-        else:
-            out, coeffs = twirl.twirl_two_sided(mat, dims)
-        summary_doc = _coeff_doc(coeffs)
+            summary_doc = _coeff_doc(coeffs)
+        else:  # both
+            if args.method == "brute":
+                out = twirl.twirl_two_sided_bruteforce(mat, dims)
+                coeffs = twirl.bipartite_coefficients(mat, dims)
+            else:
+                out, coeffs = twirl.twirl_two_sided(mat, dims)
+            summary_doc = _coeff_doc(coeffs)
 
-    # Finite entries near the float limit can overflow in the sums; check
-    # the matrix here and the summary in _print_json, before any output.
+    # Check the matrix here and the summary in _print_json, before any
+    # output.
     if not np.isfinite(out).all():
         raise PermutwirlError("twirl output holds a value that is not finite")
     _print_json(summary_doc)

@@ -32,6 +32,10 @@ MEASURES = (MEASURE_L1, MEASURE_REL_ENT)
 # purposes; anything more negative is treated as a genuine error.
 ENTROPY_EIG_FLOOR = -1e-12
 
+# The assistance sampler keeps the eigenvalues above ASSIST_RANK_FLOOR:
+# their number is the rank that sizes each sampled decomposition.
+ASSIST_RANK_FLOOR = 1e-12
+
 # Ensemble sizes used by the assistance sampler extend past the matrix
 # dimension to explore decompositions of larger cardinality.
 EXTRA_ENSEMBLE_SIZES = 2
@@ -215,7 +219,7 @@ def assistance_estimate(
         raise SampleCountError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     w, v = linalg.hermitian_eigen(rho.mat)
-    keep = w > 1e-12
+    keep = w > ASSIST_RANK_FLOOR
     lam = w[keep]
     b = v[:, keep] * np.sqrt(lam)
     rank = int(lam.size)

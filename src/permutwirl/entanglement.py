@@ -3,6 +3,8 @@
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from . import linalg, states
 from .errors import DimMismatchError
 from .states import DensityMatrix
@@ -57,6 +59,16 @@ def is_ppt(rho: DensityMatrix, tol: float = PPT_TOL, side: str = "A") -> PptRepo
     )
 
 
+def min_pt_eigenvalues(mats, dims, side: str = "A") -> np.ndarray:
+    """Minimum partial-transpose eigenvalue of each matrix of a stack.
+
+    The stacked ``is_ppt(rho).min_eig_pt`` for ``mats`` of shape
+    ``(n, D, D)``: one eigensolver call for the whole stack.
+    """
+    pt = linalg.partial_transpose(mats, dims, side)
+    return linalg.hermitian_eigvals(pt)[..., 0]
+
+
 def separable_verdict(rho: DensityMatrix, tol: float = PPT_TOL) -> Verdict:
     """Peres-Horodecki verdict.
 
@@ -77,3 +89,12 @@ def bell_octahedron_member(t1, t2, t3, tol: float = PPT_TOL) -> bool:
     """Separability test |t1| + |t2| + |t3| <= 1 for correlation-triple states."""
     states.validate_bell_params(t1, t2, t3)
     return abs(float(t1)) + abs(float(t2)) + abs(float(t3)) <= 1.0 + tol
+
+
+def bell_octahedron_members(triples, tol: float = PPT_TOL) -> np.ndarray:
+    """:func:`bell_octahedron_member` for each row of an ``(n, 3)`` array.
+
+    The triples are not validated; take them from a valid lattice.
+    """
+    a = np.abs(np.asarray(triples, dtype=float))
+    return a[:, 0] + a[:, 1] + a[:, 2] <= 1.0 + tol

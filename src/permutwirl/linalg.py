@@ -26,25 +26,30 @@ SIDE_A = "A"
 SIDE_B = "B"
 
 
-def as_complex_matrix(a) -> np.ndarray:
+def as_complex_matrix(a, stack: bool = False) -> np.ndarray:
     """Coerce input to a 2-d complex128 array of finite entries.
 
+    With ``stack=True`` a 3-d stack of matrices, shape ``(n, D, D)``, is
+    accepted as well.
+
     Raises:
-        DimMismatchError: if the input is not 2-d.
+        DimMismatchError: if the input is not 2-d (or 3-d, for a stack).
         ValueError: if an entry is NaN or infinite.
     """
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
-        raise DimMismatchError(f"expected a 2-d matrix, got ndim={m.ndim}")
+    if m.ndim != 2 and not (stack and m.ndim == 3):
+        kind = "a 2-d matrix or a 3-d stack" if stack else "a 2-d matrix"
+        raise DimMismatchError(f"expected {kind}, got ndim={m.ndim}")
     if not np.isfinite(m).all():
         raise ValueError("matrix has a NaN or infinite entry")
     return m
 
 
 def require_square(a: np.ndarray) -> int:
-    if a.shape[0] != a.shape[1]:
+    """Side of a square matrix, or of each matrix in a stack."""
+    if a.shape[-2] != a.shape[-1]:
         raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
-    return a.shape[0]
+    return a.shape[-1]
 
 
 def max_abs_diff(a, b) -> float:
@@ -102,22 +107,47 @@ def hermitian_eigen(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     """
     m = as_complex_matrix(a)
     require_square(m)
-    dev = max_abs_diff(m, m.conj().T)
-    if dev > tol:
-        raise NotHermitianError(
-            f"matrix is not Hermitian within tol={tol:g} (deviation {dev:.3e})"
-        )
-    # Symmetrize so roundoff in the input cannot leak into the solver.
-    sym = 0.5 * (m + m.conj().T)
     try:
-        w, v = np.linalg.eigh(sym)
+        w, v = np.linalg.eigh(_symmetrised(m, tol))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise ConvergenceError(str(exc)) from exc
     return w, v
 
 
+def hermitian_eigvals(a, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Ascending eigenvalues of each Hermitian matrix in a stack ``(n, D, D)``.
+
+    One solver call for the whole stack, with the Hermiticity guard and
+    the symmetrisation of :func:`hermitian_eigen`.
+
+    Raises:
+        NotHermitianError: if any ``max|a - a^dagger|`` exceeds ``tol``.
+        ConvergenceError: if the underlying solver does not converge.
+    """
+    m = as_complex_matrix(a, stack=True)
+    require_square(m)
+    try:
+        return np.linalg.eigvalsh(_symmetrised(m, tol))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
+        raise ConvergenceError(str(exc)) from exc
+
+
+def _symmetrised(m: np.ndarray, tol: float) -> np.ndarray:
+    # The Hermitian part of m (of each matrix, for a stack), after checking
+    # that m is Hermitian within tol.  Symmetrize so roundoff in the input
+    # cannot leak into the solver.
+    adj = m.conj().swapaxes(-1, -2)
+    dev = max_abs_diff(m, adj)
+    if dev > tol:
+        raise NotHermitianError(
+            f"matrix is not Hermitian within tol={tol:g} (deviation {dev:.3e})"
+        )
+    return 0.5 * (m + adj)
+
+
 def split_dims(x: np.ndarray, dims) -> tuple[int, int]:
-    """Validate that ``x`` is square with side ``dims[0] * dims[1]``."""
+    """Validate that ``x`` (or each matrix of a stack) is square with side
+    ``dims[0] * dims[1]``."""
     d_a, d_b = int(dims[0]), int(dims[1])
     if d_a < 1 or d_b < 1:
         raise DimMismatchError(f"subsystem dimensions must be positive, got {dims}")
@@ -152,13 +182,18 @@ def partial_trace(x, dims, side: str) -> np.ndarray:
 
 
 def partial_transpose(x, dims, side: str) -> np.ndarray:
-    """Transpose one factor of a bipartite operator (an involution)."""
-    m = as_complex_matrix(x)
+    """Transpose one factor of a bipartite operator (an involution).
+
+    Accepts one matrix ``(D, D)`` or a stack ``(n, D, D)``, transposed
+    matrix by matrix.
+    """
+    m = as_complex_matrix(x, stack=True)
     d_a, d_b = split_dims(m, dims)
     s = _check_side(side)
-    t = m.reshape(d_a, d_b, d_a, d_b)
+    t = m.reshape(*m.shape[:-2], d_a, d_b, d_a, d_b)
+    # swap the row and column index of the transposed factor
     if s == SIDE_A:
-        t = t.transpose(2, 1, 0, 3)
+        t = t.swapaxes(-4, -2)
     else:
-        t = t.transpose(0, 3, 2, 1)
-    return t.reshape(d_a * d_b, d_a * d_b)
+        t = t.swapaxes(-3, -1)
+    return t.reshape(m.shape)

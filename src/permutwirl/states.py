@@ -265,6 +265,21 @@ def bell_diagonal_state(t1, t2, t3, tol: float = VALIDATION_TOL) -> DensityMatri
     return DensityMatrix(0.25 * mat, (2, 2))
 
 
+def bell_diagonal_stack(triples) -> np.ndarray:
+    """States 1/4 (I + sum_i t_i sigma_i x sigma_i), one per row of ``triples``.
+
+    ``triples`` is an ``(n, 3)`` array; the result is an ``(n, 4, 4)``
+    stack built with the operations of :func:`bell_diagonal_state`, in
+    the same order, so each matrix has its bits.  The triples are not
+    validated.
+    """
+    t = np.asarray(triples, dtype=float)
+    mat = np.broadcast_to(np.eye(4, dtype=complex), (t.shape[0], 4, 4)).copy()
+    for k, sigma in enumerate(PAULIS):
+        mat += t[:, k, None, None] * np.kron(sigma, sigma)
+    return 0.25 * mat
+
+
 def random_density(d: int, rng: np.random.Generator, dims=None) -> DensityMatrix:
     """Full-rank random state G G^dagger / Tr, G with iid complex normals."""
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

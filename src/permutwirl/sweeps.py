@@ -3,7 +3,7 @@
 import numpy as np
 
 from . import coherence, entanglement, linalg, states, twirl
-from .errors import ParamOutOfRangeError
+from .errors import DimensionTooLargeError, ParamOutOfRangeError
 
 QUBIT_SWEEP_COLUMNS = ("r1", "l1_rho", "l1_star", "relent_rho", "relent_star")
 BELL_SWEEP_COLUMNS = (
@@ -15,6 +15,14 @@ BELL_SWEEP_COLUMNS = (
     "ppt_after_one_sided",
     "t1_image",
 )
+
+# A lattice point whose smallest Bell eigenvalue lies below this floor is
+# not a state and is left out.
+BELL_VALID_FLOOR = -1e-12
+
+# Largest ``grid`` for the Bell lattice, which is held as arrays: grid^3
+# points are allocated at once.
+MAX_BELL_GRID = 101
 
 
 def qubit_sweep_rows(r2: float, r3: float, steps: int) -> list[tuple[float, ...]]:
@@ -45,40 +53,51 @@ def qubit_sweep_rows(r2: float, r3: float, steps: int) -> list[tuple[float, ...]
     return rows
 
 
-def bell_sweep_rows(grid: int) -> list[tuple[float, ...]]:
-    """Octahedron membership vs PPT across the correlation-triple tetrahedron.
+def bell_lattice(grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """The valid points of a ``grid``^3 lattice over [-1, 1]^3, and their states.
 
-    Walks a ``grid``^3 lattice over [-1, 1]^3, keeping valid states, and
-    records the one-sided twirl image, which lies on the (t1, 0, 0)
-    segment.  Booleans are written as 0/1.
+    Returns the correlation triples as an ``(n, 3)`` array, t1 major and
+    t3 minor, and their states as an ``(n, 4, 4)`` stack.  A point is
+    kept when its smallest Bell eigenvalue is at least BELL_VALID_FLOOR.
+
+    Raises:
+        ParamOutOfRangeError: if ``grid`` < 2.
+        DimensionTooLargeError: if ``grid`` > MAX_BELL_GRID (checked
+            before any allocation).
     """
     if grid < 2:
         raise ParamOutOfRangeError(f"grid must be >= 2, got {grid}")
+    if grid > MAX_BELL_GRID:
+        raise DimensionTooLargeError(
+            f"grid {grid} makes {grid**3} lattice points; the limit is "
+            f"grid <= {MAX_BELL_GRID} ({MAX_BELL_GRID**3} points)"
+        )
     axis = np.linspace(-1.0, 1.0, grid)
-    rows = []
-    for t1 in axis:
-        for t2 in axis:
-            for t3 in axis:
-                if states.bell_eigenvalues(t1, t2, t3).min() < -1e-12:
-                    continue
-                rho = states.bell_diagonal_state(t1, t2, t3)
-                member = entanglement.bell_octahedron_member(t1, t2, t3)
-                before = entanglement.is_ppt(rho).is_ppt
-                image = twirl.twirl_one_sided(rho.mat, (2, 2), linalg.SIDE_A)
-                image_state = states.DensityMatrix(image, (2, 2))
-                after = entanglement.is_ppt(image_state).is_ppt
-                t1_image = float(
-                    np.trace(image @ np.kron(states.SIGMA_1, states.SIGMA_1)).real
-                )
-                rows.append(
-                    (
-                        float(t1),
-                        float(t2),
-                        float(t3),
-                        int(member),
-                        int(before),
-                        int(after),
-                        t1_image,
-                    )
-                )
-    return rows
+    t = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    lowest = states.bell_eigenvalues(t[:, 0], t[:, 1], t[:, 2]).min(axis=0)
+    t = t[lowest >= BELL_VALID_FLOOR]
+    return t, states.bell_diagonal_stack(t)
+
+
+def bell_sweep_rows(grid: int) -> list[tuple[float, ...]]:
+    """Octahedron membership vs PPT across the correlation-triple tetrahedron.
+
+    Evaluates the valid points of :func:`bell_lattice` as one stack and
+    records the one-sided twirl image, which lies on the (t1, 0, 0)
+    segment.  Booleans are written as 0/1.
+    """
+    t, rho = bell_lattice(grid)
+    member = entanglement.bell_octahedron_members(t)
+    before = entanglement.min_pt_eigenvalues(rho, (2, 2)) >= -entanglement.PPT_TOL
+    image = twirl.twirl_one_sided(rho, (2, 2), linalg.SIDE_A)
+    after = entanglement.min_pt_eigenvalues(image, (2, 2)) >= -entanglement.PPT_TOL
+    t1_image = np.trace(
+        image @ np.kron(states.SIGMA_1, states.SIGMA_1), axis1=1, axis2=2
+    ).real
+    return list(
+        zip(
+            *(c.tolist() for c in t.T),
+            *(c.astype(int).tolist() for c in (member, before, after)),
+            t1_image.tolist(),
+        )
+    )

@@ -47,6 +47,9 @@ MAX_TWO_SIDED_TERMS = 1_000_000
 # Permutation batches are gathered in chunks to bound peak memory.
 _CHUNK = 5000
 
+# Default residual bound of the Choi state's separable decomposition.
+CERTIFICATE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class TwirlSummary:
@@ -213,21 +216,25 @@ def _orbit_mean(m: np.ndarray, dims: tuple[int, int], permuted: tuple[bool, bool
     """Replace each entry of ``m`` by its mean over the orbit of its indices.
 
     The group permutes each factor flagged in ``permuted`` independently
-    and fixes the others.  Returns ``(out, sums, means)``, the last two
-    indexed by orbit with the A factor's label major; an empty orbit has
-    mean 0.
+    and fixes the others.  ``m`` is one matrix or a stack ``(n, D, D)``,
+    each matrix averaged on its own.  Returns ``(out, sums, means)``, the
+    last two indexed by orbit (after any stack index) with the A factor's
+    label major; an empty orbit has mean 0.
     """
     (lab_a, r_a, size_a), (lab_b, r_b, size_b) = map(_factor_orbits, dims, permuted)
-    shape = (r_a, size_a.size, r_b, size_b.size)
-    # composite label (run_a, orbit_a, run_b, orbit_b) of each entry
+    lead = m.shape[:-2]
+    shape = (math.prod(lead), r_a, size_a.size, r_b, size_b.size)
+    # composite label (matrix, run_a, orbit_a, run_b, orbit_b) of each entry
     labels = (lab_a[:, None, :, None] * r_b * size_b.size + lab_b[None, :, None, :]).ravel()
+    labels = (np.arange(shape[0])[:, None] * math.prod(shape[1:]) + labels).ravel()
     runs = np.empty(shape, dtype=complex)
     runs.real = np.bincount(labels, m.real.ravel(), runs.size).reshape(shape)
     runs.imag = np.bincount(labels, m.imag.ravel(), runs.size).reshape(shape)
-    sums = runs.sum(axis=(0, 2))
+    sums = runs.sum(axis=(1, 3))
     means = sums / np.maximum(size_a[:, None] * size_b, 1)
-    runs[...] = means[None, :, None, :]  # each run now holds its orbit's mean
-    return runs.ravel()[labels].reshape(m.shape), sums.ravel(), means.ravel()
+    runs[...] = means[:, None, :, None, :]  # each run now holds its orbit's mean
+    out = runs.ravel()[labels].reshape(m.shape)
+    return out, sums.reshape(*lead, -1), means.reshape(*lead, -1)
 
 
 def _two_sided(m: np.ndarray, d_a: int, d_b: int):
@@ -250,8 +257,11 @@ def twirl_one_sided(x, dims, side: str) -> np.ndarray:
         + ((E_A - I) / (d_A (d_A - 1))) x Tr_A(x (E_A - I) x I).
 
     Side B applies the mirrored formula; both are orbit means of ``x``.
+    ``x`` is one matrix ``(D, D)`` or a stack ``(n, D, D)``; a stack is
+    twirled matrix by matrix in one pass, with the same output bits as
+    one call per matrix.
     """
-    m = linalg.as_complex_matrix(x)
+    m = linalg.as_complex_matrix(x, stack=True)
     d_a, d_b = linalg.split_dims(m, dims)
     side = linalg._check_side(side)
     permuted = (side == linalg.SIDE_A, side == linalg.SIDE_B)
@@ -358,7 +368,7 @@ def choi_matrix(d: int) -> DensityMatrix:
 
 
 def entanglement_breaking_certificate(
-    d: int, tol: float = 1e-12
+    d: int, tol: float = CERTIFICATE_TOL
 ) -> EntanglementBreakingCertificate:
     """Certify the Choi state against its explicit separable decomposition.
 

@@ -44,6 +44,21 @@ def _worst(*values) -> float:
     return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
+# The names each check reports, in order, keyed by the check's function
+# name; a check that raises is reported failed under all of them.
+_REPORTS: dict[str, tuple[str, ...]] = {}
+
+
+def _reports(*names: str):
+    """Declare the names of the results a check returns, in order."""
+
+    def declare(check):
+        _REPORTS[check.__name__] = names
+        return check
+
+    return declare
+
+
 def _result(name: str, residual: float, tol: float) -> CheckResult:
     return CheckResult(
         name=name, max_residual=float(residual), tol=tol, passed=bool(residual <= tol)
@@ -56,6 +71,7 @@ def _sample_matrices(d: int, samples: int, rng) -> list[np.ndarray]:
     return mats
 
 
+@_reports("closed_form_matches_bruteforce")
 def check_closed_form_matches_bruteforce(dmax, samples, rng) -> CheckResult:
     worst = 0.0
     for d in range(2, dmax + 1):
@@ -69,6 +85,7 @@ def check_closed_form_matches_bruteforce(dmax, samples, rng) -> CheckResult:
     return _result("closed_form_matches_bruteforce", worst, 1e-10)
 
 
+@_reports("idempotence")
 def check_idempotence(dmax, samples, rng) -> CheckResult:
     worst = 0.0
     for d in range(2, dmax + 1):
@@ -80,6 +97,7 @@ def check_idempotence(dmax, samples, rng) -> CheckResult:
     return _result("idempotence", worst, 1e-10)
 
 
+@_reports("unitality")
 def check_unitality(dmax, samples, rng) -> CheckResult:
     worst = 0.0
     for d in range(1, dmax + 1):
@@ -89,6 +107,7 @@ def check_unitality(dmax, samples, rng) -> CheckResult:
     return _result("unitality", worst, 1e-10)
 
 
+@_reports("self_adjointness")
 def check_self_adjointness(dmax, samples, rng) -> CheckResult:
     worst = 0.0
     for d in range(2, dmax + 1):
@@ -101,6 +120,7 @@ def check_self_adjointness(dmax, samples, rng) -> CheckResult:
     return _result("self_adjointness", worst, 1e-10)
 
 
+@_reports("transpose_covariance")
 def check_transpose_covariance(dmax, samples, rng) -> CheckResult:
     worst = 0.0
     for d in range(2, dmax + 1):
@@ -114,6 +134,7 @@ def check_transpose_covariance(dmax, samples, rng) -> CheckResult:
     return _result("transpose_covariance", worst, 1e-10)
 
 
+@_reports("permutation_invariance")
 def check_permutation_invariance(dmax, samples, rng) -> CheckResult:
     worst = 0.0
     for d in range(2, dmax + 1):
@@ -127,6 +148,7 @@ def check_permutation_invariance(dmax, samples, rng) -> CheckResult:
     return _result("permutation_invariance", worst, 1e-10)
 
 
+@_reports("trace_and_positivity_preserved")
 def check_trace_and_positivity(dmax, samples, rng) -> CheckResult:
     worst = 0.0
     for d in range(2, dmax + 1):
@@ -139,6 +161,7 @@ def check_trace_and_positivity(dmax, samples, rng) -> CheckResult:
     return _result("trace_and_positivity_preserved", worst, 1e-10)
 
 
+@_reports("qubit_bloch_image")
 def check_qubit_bloch_image(dmax, samples, rng) -> CheckResult:
     worst = 0.0
     for _ in range(BLOCH_SAMPLES):
@@ -150,6 +173,7 @@ def check_qubit_bloch_image(dmax, samples, rng) -> CheckResult:
     return _result("qubit_bloch_image", worst, 1e-12)
 
 
+@_reports("output_state_reconstruction")
 def check_output_state_reconstruction(dmax, samples, rng) -> CheckResult:
     worst = 0.0
     for d in range(2, dmax + 1):
@@ -162,6 +186,7 @@ def check_output_state_reconstruction(dmax, samples, rng) -> CheckResult:
     return _result("output_state_reconstruction", worst, 1e-12)
 
 
+@_reports("output_state_eigenvalues")
 def check_output_state_eigenvalues(dmax, samples, rng) -> CheckResult:
     worst = 0.0
     for d in range(2, dmax + 1):
@@ -180,6 +205,7 @@ def check_output_state_eigenvalues(dmax, samples, rng) -> CheckResult:
     return _result("output_state_eigenvalues", worst, 1e-10)
 
 
+@_reports("parameter_bounds")
 def check_parameter_bounds(dmax, samples, rng) -> CheckResult:
     # -1/(d(d-1)) <= (d lmin - 1)/(d(d-1)) <= off_diag
     #             <= (d lmax - 1)/(d(d-1)) <= 1/d
@@ -212,16 +238,19 @@ def _coherence_gap_check(name, measure, dmax, rng) -> CheckResult:
     return _result(name, _worst(worst, 0.0), 1e-10)
 
 
+@_reports("coherence_gap_l1")
 def check_coherence_gap_l1(dmax, samples, rng) -> CheckResult:
     return _coherence_gap_check("coherence_gap_l1", coherence.MEASURE_L1, dmax, rng)
 
 
+@_reports("coherence_gap_relent")
 def check_coherence_gap_relent(dmax, samples, rng) -> CheckResult:
     return _coherence_gap_check(
         "coherence_gap_relent", coherence.MEASURE_REL_ENT, dmax, rng
     )
 
 
+@_reports("l1_bound_equals_formula")
 def check_l1_bound_formula(dmax, samples, rng) -> CheckResult:
     worst = 0.0
     for d in range(2, dmax + 1):
@@ -233,6 +262,7 @@ def check_l1_bound_formula(dmax, samples, rng) -> CheckResult:
     return _result("l1_bound_equals_formula", worst, 0.0)
 
 
+@_reports("relent_bound_eigen_route")
 def check_relent_bound_eigen_route(dmax, samples, rng) -> CheckResult:
     worst = 0.0
     for d in range(2, dmax + 1):
@@ -245,6 +275,7 @@ def check_relent_bound_eigen_route(dmax, samples, rng) -> CheckResult:
     return _result("relent_bound_eigen_route", worst, 1e-9)
 
 
+@_reports("l1_bound_tight_for_nonneg_real")
 def check_l1_tight_for_nonneg_real(dmax, samples, rng) -> CheckResult:
     worst = 0.0
     for d in range(2, dmax + 1):
@@ -258,6 +289,7 @@ def check_l1_tight_for_nonneg_real(dmax, samples, rng) -> CheckResult:
     return _result("l1_bound_tight_for_nonneg_real", worst, 1e-10)
 
 
+@_reports("qubit_sweep_l1_curves", "qubit_sweep_relent_ordering")
 def check_figure_curves(dmax, samples, rng) -> list[CheckResult]:
     rows = sweeps.qubit_sweep_rows(0.1, 0.1, 200)
     arr = np.array(rows)
@@ -279,6 +311,7 @@ def check_figure_curves(dmax, samples, rng) -> list[CheckResult]:
     ]
 
 
+@_reports("one_sided_matches_bruteforce")
 def check_one_sided_bruteforce(dmax, samples, rng) -> CheckResult:
     worst = 0.0
     for d_a, d_b in BIPARTITE_PAIRS:
@@ -295,6 +328,7 @@ def check_one_sided_bruteforce(dmax, samples, rng) -> CheckResult:
     return _result("one_sided_matches_bruteforce", worst, 1e-10)
 
 
+@_reports("two_sided_matches_nested_bruteforce")
 def check_two_sided_bruteforce(dmax, samples, rng) -> CheckResult:
     worst = 0.0
     for d_a, d_b in BIPARTITE_PAIRS:
@@ -313,6 +347,7 @@ def check_two_sided_bruteforce(dmax, samples, rng) -> CheckResult:
     return _result("two_sided_matches_nested_bruteforce", worst, 1e-10)
 
 
+@_reports("two_qubit_eigenvalue_formula")
 def check_two_qubit_eigenvalue_formula(dmax, samples, rng) -> CheckResult:
     worst = 0.0
     for _ in range(BIPARTITE_SAMPLES):
@@ -329,6 +364,7 @@ def check_two_qubit_eigenvalue_formula(dmax, samples, rng) -> CheckResult:
     return _result("two_qubit_eigenvalue_formula", worst, 1e-10)
 
 
+@_reports("two_qubit_outputs_separable")
 def check_two_qubit_outputs_separable(dmax, samples, rng) -> CheckResult:
     worst = 0.0
     for _ in range(TWO_QUBIT_SAMPLES):
@@ -347,6 +383,7 @@ def check_two_qubit_outputs_separable(dmax, samples, rng) -> CheckResult:
     return _result("two_qubit_outputs_separable", worst, 1e-10)
 
 
+@_reports("entanglement_breaking_certificate")
 def check_entanglement_breaking(dmax, samples, rng) -> CheckResult:
     worst = 0.0
     for d in range(2, 7):
@@ -357,6 +394,7 @@ def check_entanglement_breaking(dmax, samples, rng) -> CheckResult:
     return _result("entanglement_breaking_certificate", worst, 1e-12)
 
 
+@_reports("choi_matrix_ppt")
 def check_choi_ppt(dmax, samples, rng) -> CheckResult:
     worst = 0.0
     for d in range(2, 7):
@@ -365,28 +403,19 @@ def check_choi_ppt(dmax, samples, rng) -> CheckResult:
     return _result("choi_matrix_ppt", worst, 1e-12)
 
 
+@_reports("bell_octahedron_ppt_agreement", "bell_one_sided_image")
 def check_bell_geometry(dmax, samples, rng) -> list[CheckResult]:
-    axis = np.linspace(-1.0, 1.0, BELL_GRID)
-    disagreements = 0
-    worst_image = 0.0
-    for t1 in axis:
-        for t2 in axis:
-            for t3 in axis:
-                if states.bell_eigenvalues(t1, t2, t3).min() < -1e-12:
-                    continue
-                rho = states.bell_diagonal_state(t1, t2, t3)
-                member = entanglement.bell_octahedron_member(t1, t2, t3, tol=1e-9)
-                ppt = entanglement.is_ppt(rho, tol=1e-9).is_ppt
-                if member != ppt:
-                    disagreements += 1
-                image = twirl.twirl_one_sided(rho.mat, (2, 2), linalg.SIDE_A)
-                expect = states.bell_diagonal_state(t1, 0.0, 0.0).mat
-                worst_image = _worst(
-                    worst_image, linalg.max_abs_diff(image, expect)
-                )
+    t, rho = sweeps.bell_lattice(BELL_GRID)
+    member = entanglement.bell_octahedron_members(t, tol=1e-9)
+    ppt = entanglement.min_pt_eigenvalues(rho, (2, 2)) >= -1e-9
+    disagreements = int(np.count_nonzero(member != ppt))
+    image = twirl.twirl_one_sided(rho, (2, 2), linalg.SIDE_A)
+    segment = np.zeros_like(t)
+    segment[:, 0] = t[:, 0]
+    expect = states.bell_diagonal_stack(segment)
     return [
         _result("bell_octahedron_ppt_agreement", float(disagreements), 0.0),
-        _result("bell_one_sided_image", worst_image, 1e-12),
+        _result("bell_one_sided_image", linalg.max_abs_diff(image, expect), 1e-12),
     ]
 
 
@@ -423,8 +452,9 @@ def run_suite(
 ) -> list[CheckResult]:
     """Run every check; deterministic given (dmax, samples, seed).
 
-    A check that raises is reported as failed with a NaN residual and tol,
-    named after its function.
+    A check that raises is reported as failed with a NaN residual and tol
+    under each name it declares, so the names and their order do not
+    depend on how a check ended.
     """
     if dmax < 1:
         raise ValueError(f"dmax must be >= 1, got {dmax}")
@@ -440,7 +470,9 @@ def run_suite(
         except (PermutwirlError, ValueError, ArithmeticError):
             # A faulty kernel's NaN output makes later consumers (the
             # eigensolver, input validation) raise: report, do not stop.
-            name = check.__name__.removeprefix("check_")
-            out = CheckResult(name, max_residual=math.nan, tol=math.nan, passed=False)
+            out = [
+                CheckResult(name, max_residual=math.nan, tol=math.nan, passed=False)
+                for name in _REPORTS[check.__name__]
+            ]
         results.extend(out if isinstance(out, list) else [out])
     return results

@@ -1,11 +1,12 @@
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from permutwirl import cli, linalg, statefile, states, verify
+from permutwirl import cli, linalg, statefile, states, sweeps, verify
 
 
 def _write_state(tmp_path, name, rho):
@@ -369,3 +370,57 @@ def test_console_entry_point_matches_main():
     assert cli.build_parser().prog == "permutwirl"
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args([])
+
+
+def test_sweep_bell_oversized_grid_exit_code(capsys):
+    grid = sweeps.MAX_BELL_GRID + 1
+    code, out, err = _run(capsys, ["sweep-bell", "--grid", str(grid)])
+    assert code == cli.EXIT_DIMENSION
+    assert out == ""
+    assert f"{grid**3} lattice points" in err
+
+
+@pytest.mark.parametrize(
+    "dims, side, message",
+    [
+        ([2], "none", "error: twirl output holds a value that is not finite\n"),
+        ([1, 2], "both", "error: twirl output holds a value that is not finite\n"),
+        ([1, 2], "A", "error: result is not finite: "),
+    ],
+    ids=["whole-system", "both-sides", "side-A-summary"],
+)
+def test_twirl_overflow_prints_only_the_error_line(tmp_path, capsys, dims, side, message):
+    # numpy's overflow warnings must not reach stderr ahead of the error
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dims": dims, "matrix": [[1e308, 0.0]] * 4}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, ["twirl", str(path), "--raw", "--side", side])
+    assert code == cli.EXIT_INVALID
+    assert out == ""
+    assert err.startswith(message) and err.count("\n") == 1 and err.endswith("\n")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_verify_names_do_not_depend_on_how_checks_end(capsys, monkeypatch):
+    # every check raises: each is reported failed under the names it
+    # reports when it passes, in the same order
+    import permutwirl.linalg as linalg_module
+    import permutwirl.twirl as twirl_module
+
+    passing = [r.name for r in verify.run_suite(dmax=2, samples=2, seed=1)]
+
+    def broken(*args, **kwargs):
+        raise ValueError("injected fault")
+
+    for name in ("as_complex_matrix", "max_abs_diff"):
+        monkeypatch.setattr(linalg_module, name, broken)
+    for name in ("twirl_one_sided", "twirl_params"):
+        monkeypatch.setattr(twirl_module, name, broken)
+    results = verify.run_suite(dmax=2, samples=2, seed=1)
+    assert [r.name for r in results] == passing
+    assert all(np.isnan(r.max_residual) and not r.passed for r in results)
+
+    code, out, _ = _run(capsys, ["verify", "--dmax", "2", "--samples", "2", "--seed", "1"])
+    assert code == cli.EXIT_VERIFY_FAILED
+    assert [c["name"] for c in json.loads(out)["checks"]] == passing

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from permutwirl import entanglement, states, twirl
+from permutwirl import entanglement, states, sweeps, twirl
 from permutwirl.entanglement import Verdict
 from permutwirl.errors import DimMismatchError
 
@@ -94,3 +94,24 @@ def test_octahedron_membership_matches_ppt_on_grid():
                 assert member == entanglement.is_ppt(rho, tol=1e-9).is_ppt
                 checked += 1
     assert checked > 100
+
+
+def test_min_pt_eigenvalues_match_is_ppt():
+    rng = np.random.default_rng(29)
+    for dims in ((2, 2), (2, 3)):
+        d = dims[0] * dims[1]
+        rhos = [states.random_density(d, rng, dims=dims) for _ in range(5)]
+        rhos.append(states.maximally_entangled_state(2) if dims == (2, 2) else rhos[0])
+        stack = np.stack([rho.mat for rho in rhos])
+        for side in ("A", "B"):
+            got = entanglement.min_pt_eigenvalues(stack, dims, side)
+            want = [entanglement.is_ppt(rho, side=side).min_eig_pt for rho in rhos]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_octahedron_members_match_scalar_test():
+    triples, _ = sweeps.bell_lattice(7)
+    for tol in (entanglement.PPT_TOL, 1e-9):
+        got = entanglement.bell_octahedron_members(triples, tol=tol)
+        want = [entanglement.bell_octahedron_member(*t, tol=tol) for t in triples]
+        assert got.tolist() == want

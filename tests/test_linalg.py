@@ -201,3 +201,21 @@ def test_partial_transpose_leaves_other_marginal():
 def test_max_abs_diff_shape_check():
     with pytest.raises(DimMismatchError):
         linalg.max_abs_diff(np.eye(2), np.eye(3))
+
+
+def test_hermitian_eigvals_stack_matches_hermitian_eigen():
+    rng = np.random.default_rng(17)
+    stack = np.stack([states.random_hermitian(5, rng) for _ in range(6)])
+    got = linalg.hermitian_eigvals(stack)
+    assert got.shape == (6, 5)
+    for w, mat in zip(got, stack):
+        np.testing.assert_allclose(w, linalg.hermitian_eigen(mat)[0], rtol=0, atol=1e-12)
+
+
+def test_hermitian_eigvals_rejects_non_hermitian_member():
+    stack = np.stack([np.eye(3, dtype=complex)] * 3)
+    stack[1, 0, 2] = 1e-6
+    with pytest.raises(NotHermitianError):
+        linalg.hermitian_eigvals(stack)
+    with pytest.raises(NonSquareError):
+        linalg.hermitian_eigvals(np.zeros((2, 3, 4)))

@@ -535,3 +535,47 @@ def test_collective_twirl_guards():
         twirl.collective_twirl_bruteforce(np.eye(64), 8)
     with pytest.raises(DimMismatchError):
         twirl.collective_twirl_bruteforce(np.eye(8), 3)
+
+
+@st.composite
+def _bipartite_stacks(draw):
+    # a stack of 1-5 non-Hermitian complex operators on one split
+    dims = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    n = draw(st.integers(1, 5))
+    side = dims[0] * dims[1]
+    parts = draw(
+        hnp.arrays(np.float64, (2, n, side, side), elements=st.floats(-1.0, 1.0))
+    )
+    return parts[0] + 1j * parts[1], dims
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(float)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_bipartite_stacks())
+def test_stacked_calls_match_per_matrix_calls_bitwise(stack):
+    xs, dims = stack
+    for side in ("A", "B"):
+        for fn in (twirl.twirl_one_sided, linalg.partial_transpose):
+            together = fn(xs, dims, side)
+            apart = np.stack([fn(x, dims, side) for x in xs])
+            assert together.shape == xs.shape
+            np.testing.assert_array_equal(_bits(together), _bits(apart))
+    # both sides permuted: the orbit means of the two-sided twirl
+    together = twirl._orbit_mean(xs, dims, (True, True))
+    for k, x in enumerate(xs):
+        for got, want in zip(together, twirl._orbit_mean(x, dims, (True, True))):
+            np.testing.assert_array_equal(_bits(got[k]), _bits(want))
+
+
+def test_one_sided_rejects_bad_stacks():
+    with pytest.raises(DimMismatchError):
+        twirl.twirl_one_sided(np.zeros((2, 2, 4, 4)), (2, 2), "A")
+    with pytest.raises(DimMismatchError):
+        twirl.twirl_one_sided(np.zeros((3, 4, 4)), (2, 3), "A")
+    bad = np.zeros((3, 4, 4), dtype=complex)
+    bad[2, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        twirl.twirl_one_sided(bad, (2, 2), "B")
