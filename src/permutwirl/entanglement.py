@@ -88,13 +88,14 @@ def separable_verdict(rho: DensityMatrix, tol: float = PPT_TOL) -> Verdict:
 def bell_octahedron_member(t1, t2, t3, tol: float = PPT_TOL) -> bool:
     """Separability test |t1| + |t2| + |t3| <= 1 for correlation-triple states."""
     states.validate_bell_params(t1, t2, t3)
-    return abs(float(t1)) + abs(float(t2)) + abs(float(t3)) <= 1.0 + tol
+    return bool(bell_octahedron_members([[t1, t2, t3]], tol)[0])
 
 
 def bell_octahedron_members(triples, tol: float = PPT_TOL) -> np.ndarray:
-    """:func:`bell_octahedron_member` for each row of an ``(n, 3)`` array.
+    """Octahedron test |t1| + |t2| + |t3| <= 1 for each row of ``triples``.
 
-    The triples are not validated; take them from a valid lattice.
+    ``triples`` is an ``(n, 3)`` array.  The triples are not validated;
+    :func:`bell_octahedron_member` validates one triple and tests it here.
     """
     a = np.abs(np.asarray(triples, dtype=float))
     return a[:, 0] + a[:, 1] + a[:, 2] <= 1.0 + tol

@@ -259,19 +259,15 @@ def bell_diagonal_state(t1, t2, t3, tol: float = VALIDATION_TOL) -> DensityMatri
     """Two-qubit state 1/4 (I + sum_i t_i sigma_i x sigma_i)."""
     t1, t2, t3 = float(t1), float(t2), float(t3)
     validate_bell_params(t1, t2, t3, tol=tol)
-    mat = np.eye(4, dtype=complex)
-    for t, sigma in zip((t1, t2, t3), PAULIS):
-        mat += t * np.kron(sigma, sigma)
-    return DensityMatrix(0.25 * mat, (2, 2))
+    return DensityMatrix(bell_diagonal_stack([[t1, t2, t3]])[0], (2, 2))
 
 
 def bell_diagonal_stack(triples) -> np.ndarray:
     """States 1/4 (I + sum_i t_i sigma_i x sigma_i), one per row of ``triples``.
 
     ``triples`` is an ``(n, 3)`` array; the result is an ``(n, 4, 4)``
-    stack built with the operations of :func:`bell_diagonal_state`, in
-    the same order, so each matrix has its bits.  The triples are not
-    validated.
+    stack.  The triples are not validated; :func:`bell_diagonal_state`
+    validates one triple and builds it here.
     """
     t = np.asarray(triples, dtype=float)
     mat = np.broadcast_to(np.eye(4, dtype=complex), (t.shape[0], 4, 4)).copy()

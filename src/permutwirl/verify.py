@@ -34,6 +34,10 @@ class CheckResult:
     passed: bool
 
 
+# What a check measures: its worst residual and the tolerance it holds it to.
+Measured = tuple[float, float]
+
+
 def _worst(*values) -> float:
     """The largest of ``values``, or NaN if any of them is NaN.
 
@@ -42,21 +46,6 @@ def _worst(*values) -> float:
     """
     values = [float(v) for v in values]
     return math.nan if any(math.isnan(v) for v in values) else max(values)
-
-
-# The names each check reports, in order, keyed by the check's function
-# name; a check that raises is reported failed under all of them.
-_REPORTS: dict[str, tuple[str, ...]] = {}
-
-
-def _reports(*names: str):
-    """Declare the names of the results a check returns, in order."""
-
-    def declare(check):
-        _REPORTS[check.__name__] = names
-        return check
-
-    return declare
 
 
 def _result(name: str, residual: float, tol: float) -> CheckResult:
@@ -71,8 +60,7 @@ def _sample_matrices(d: int, samples: int, rng) -> list[np.ndarray]:
     return mats
 
 
-@_reports("closed_form_matches_bruteforce")
-def check_closed_form_matches_bruteforce(dmax, samples, rng) -> CheckResult:
+def check_closed_form_matches_bruteforce(dmax, samples, rng) -> Measured:
     worst = 0.0
     for d in range(2, dmax + 1):
         for mat in _sample_matrices(d, samples, rng):
@@ -82,11 +70,10 @@ def check_closed_form_matches_bruteforce(dmax, samples, rng) -> CheckResult:
                     twirl.twirl_bruteforce(mat), twirl.twirl_closed_form(mat)
                 ),
             )
-    return _result("closed_form_matches_bruteforce", worst, 1e-10)
+    return worst, 1e-10
 
 
-@_reports("idempotence")
-def check_idempotence(dmax, samples, rng) -> CheckResult:
+def check_idempotence(dmax, samples, rng) -> Measured:
     worst = 0.0
     for d in range(2, dmax + 1):
         for mat in _sample_matrices(d, samples, rng):
@@ -94,21 +81,19 @@ def check_idempotence(dmax, samples, rng) -> CheckResult:
             worst = _worst(
                 worst, linalg.max_abs_diff(twirl.twirl_closed_form(once), once)
             )
-    return _result("idempotence", worst, 1e-10)
+    return worst, 1e-10
 
 
-@_reports("unitality")
-def check_unitality(dmax, samples, rng) -> CheckResult:
+def check_unitality(dmax, samples, rng) -> Measured:
     worst = 0.0
     for d in range(1, dmax + 1):
         eye = np.eye(d, dtype=complex)
         worst = _worst(worst, linalg.max_abs_diff(twirl.twirl_closed_form(eye), eye))
         worst = _worst(worst, linalg.max_abs_diff(twirl.twirl_bruteforce(eye), eye))
-    return _result("unitality", worst, 1e-10)
+    return worst, 1e-10
 
 
-@_reports("self_adjointness")
-def check_self_adjointness(dmax, samples, rng) -> CheckResult:
+def check_self_adjointness(dmax, samples, rng) -> Measured:
     worst = 0.0
     for d in range(2, dmax + 1):
         for _ in range(samples):
@@ -117,11 +102,10 @@ def check_self_adjointness(dmax, samples, rng) -> CheckResult:
             lhs = linalg.hs_inner(twirl.twirl_closed_form(x), y)
             rhs = linalg.hs_inner(x, twirl.twirl_closed_form(y))
             worst = _worst(worst, abs(lhs - rhs))
-    return _result("self_adjointness", worst, 1e-10)
+    return worst, 1e-10
 
 
-@_reports("transpose_covariance")
-def check_transpose_covariance(dmax, samples, rng) -> CheckResult:
+def check_transpose_covariance(dmax, samples, rng) -> Measured:
     worst = 0.0
     for d in range(2, dmax + 1):
         for mat in _sample_matrices(d, samples, rng):
@@ -131,11 +115,10 @@ def check_transpose_covariance(dmax, samples, rng) -> CheckResult:
                     twirl.twirl_closed_form(mat).T, twirl.twirl_closed_form(mat.T)
                 ),
             )
-    return _result("transpose_covariance", worst, 1e-10)
+    return worst, 1e-10
 
 
-@_reports("permutation_invariance")
-def check_permutation_invariance(dmax, samples, rng) -> CheckResult:
+def check_permutation_invariance(dmax, samples, rng) -> Measured:
     worst = 0.0
     for d in range(2, dmax + 1):
         for mat in _sample_matrices(d, samples, rng):
@@ -145,11 +128,10 @@ def check_permutation_invariance(dmax, samples, rng) -> CheckResult:
                 worst,
                 linalg.max_abs_diff(states.conjugate_by_permutation(out, tau), out),
             )
-    return _result("permutation_invariance", worst, 1e-10)
+    return worst, 1e-10
 
 
-@_reports("trace_and_positivity_preserved")
-def check_trace_and_positivity(dmax, samples, rng) -> CheckResult:
+def check_trace_and_positivity(dmax, samples, rng) -> Measured:
     worst = 0.0
     for d in range(2, dmax + 1):
         for _ in range(samples):
@@ -158,11 +140,10 @@ def check_trace_and_positivity(dmax, samples, rng) -> CheckResult:
             worst = _worst(worst, abs(np.trace(out) - 1.0))
             w, _ = linalg.hermitian_eigen(out)
             worst = _worst(worst, 0.0, -float(w[0]))
-    return _result("trace_and_positivity_preserved", worst, 1e-10)
+    return worst, 1e-10
 
 
-@_reports("qubit_bloch_image")
-def check_qubit_bloch_image(dmax, samples, rng) -> CheckResult:
+def check_qubit_bloch_image(dmax, samples, rng) -> Measured:
     worst = 0.0
     for _ in range(BLOCH_SAMPLES):
         r = states.random_bloch(rng)
@@ -170,11 +151,10 @@ def check_qubit_bloch_image(dmax, samples, rng) -> CheckResult:
         out = states.DensityMatrix(twirl.twirl_closed_form(rho.mat), (2,))
         image = states.bloch_of_qubit(out)
         worst = _worst(worst, float(np.max(np.abs(image - np.array([r[0], 0.0, 0.0])))))
-    return _result("qubit_bloch_image", worst, 1e-12)
+    return worst, 1e-12
 
 
-@_reports("output_state_reconstruction")
-def check_output_state_reconstruction(dmax, samples, rng) -> CheckResult:
+def check_output_state_reconstruction(dmax, samples, rng) -> Measured:
     worst = 0.0
     for d in range(2, dmax + 1):
         for _ in range(samples):
@@ -183,11 +163,10 @@ def check_output_state_reconstruction(dmax, samples, rng) -> CheckResult:
             worst = _worst(
                 worst, linalg.max_abs_diff(rebuilt.mat, twirl.twirl_bruteforce(rho.mat))
             )
-    return _result("output_state_reconstruction", worst, 1e-12)
+    return worst, 1e-12
 
 
-@_reports("output_state_eigenvalues")
-def check_output_state_eigenvalues(dmax, samples, rng) -> CheckResult:
+def check_output_state_eigenvalues(dmax, samples, rng) -> Measured:
     worst = 0.0
     for d in range(2, dmax + 1):
         for _ in range(samples):
@@ -202,11 +181,10 @@ def check_output_state_eigenvalues(dmax, samples, rng) -> CheckResult:
                 )
             )
             worst = _worst(worst, float(np.max(np.abs(w - expect))))
-    return _result("output_state_eigenvalues", worst, 1e-10)
+    return worst, 1e-10
 
 
-@_reports("parameter_bounds")
-def check_parameter_bounds(dmax, samples, rng) -> CheckResult:
+def check_parameter_bounds(dmax, samples, rng) -> Measured:
     # -1/(d(d-1)) <= (d lmin - 1)/(d(d-1)) <= off_diag
     #             <= (d lmax - 1)/(d(d-1)) <= 1/d
     worst = 0.0
@@ -225,33 +203,28 @@ def check_parameter_bounds(dmax, samples, rng) -> CheckResult:
                 hi_chain - 1.0 / d,
             ):
                 worst = _worst(worst, violation)
-    return _result("parameter_bounds", _worst(worst, 0.0), 1e-10)
+    return _worst(worst, 0.0), 1e-10
 
 
-def _coherence_gap_check(name, measure, dmax, rng) -> CheckResult:
+def _coherence_gap_check(measure, dmax, rng) -> Measured:
     worst = 0.0
     for d in range(2, min(dmax, 5) + 1):
         for _ in range(COHERENCE_SAMPLES):
             rho = states.random_density(d, rng)
             report = coherence.coherence_report(rho, measure)
             worst = _worst(worst, -report.gap)
-    return _result(name, _worst(worst, 0.0), 1e-10)
+    return _worst(worst, 0.0), 1e-10
 
 
-@_reports("coherence_gap_l1")
-def check_coherence_gap_l1(dmax, samples, rng) -> CheckResult:
-    return _coherence_gap_check("coherence_gap_l1", coherence.MEASURE_L1, dmax, rng)
+def check_coherence_gap_l1(dmax, samples, rng) -> Measured:
+    return _coherence_gap_check(coherence.MEASURE_L1, dmax, rng)
 
 
-@_reports("coherence_gap_relent")
-def check_coherence_gap_relent(dmax, samples, rng) -> CheckResult:
-    return _coherence_gap_check(
-        "coherence_gap_relent", coherence.MEASURE_REL_ENT, dmax, rng
-    )
+def check_coherence_gap_relent(dmax, samples, rng) -> Measured:
+    return _coherence_gap_check(coherence.MEASURE_REL_ENT, dmax, rng)
 
 
-@_reports("l1_bound_equals_formula")
-def check_l1_bound_formula(dmax, samples, rng) -> CheckResult:
+def check_l1_bound_formula(dmax, samples, rng) -> Measured:
     worst = 0.0
     for d in range(2, dmax + 1):
         for _ in range(samples):
@@ -259,11 +232,10 @@ def check_l1_bound_formula(dmax, samples, rng) -> CheckResult:
             summary = twirl.twirl_params(rho)
             formula = d * (d - 1) * abs(summary.off_diag)
             worst = _worst(worst, abs(coherence.l1_lower_bound(rho) - formula))
-    return _result("l1_bound_equals_formula", worst, 0.0)
+    return worst, 0.0
 
 
-@_reports("relent_bound_eigen_route")
-def check_relent_bound_eigen_route(dmax, samples, rng) -> CheckResult:
+def check_relent_bound_eigen_route(dmax, samples, rng) -> Measured:
     worst = 0.0
     for d in range(2, dmax + 1):
         for _ in range(samples):
@@ -272,11 +244,10 @@ def check_relent_bound_eigen_route(dmax, samples, rng) -> CheckResult:
             rebuilt = twirl.reconstruct_output_state(twirl.twirl_params(rho))
             via_eigs = coherence.rel_ent_coherence(rebuilt)
             worst = _worst(worst, abs(direct - via_eigs))
-    return _result("relent_bound_eigen_route", worst, 1e-9)
+    return worst, 1e-9
 
 
-@_reports("l1_bound_tight_for_nonneg_real")
-def check_l1_tight_for_nonneg_real(dmax, samples, rng) -> CheckResult:
+def check_l1_tight_for_nonneg_real(dmax, samples, rng) -> Measured:
     worst = 0.0
     for d in range(2, dmax + 1):
         for _ in range(samples):
@@ -286,11 +257,10 @@ def check_l1_tight_for_nonneg_real(dmax, samples, rng) -> CheckResult:
             rho = states.validate_density(mat)
             report = coherence.coherence_report(rho, coherence.MEASURE_L1)
             worst = _worst(worst, abs(report.gap))
-    return _result("l1_bound_tight_for_nonneg_real", worst, 1e-10)
+    return worst, 1e-10
 
 
-@_reports("qubit_sweep_l1_curves", "qubit_sweep_relent_ordering")
-def check_figure_curves(dmax, samples, rng) -> list[CheckResult]:
+def check_figure_curves(dmax, samples, rng) -> list[Measured]:
     rows = sweeps.qubit_sweep_rows(0.1, 0.1, 200)
     arr = np.array(rows)
     r1, l1_rho, l1_star = arr[:, 0], arr[:, 1], arr[:, 2]
@@ -306,13 +276,12 @@ def check_figure_curves(dmax, samples, rng) -> list[CheckResult]:
         -float(np.min(relent_rho - relent_star)),
     )
     return [
-        _result("qubit_sweep_l1_curves", worst_l1, 1e-10),
-        _result("qubit_sweep_relent_ordering", worst_mono, 1e-10),
+        (worst_l1, 1e-10),
+        (worst_mono, 1e-10),
     ]
 
 
-@_reports("one_sided_matches_bruteforce")
-def check_one_sided_bruteforce(dmax, samples, rng) -> CheckResult:
+def check_one_sided_bruteforce(dmax, samples, rng) -> Measured:
     worst = 0.0
     for d_a, d_b in BIPARTITE_PAIRS:
         for _ in range(BIPARTITE_SAMPLES):
@@ -325,11 +294,10 @@ def check_one_sided_bruteforce(dmax, samples, rng) -> CheckResult:
                         twirl.twirl_one_sided_bruteforce(rho.mat, (d_a, d_b), side),
                     ),
                 )
-    return _result("one_sided_matches_bruteforce", worst, 1e-10)
+    return worst, 1e-10
 
 
-@_reports("two_sided_matches_nested_bruteforce")
-def check_two_sided_bruteforce(dmax, samples, rng) -> CheckResult:
+def check_two_sided_bruteforce(dmax, samples, rng) -> Measured:
     worst = 0.0
     for d_a, d_b in BIPARTITE_PAIRS:
         for _ in range(BIPARTITE_SAMPLES):
@@ -344,11 +312,10 @@ def check_two_sided_bruteforce(dmax, samples, rng) -> CheckResult:
             worst = _worst(
                 worst, linalg.max_abs_diff(out, twirl.coefficients_to_matrix(coeffs))
             )
-    return _result("two_sided_matches_nested_bruteforce", worst, 1e-10)
+    return worst, 1e-10
 
 
-@_reports("two_qubit_eigenvalue_formula")
-def check_two_qubit_eigenvalue_formula(dmax, samples, rng) -> CheckResult:
+def check_two_qubit_eigenvalue_formula(dmax, samples, rng) -> Measured:
     worst = 0.0
     for _ in range(BIPARTITE_SAMPLES):
         rho = states.random_density(4, rng, dims=(2, 2))
@@ -361,11 +328,10 @@ def check_two_qubit_eigenvalue_formula(dmax, samples, rng) -> CheckResult:
             )
         )
         worst = _worst(worst, float(np.max(np.abs(w - expect))))
-    return _result("two_qubit_eigenvalue_formula", worst, 1e-10)
+    return worst, 1e-10
 
 
-@_reports("two_qubit_outputs_separable")
-def check_two_qubit_outputs_separable(dmax, samples, rng) -> CheckResult:
+def check_two_qubit_outputs_separable(dmax, samples, rng) -> Measured:
     worst = 0.0
     for _ in range(TWO_QUBIT_SAMPLES):
         rho = states.random_density(4, rng, dims=(2, 2))
@@ -380,31 +346,28 @@ def check_two_qubit_outputs_separable(dmax, samples, rng) -> CheckResult:
             worst = _worst(worst, 0.0, -report.min_eig_pt)
             if entanglement.separable_verdict(out) is not entanglement.Verdict.SEPARABLE:
                 worst = _worst(worst, 1.0)
-    return _result("two_qubit_outputs_separable", worst, 1e-10)
+    return worst, 1e-10
 
 
-@_reports("entanglement_breaking_certificate")
-def check_entanglement_breaking(dmax, samples, rng) -> CheckResult:
+def check_entanglement_breaking(dmax, samples, rng) -> Measured:
     worst = 0.0
     for d in range(2, 7):
         cert = twirl.entanglement_breaking_certificate(d, tol=1e-12)
         worst = _worst(worst, cert.residual)
         worst = _worst(worst, abs(sum(cert.weights) - 1.0))
         worst = _worst(worst, 0.0, *(-w for w in cert.weights))
-    return _result("entanglement_breaking_certificate", worst, 1e-12)
+    return worst, 1e-12
 
 
-@_reports("choi_matrix_ppt")
-def check_choi_ppt(dmax, samples, rng) -> CheckResult:
+def check_choi_ppt(dmax, samples, rng) -> Measured:
     worst = 0.0
     for d in range(2, 7):
         report = entanglement.is_ppt(twirl.choi_matrix(d), tol=1e-12)
         worst = _worst(worst, 0.0, -report.min_eig_pt)
-    return _result("choi_matrix_ppt", worst, 1e-12)
+    return worst, 1e-12
 
 
-@_reports("bell_octahedron_ppt_agreement", "bell_one_sided_image")
-def check_bell_geometry(dmax, samples, rng) -> list[CheckResult]:
+def check_bell_geometry(dmax, samples, rng) -> list[Measured]:
     t, rho = sweeps.bell_lattice(BELL_GRID)
     member = entanglement.bell_octahedron_members(t, tol=1e-9)
     ppt = entanglement.min_pt_eigenvalues(rho, (2, 2)) >= -1e-9
@@ -414,35 +377,39 @@ def check_bell_geometry(dmax, samples, rng) -> list[CheckResult]:
     segment[:, 0] = t[:, 0]
     expect = states.bell_diagonal_stack(segment)
     return [
-        _result("bell_octahedron_ppt_agreement", float(disagreements), 0.0),
-        _result("bell_one_sided_image", linalg.max_abs_diff(image, expect), 1e-12),
+        (float(disagreements), 0.0),
+        (linalg.max_abs_diff(image, expect), 1e-12),
     ]
 
 
-_SINGLE_CHECKS = [
-    check_closed_form_matches_bruteforce,
-    check_idempotence,
-    check_unitality,
-    check_self_adjointness,
-    check_transpose_covariance,
-    check_permutation_invariance,
-    check_trace_and_positivity,
-    check_qubit_bloch_image,
-    check_output_state_reconstruction,
-    check_output_state_eigenvalues,
-    check_parameter_bounds,
-    check_coherence_gap_l1,
-    check_coherence_gap_relent,
-    check_l1_bound_formula,
-    check_relent_bound_eigen_route,
-    check_l1_tight_for_nonneg_real,
-    check_one_sided_bruteforce,
-    check_two_sided_bruteforce,
-    check_two_qubit_eigenvalue_formula,
-    check_two_qubit_outputs_separable,
-    check_entanglement_breaking,
-    check_choi_ppt,
-]
+# Each check with the names of the results it measures, in run order; a
+# check that raises is reported failed under all of its names.
+_CHECKS = (
+    (check_closed_form_matches_bruteforce, ("closed_form_matches_bruteforce",)),
+    (check_idempotence, ("idempotence",)),
+    (check_unitality, ("unitality",)),
+    (check_self_adjointness, ("self_adjointness",)),
+    (check_transpose_covariance, ("transpose_covariance",)),
+    (check_permutation_invariance, ("permutation_invariance",)),
+    (check_trace_and_positivity, ("trace_and_positivity_preserved",)),
+    (check_qubit_bloch_image, ("qubit_bloch_image",)),
+    (check_output_state_reconstruction, ("output_state_reconstruction",)),
+    (check_output_state_eigenvalues, ("output_state_eigenvalues",)),
+    (check_parameter_bounds, ("parameter_bounds",)),
+    (check_coherence_gap_l1, ("coherence_gap_l1",)),
+    (check_coherence_gap_relent, ("coherence_gap_relent",)),
+    (check_l1_bound_formula, ("l1_bound_equals_formula",)),
+    (check_relent_bound_eigen_route, ("relent_bound_eigen_route",)),
+    (check_l1_tight_for_nonneg_real, ("l1_bound_tight_for_nonneg_real",)),
+    (check_one_sided_bruteforce, ("one_sided_matches_bruteforce",)),
+    (check_two_sided_bruteforce, ("two_sided_matches_nested_bruteforce",)),
+    (check_two_qubit_eigenvalue_formula, ("two_qubit_eigenvalue_formula",)),
+    (check_two_qubit_outputs_separable, ("two_qubit_outputs_separable",)),
+    (check_entanglement_breaking, ("entanglement_breaking_certificate",)),
+    (check_choi_ppt, ("choi_matrix_ppt",)),
+    (check_figure_curves, ("qubit_sweep_l1_curves", "qubit_sweep_relent_ordering")),
+    (check_bell_geometry, ("bell_octahedron_ppt_agreement", "bell_one_sided_image")),
+)
 
 
 def run_suite(
@@ -453,8 +420,8 @@ def run_suite(
     """Run every check; deterministic given (dmax, samples, seed).
 
     A check that raises is reported as failed with a NaN residual and tol
-    under each name it declares, so the names and their order do not
-    depend on how a check ended.
+    under each of its names in ``_CHECKS``, so the names and their order
+    do not depend on how a check ended.
     """
     if dmax < 1:
         raise ValueError(f"dmax must be >= 1, got {dmax}")
@@ -464,15 +431,20 @@ def run_suite(
         raise ValueError(f"dmax must be <= {twirl.MAX_BRUTE_DIM}, got {dmax}")
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
-    for check in _SINGLE_CHECKS + [check_figure_curves, check_bell_geometry]:
+    for check, names in _CHECKS:
         try:
             out = check(dmax, samples, rng)
         except (PermutwirlError, ValueError, ArithmeticError):
             # A faulty kernel's NaN output makes later consumers (the
             # eigensolver, input validation) raise: report, do not stop.
-            out = [
+            results += [
                 CheckResult(name, max_residual=math.nan, tol=math.nan, passed=False)
-                for name in _REPORTS[check.__name__]
+                for name in names
             ]
-        results.extend(out if isinstance(out, list) else [out])
+            continue
+        measured = out if isinstance(out, list) else [out]
+        results += [
+            _result(name, residual, tol)
+            for name, (residual, tol) in zip(names, measured, strict=True)
+        ]
     return results

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from permutwirl import entanglement, states, sweeps, twirl
+from permutwirl import entanglement, states, twirl
 from permutwirl.entanglement import Verdict
 from permutwirl.errors import DimMismatchError
 
@@ -108,10 +108,3 @@ def test_min_pt_eigenvalues_match_is_ppt():
             want = [entanglement.is_ppt(rho, side=side).min_eig_pt for rho in rhos]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-
-def test_octahedron_members_match_scalar_test():
-    triples, _ = sweeps.bell_lattice(7)
-    for tol in (entanglement.PPT_TOL, 1e-9):
-        got = entanglement.bell_octahedron_members(triples, tol=tol)
-        want = [entanglement.bell_octahedron_member(*t, tol=tol) for t in triples]
-        assert got.tolist() == want
