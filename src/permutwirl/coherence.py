@@ -145,7 +145,7 @@ def rel_ent_lower_bound(rho: DensityMatrix, tol: float = linalg.DEFAULT_TOL) -> 
     if d == 1:
         return 0.0
     lo = -1.0 / (d - 1)
-    if w < lo - tol or w > 1.0 + tol:
+    if not (lo - tol <= w <= 1.0 + tol):
         raise ParamOutOfRangeError(f"weight {w:.12g} outside [{lo:.12g}, 1]")
     # Clamp endpoint noise so the log arguments stay nonnegative.
     u = max(0.0, 1.0 - w)

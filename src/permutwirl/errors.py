@@ -50,7 +50,7 @@ class InvalidBellParamsError(PermutwirlError):
 
 
 class NonRealSumError(PermutwirlError):
-    """Off-diagonal sum has a nonvanishing imaginary part (input not Hermitian)."""
+    """Off-diagonal sum is not real: a nonvanishing imaginary part or NaN."""
 
 
 class ParamOutOfRangeError(PermutwirlError):

@@ -79,14 +79,14 @@ def validate_density(m, dims=None, tol: float = VALIDATION_TOL) -> DensityMatrix
     d = linalg.require_square(mat)
     dims = _normalize_dims(d, dims)
     dev = linalg.max_abs_diff(mat, mat.conj().T)
-    if dev > tol:
+    if not dev <= tol:
         raise NotHermitianError(f"not Hermitian within {tol:g} (deviation {dev:.3e})")
     tr = complex(np.trace(mat))
-    if abs(tr - 1.0) > tol:
+    if not abs(tr - 1.0) <= tol:
         raise TraceNotOneError(f"trace is {tr:.12g}, expected 1 within {tol:g}")
     w, _ = linalg.hermitian_eigen(mat, tol=tol)
     min_eig = float(w[0])
-    if min_eig < -tol:
+    if not min_eig >= -tol:
         raise NotPositiveError(
             f"min eigenvalue {min_eig:.6e} below -{tol:g}", min_eigenvalue=min_eig
         )
@@ -117,7 +117,7 @@ def qubit_from_bloch(r, tol: float = VALIDATION_TOL) -> DensityMatrix:
     """Qubit state 1/2 (I + r . sigma) for a Bloch vector inside the ball."""
     r1, r2, r3 = (float(c) for c in r)
     norm = np.sqrt(r1 * r1 + r2 * r2 + r3 * r3)
-    if norm > 1.0 + tol:
+    if not norm <= 1.0 + tol:
         raise BlochOutsideBallError(f"|r| = {norm:.12g} exceeds 1")
     mat = 0.5 * np.array(
         [[1 + r3, r1 - 1j * r2], [r1 + 1j * r2, 1 - r3]], dtype=complex
@@ -218,7 +218,7 @@ def maximally_coherent_mixed_state(
     if d == 1:
         return DensityMatrix(np.ones((1, 1), dtype=complex), (1,))
     lo = -1.0 / (d - 1)
-    if p < lo - tol or p > 1.0 + tol:
+    if not (lo - tol <= p <= 1.0 + tol):
         raise WeightOutOfRangeError(f"weight {p:.12g} outside [{lo:.12g}, 1]")
     mat = np.full((d, d), p / d, dtype=complex)
     np.fill_diagonal(mat, 1.0 / d)
@@ -243,13 +243,13 @@ def bell_eigenvalues(t1: float, t2: float, t3: float) -> np.ndarray:
 
 def validate_bell_params(t1, t2, t3, tol: float = VALIDATION_TOL) -> None:
     for i, t in enumerate((t1, t2, t3), start=1):
-        if abs(t) > 1.0 + tol:
+        if not abs(t) <= 1.0 + tol:
             raise InvalidBellParamsError(f"|t{i}| = {abs(t):.12g} exceeds 1")
     for lam, label in zip(
         bell_eigenvalues(t1, t2, t3),
         ("1-t1-t2-t3", "1-t1+t2+t3", "1+t1-t2+t3", "1+t1+t2-t3"),
     ):
-        if lam < -tol:
+        if not lam >= -tol:
             raise InvalidBellParamsError(
                 f"constraint {label} >= 0 violated (value {4 * lam:.12g})"
             )

@@ -167,11 +167,13 @@ def twirl_params(rho: DensityMatrix, tol: float = linalg.DEFAULT_TOL) -> TwirlSu
     if d == 1:
         return TwirlSummary(dim=1, off_diag=0.0, weight=0.0)
     off_sum = complex(rho.mat.sum() - np.trace(rho.mat))
-    if abs(off_sum.imag) > tol:
+    if not abs(off_sum.imag) <= tol:
         raise NonRealSumError(
             f"off-diagonal sum has imaginary part {off_sum.imag:.3e}; "
             "input is not Hermitian"
         )
+    if math.isnan(off_sum.real):
+        raise NonRealSumError("off-diagonal sum is NaN")
     a = off_sum.real / (d * (d - 1))
     return TwirlSummary(dim=d, off_diag=a, weight=d * a)
 
@@ -192,7 +194,7 @@ def reconstruct_output_state(
         return DensityMatrix(np.ones((1, 1), dtype=complex), (1,))
     lo = -1.0 / (d * (d - 1))
     hi = 1.0 / d
-    if summary.off_diag < lo - tol or summary.off_diag > hi + tol:
+    if not (lo - tol <= summary.off_diag <= hi + tol):
         raise ParamOutOfRangeError(
             f"off-diagonal {summary.off_diag:.12g} outside [{lo:.12g}, {hi:.12g}]"
         )

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import warnings
 
@@ -366,6 +367,33 @@ def test_verify_reports_nan_output_as_failure(capsys, monkeypatch):
     assert "verification failed: two_sided_matches_nested_bruteforce" in err
 
 
+def test_verify_keeps_a_nan_residual_that_is_not_first(monkeypatch):
+    # the closed form turns NaN on its 3rd call only: the worst residual of
+    # its check must stay NaN after the finite residuals before it
+    import permutwirl.twirl as twirl_module
+
+    original = twirl_module.twirl_closed_form
+    calls = itertools.count(1)
+
+    def nan_on_third_call(x):
+        out = original(x)
+        return np.full_like(out, np.nan) if next(calls) == 3 else out
+
+    monkeypatch.setattr(twirl_module, "twirl_closed_form", nan_on_third_call)
+    results = {r.name: r for r in verify.run_suite(dmax=2, samples=2, seed=1)}
+    closed = results["closed_form_matches_bruteforce"]
+    assert np.isnan(closed.max_residual)
+    assert closed.passed is False
+
+
+def test_verify_oversized_samples_exit_code(capsys):
+    samples = verify.MAX_SAMPLES + 1
+    code, out, err = _run(capsys, ["verify", "--dmax", "2", "--samples", str(samples)])
+    assert code == cli.EXIT_DIMENSION
+    assert out == ""
+    assert str(samples) in err and str(verify.MAX_SAMPLES) in err
+
+
 def test_console_entry_point_matches_main():
     assert cli.build_parser().prog == "permutwirl"
     with pytest.raises(SystemExit):
@@ -408,7 +436,8 @@ def test_verify_names_do_not_depend_on_how_checks_end(capsys, monkeypatch):
     import permutwirl.linalg as linalg_module
     import permutwirl.twirl as twirl_module
 
-    passing = [r.name for r in verify.run_suite(dmax=2, samples=2, seed=1)]
+    passed_run = verify.run_suite(dmax=2, samples=2, seed=1)
+    passing = [r.name for r in passed_run]
 
     def broken(*args, **kwargs):
         raise ValueError("injected fault")
@@ -419,6 +448,7 @@ def test_verify_names_do_not_depend_on_how_checks_end(capsys, monkeypatch):
         monkeypatch.setattr(twirl_module, name, broken)
     results = verify.run_suite(dmax=2, samples=2, seed=1)
     assert [r.name for r in results] == passing
+    assert [r.tol for r in results] == [r.tol for r in passed_run]
     assert all(np.isnan(r.max_residual) and not r.passed for r in results)
 
     code, out, _ = _run(capsys, ["verify", "--dmax", "2", "--samples", "2", "--seed", "1"])

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from permutwirl import coherence, linalg, states, twirl
-from permutwirl.errors import DimMismatchError, SampleCountError
+from permutwirl.errors import (
+    DimMismatchError,
+    NonRealSumError,
+    ParamOutOfRangeError,
+    SampleCountError,
+)
 
 LN2 = np.log(2.0)
 LN3 = np.log(3.0)
@@ -284,3 +289,16 @@ def test_assistance_sample_count_guard():
     rho = states.validate_density(np.eye(2) / 2)
     with pytest.raises(SampleCountError):
         coherence.assistance_estimate(rho, "l1", 0, seed=1)
+
+
+@pytest.mark.parametrize(
+    "summary, error",
+    [(None, NonRealSumError), (twirl.TwirlSummary(3, np.nan, np.nan), ParamOutOfRangeError)],
+    ids=["nan-state", "nan-weight"],
+)
+def test_rel_ent_lower_bound_rejects_nan(monkeypatch, summary, error):
+    rho = states.DensityMatrix(np.array([[0.5, np.nan], [np.nan, 0.5]], complex), (2,))
+    if summary is not None:
+        monkeypatch.setattr(twirl, "twirl_params", lambda _: summary)
+    with pytest.raises(error):
+        coherence.rel_ent_lower_bound(rho)

@@ -264,3 +264,58 @@ def test_random_bloch_stays_in_ball():
     rng = np.random.default_rng(25)
     for _ in range(200):
         assert np.linalg.norm(states.random_bloch(rng)) <= 1.0 + 1e-12
+
+
+def _nan_bell_eigenvalues(monkeypatch):
+    monkeypatch.setattr(states, "bell_eigenvalues", lambda *t: np.full(4, np.nan))
+
+
+def _nan_hermiticity(monkeypatch):
+    monkeypatch.setattr(linalg, "max_abs_diff", lambda a, b: np.nan)
+
+
+def _nan_trace(monkeypatch):
+    # let a NaN diagonal pass as_complex_matrix and the Hermiticity guard
+    monkeypatch.setattr(linalg, "as_complex_matrix", lambda m, **_: np.asarray(m, complex))
+    monkeypatch.setattr(linalg, "max_abs_diff", lambda a, b: 0.0)
+
+
+def _nan_eigenvalues(monkeypatch):
+    monkeypatch.setattr(linalg, "hermitian_eigen", lambda m, **_: (np.full(2, np.nan), None))
+
+
+MIXED = np.eye(2) / 2
+
+
+@pytest.mark.parametrize(
+    "patch, fn, args, error",
+    [
+        (None, states.qubit_from_bloch, ((np.nan, 0, 0),), BlochOutsideBallError),
+        (None, states.maximally_coherent_mixed_state, (3, np.nan), WeightOutOfRangeError),
+        (None, states.validate_bell_params, (np.nan, 0, 0), InvalidBellParamsError),
+        (
+            _nan_bell_eigenvalues,
+            states.validate_bell_params,
+            (0, 0, 0),
+            InvalidBellParamsError,
+        ),
+        (_nan_hermiticity, states.validate_density, (MIXED,), NotHermitianError),
+        (_nan_trace, states.validate_density, ([[np.nan, 0], [0, 0.5]],), TraceNotOneError),
+        (_nan_eigenvalues, states.validate_density, (MIXED,), NotPositiveError),
+    ],
+    ids=[
+        "bloch-norm",
+        "coherent-mixed-weight",
+        "bell-abs-t",
+        "bell-eigenvalue",
+        "density-hermiticity",
+        "density-trace",
+        "density-positivity",
+    ],
+)
+def test_guards_reject_nan(monkeypatch, patch, fn, args, error):
+    # each guard refuses a NaN with the error it raises for a finite violation
+    if patch is not None:
+        patch(monkeypatch)
+    with pytest.raises(error):
+        fn(*args)

@@ -58,7 +58,7 @@ def _bell_geometry_per_point():
                 worst_image = verify._worst(
                     worst_image, linalg.max_abs_diff(image, expect)
                 )
-    return [(float(disagreements), 0.0), (worst_image, 1e-12)]
+    return float(disagreements), worst_image
 
 
 @pytest.mark.parametrize("grid", [2, 3, 9, 21])
@@ -70,9 +70,11 @@ def test_bell_sweep_rows_equal_per_point_walk(grid):
 
 
 def test_bell_geometry_check_equals_per_point_walk():
-    got = verify.check_bell_geometry(verify.DEFAULT_DMAX, verify.DEFAULT_SAMPLES, None)
-    assert got == _bell_geometry_per_point()
-    assert all(residual <= tol for residual, tol in got)
+    check = verify.check_bell_geometry
+    (row,) = check(verify.DEFAULT_DMAX, verify.DEFAULT_SAMPLES, None)
+    assert row == _bell_geometry_per_point()
+    (measured,) = [m for c, *m in verify._CHECKS if c is check]
+    assert all(residual <= tol for residual, (_, tol) in zip(row, measured, strict=True))
 
 
 def test_bell_lattice_grid_guards():

@@ -579,3 +579,25 @@ def test_one_sided_rejects_bad_stacks():
     bad[2, 1, 0] = np.nan
     with pytest.raises(ValueError, match="NaN or infinite"):
         twirl.twirl_one_sided(bad, (2, 2), "B")
+
+
+
+def _params_of(entries):
+    return twirl.twirl_params(states.DensityMatrix(np.array(entries, complex), (2,)))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: _params_of([[0.5, complex(0, np.nan)], [0, 0.5]]), NonRealSumError),
+        (lambda: _params_of([[0.5, np.nan], [np.nan, 0.5]]), NonRealSumError),
+        (
+            lambda: twirl.reconstruct_output_state(twirl.TwirlSummary(3, np.nan, np.nan)),
+            ParamOutOfRangeError,
+        ),
+    ],
+    ids=["params-imaginary-part", "params-real-part", "reconstruct-off-diag"],
+)
+def test_guards_reject_nan(call, error):
+    with pytest.raises(error):
+        call()
