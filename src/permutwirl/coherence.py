@@ -85,7 +85,7 @@ def _xlogx(v: np.ndarray) -> np.ndarray:
 
 def _entropy_of_probs(p: np.ndarray) -> float:
     p = np.asarray(p, dtype=float)
-    bad = p[p < ENTROPY_EIG_FLOOR]
+    bad = p[~(p >= ENTROPY_EIG_FLOOR)]  # NaN included
     if bad.size:
         raise NotPositiveError(
             f"probability {bad.min():.3e} below {ENTROPY_EIG_FLOOR:g}",

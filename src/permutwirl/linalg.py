@@ -63,23 +63,6 @@ def max_abs_diff(a, b) -> float:
     return float(np.max(np.abs(a - b)))
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product, row-major block layout."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_complex_matrix(a).conj().T
-
-
-def trace(a) -> complex:
-    """Sum of diagonal entries of a square matrix."""
-    m = as_complex_matrix(a)
-    require_square(m)
-    return complex(np.trace(m))
-
-
 def hs_inner(x, y) -> complex:
     """Hilbert-Schmidt inner product Tr(x^dagger y)."""
     xm = as_complex_matrix(x)

@@ -20,6 +20,10 @@ BELL_SWEEP_COLUMNS = (
 # not a state and is left out.
 BELL_VALID_FLOOR = -1e-12
 
+# Largest ``steps`` for the qubit sweep, whose rows are all held at once
+# (about 0.3 GiB peak at the limit).
+MAX_QUBIT_STEPS = 1_000_000
+
 # Largest ``grid`` for the Bell lattice, which is held as arrays: grid^3
 # points are allocated at once.
 MAX_BELL_GRID = 101
@@ -30,12 +34,20 @@ def qubit_sweep_rows(r2: float, r3: float, steps: int) -> list[tuple[float, ...]
 
     r1 runs over [0, sqrt(1 - r2^2 - r3^2)] in ``steps`` points, keeping
     the Bloch vector inside the ball.
+
+    Raises:
+        DimensionTooLargeError: if ``steps`` > MAX_QUBIT_STEPS (checked
+            before any row is built).
     """
     r2, r3 = float(r2), float(r3)
     if r2 * r2 + r3 * r3 > 1.0:
         raise ParamOutOfRangeError(f"r2^2 + r3^2 = {r2 * r2 + r3 * r3:.12g} exceeds 1")
     if steps < 1:
         raise ParamOutOfRangeError(f"steps must be >= 1, got {steps}")
+    if steps > MAX_QUBIT_STEPS:
+        raise DimensionTooLargeError(
+            f"steps {steps} exceeds the limit of {MAX_QUBIT_STEPS} sweep rows"
+        )
     r1_max = np.sqrt(max(0.0, 1.0 - r2 * r2 - r3 * r3))
     rows = []
     for r1 in np.linspace(0.0, r1_max, steps):

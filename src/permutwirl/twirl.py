@@ -17,7 +17,9 @@ with its explicit separable decomposition, and the collective twirl
 
 The one-sided twirl, the two-sided twirl and its coefficients come from
 one orbit-mean pass: each entry is replaced by the mean of the entries
-in its orbit under permutations of the twirled factors.
+in its orbit under permutations of the twirled factors.  Their oracles,
+and the single-system one, are one brute-force enumeration of that
+group, independent of the orbit labels.
 
 All twirl operations accept arbitrary square complex matrices; the maps
 are linear on the full matrix algebra.  Density-specific helpers
@@ -39,13 +41,16 @@ from .errors import (
 )
 from .states import DensityMatrix
 
-# Factorial guards for exact enumeration.
+# Factorial guards for exact enumeration.  A factor above MAX_BRUTE_DIM is
+# refused before its factorial is computed.
 MAX_BRUTE_DIM = 9
+MAX_BRUTE_TERMS = 1_000_000
 MAX_COLLECTIVE_DIM = 7
-MAX_TWO_SIDED_TERMS = 1_000_000
 
-# Permutation batches are gathered in chunks to bound peak memory.
+# Permutation batches are gathered in chunks of at most _CHUNK maps and
+# _GATHER_ENTRIES entries (256 MiB of complex) to bound peak memory.
 _CHUNK = 5000
+_GATHER_ENTRIES = 1 << 24
 
 # Default residual bound of the Choi state's separable decomposition.
 CERTIFICATE_TOL = 1e-12
@@ -115,10 +120,34 @@ def _average_over_index_maps(x: np.ndarray, maps: np.ndarray) -> np.ndarray:
     """
     total = np.zeros_like(x)
     n = maps.shape[0]
-    for start in range(0, n, _CHUNK):
-        chunk = maps[start : start + _CHUNK]
+    step = min(_CHUNK, max(1, _GATHER_ENTRIES // x.size))
+    for start in range(0, n, step):
+        chunk = maps[start : start + step]
         total += x[chunk[:, :, None], chunk[:, None, :]].sum(axis=0)
     return total / n
+
+
+def _bruteforce(m: np.ndarray, dims: tuple[int, ...], permuted: tuple[bool, ...]):
+    """Average ``m`` over all permutations of each flagged factor, the others
+    fixed: one index map per group element, the first factor's elements major."""
+    sizes = [d for d, p in zip(dims, permuted) if p]
+    if max(sizes) > MAX_BRUTE_DIM or (
+        math.prod(map(math.factorial, sizes)) > MAX_BRUTE_TERMS
+    ):
+        raise DimensionTooLargeError(
+            f"brute-force twirl permuting factors {tuple(sizes)} of dims {tuple(dims)} "
+            f"refused: each must be <= {MAX_BRUTE_DIM}, with <= {MAX_BRUTE_TERMS} "
+            "permutations in all"
+        )
+    maps, *rest = [
+        _perm_index_array(d) if p else np.arange(d)[None]
+        for d, p in zip(dims, permuted)
+    ]
+    for group in rest:
+        # composite index (i, k) -> (maps(i), group(k)) for every pair
+        pairs = maps[:, None, :, None] * group.shape[1] + group[:, None]
+        maps = pairs.reshape(-1, pairs.shape[2] * pairs.shape[3])
+    return _average_over_index_maps(m, maps)
 
 
 def twirl_bruteforce(x) -> np.ndarray:
@@ -128,12 +157,7 @@ def twirl_bruteforce(x) -> np.ndarray:
     d <= MAX_BRUTE_DIM.
     """
     m = linalg.as_complex_matrix(x)
-    d = linalg.require_square(m)
-    if d > MAX_BRUTE_DIM:
-        raise DimensionTooLargeError(
-            f"brute-force twirl limited to d <= {MAX_BRUTE_DIM}, got {d}"
-        )
-    return _average_over_index_maps(m, _perm_index_array(d))
+    return _bruteforce(m, (linalg.require_square(m),), (True,))
 
 
 def twirl_closed_form(x) -> np.ndarray:
@@ -273,43 +297,15 @@ def twirl_one_sided(x, dims, side: str) -> np.ndarray:
 def twirl_one_sided_bruteforce(x, dims, side: str) -> np.ndarray:
     """Average over permutations of one factor only (oracle)."""
     m = linalg.as_complex_matrix(x)
-    d_a, d_b = linalg.split_dims(m, dims)
+    dims = linalg.split_dims(m, dims)
     side = linalg._check_side(side)
-    d_t = d_a if side == linalg.SIDE_A else d_b
-    if d_t > MAX_BRUTE_DIM:
-        raise DimensionTooLargeError(
-            f"brute-force twirl limited to side dim <= {MAX_BRUTE_DIM}, got {d_t}"
-        )
-    perms = _perm_index_array(d_t)
-    if side == linalg.SIDE_A:
-        # composite index (i_a, i_b) -> (pi(i_a), i_b)
-        maps = (perms[:, :, None] * d_b + np.arange(d_b)[None, None, :]).reshape(
-            perms.shape[0], d_a * d_b
-        )
-    else:
-        maps = (np.arange(d_a)[None, :, None] * d_b + perms[:, None, :]).reshape(
-            perms.shape[0], d_a * d_b
-        )
-    return _average_over_index_maps(m, maps)
+    return _bruteforce(m, dims, (side == linalg.SIDE_A, side == linalg.SIDE_B))
 
 
 def twirl_two_sided_bruteforce(x, dims) -> np.ndarray:
     """Double enumeration over independent permutations of both factors."""
     m = linalg.as_complex_matrix(x)
-    d_a, d_b = linalg.split_dims(m, dims)
-    terms = math.factorial(d_a) * math.factorial(d_b)
-    if terms > MAX_TWO_SIDED_TERMS:
-        raise DimensionTooLargeError(
-            f"two-sided brute force needs {terms} terms "
-            f"(limit {MAX_TWO_SIDED_TERMS})"
-        )
-    perms_a = _perm_index_array(d_a)
-    perms_b = _perm_index_array(d_b)
-    # composite index (i_a, i_b) -> (pi(i_a), sigma(i_b)) for every pair
-    maps = (
-        perms_a[:, None, :, None] * d_b + perms_b[None, :, None, :]
-    ).reshape(terms, d_a * d_b)
-    return _average_over_index_maps(m, maps)
+    return _bruteforce(m, linalg.split_dims(m, dims), (True, True))
 
 
 def bipartite_coefficients(x, dims) -> BipartiteTwirlCoefficients:

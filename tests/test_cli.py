@@ -140,8 +140,15 @@ def test_twirl_validation_error_exit_code(tmp_path, capsys):
 def test_twirl_dimension_guard_exit_code(tmp_path, capsys):
     path = str(tmp_path / "big.json")
     statefile.save_state(path, np.eye(10) / 10, (10,))
-    code, _, _ = _run(capsys, ["twirl", path, "--method", "brute"])
+    code, out, _ = _run(capsys, ["twirl", path, "--method", "brute"])
     assert code == cli.EXIT_DIMENSION
+    assert out == ""
+    bipartite = str(tmp_path / "big_a.json")
+    statefile.save_state(bipartite, np.eye(10) / 10, (10, 1))
+    code, out, err = _run(capsys, ["twirl", bipartite, "--side", "A", "--method", "brute"])
+    assert code == cli.EXIT_DIMENSION
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_twirl_stdin_stdout(tmp_path, capsys, monkeypatch):
@@ -392,6 +399,14 @@ def test_verify_oversized_samples_exit_code(capsys):
     assert code == cli.EXIT_DIMENSION
     assert out == ""
     assert str(samples) in err and str(verify.MAX_SAMPLES) in err
+
+
+def test_sweep_qubit_oversized_steps_exit_code(capsys):
+    steps = sweeps.MAX_QUBIT_STEPS + 1
+    code, out, err = _run(capsys, ["sweep-qubit", "--steps", str(steps)])
+    assert code == cli.EXIT_DIMENSION
+    assert out == ""
+    assert str(steps) in err and str(sweeps.MAX_QUBIT_STEPS) in err
 
 
 def test_console_entry_point_matches_main():

@@ -5,6 +5,7 @@ from permutwirl import coherence, linalg, states, twirl
 from permutwirl.errors import (
     DimMismatchError,
     NonRealSumError,
+    NotPositiveError,
     ParamOutOfRangeError,
     SampleCountError,
 )
@@ -52,6 +53,30 @@ def test_entropy_twirled_family_value():
     rho = states.maximally_coherent_mixed_state(3, 0.4)
     expected = -0.6 * np.log(0.6) - 0.4 * np.log(0.2)
     assert coherence.von_neumann_entropy(rho) == pytest.approx(expected, abs=1e-12)
+
+
+def _nan_eigenvalues(monkeypatch):
+    monkeypatch.setattr(linalg, "hermitian_eigen", lambda _: (np.array([np.nan, 1.0]), None))
+
+
+@pytest.mark.parametrize(
+    "patch, call",
+    [
+        (None, lambda: coherence._entropy_of_probs(np.array([np.nan, 0.5, 0.5]))),
+        (None, lambda: coherence._entropy_of_probs(np.array([0.5, 0.5, np.nan]))),
+        (
+            _nan_eigenvalues,
+            lambda: coherence.von_neumann_entropy(states.DensityMatrix(np.eye(2) / 2, (2,))),
+        ),
+    ],
+    ids=["probs-first", "probs-last", "eigenvalue"],
+)
+def test_entropy_rejects_nan(monkeypatch, patch, call):
+    # a NaN probability is refused like a negative one, not counted as 0
+    if patch is not None:
+        patch(monkeypatch)
+    with pytest.raises(NotPositiveError):
+        call()
 
 
 def test_l1_coherence_values():

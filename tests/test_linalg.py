@@ -5,67 +5,10 @@ from permutwirl import linalg, states
 from permutwirl.errors import DimMismatchError, NonSquareError, NotHermitianError
 
 
-def test_kron_identity():
-    np.testing.assert_array_equal(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_pauli_antidiagonal():
-    got = linalg.kron(states.SIGMA_1, states.SIGMA_1)
-    expected = np.fliplr(np.eye(4))
-    np.testing.assert_allclose(got, expected, atol=0)
-
-
-def test_kron_matches_block_index_formula():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    got = linalg.kron(a, b)
-    # independent oracle: entry-by-entry block layout
-    expected = np.empty((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            expected[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = a[i, j] * b
-    np.testing.assert_allclose(got, expected, atol=1e-15)
-
-
-def test_kron_associativity_and_mixed_product():
-    rng = np.random.default_rng(6)
-    a, c = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(2))
-    b, d = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2))
-    assert linalg.max_abs_diff(
-        linalg.kron(linalg.kron(a, b), c), linalg.kron(a, linalg.kron(b, c))
-    ) <= 1e-12
-    assert linalg.max_abs_diff(
-        linalg.kron(a, b) @ linalg.kron(c, d), linalg.kron(a @ c, b @ d)
-    ) <= 1e-12
-
-
-def test_trace_of_kron_factorizes():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    assert abs(linalg.trace(linalg.kron(a, b)) - linalg.trace(a) * linalg.trace(b)) <= 1e-12
-
-
-def test_dagger():
-    rng = np.random.default_rng(8)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    np.testing.assert_array_equal(linalg.dagger(linalg.dagger(a)), a)
-    np.testing.assert_array_equal(linalg.dagger(np.eye(4)), np.eye(4))
-    np.testing.assert_array_equal(linalg.dagger(states.SIGMA_2), states.SIGMA_2)
-
-
-def test_trace_basics():
-    assert linalg.trace(np.eye(3)) == 3
-    assert linalg.trace(states.SIGMA_3) == 0
-    with pytest.raises(NonSquareError):
-        linalg.trace(np.ones((2, 3)))
-
-
 def test_trace_of_density_is_one():
     rng = np.random.default_rng(9)
     rho = states.random_density(4, rng)
-    assert abs(linalg.trace(rho.mat) - 1) <= 1e-12
+    assert abs(np.trace(rho.mat) - 1) <= 1e-12
 
 
 def test_hs_inner():
@@ -124,7 +67,7 @@ def test_partial_trace_product_state():
     rng = np.random.default_rng(12)
     rho_a = states.random_density(2, rng).mat
     rho_b = states.random_density(3, rng).mat
-    prod = linalg.kron(rho_a, rho_b)
+    prod = np.kron(rho_a, rho_b)
     assert linalg.max_abs_diff(linalg.partial_trace(prod, (2, 3), "A"), rho_b) <= 1e-12
     assert linalg.max_abs_diff(linalg.partial_trace(prod, (2, 3), "B"), rho_a) <= 1e-12
 
@@ -162,9 +105,9 @@ def test_partial_transpose_product_state():
     rng = np.random.default_rng(14)
     rho_a = states.random_density(2, rng).mat
     rho_b = states.random_density(2, rng).mat
-    prod = linalg.kron(rho_a, rho_b)
+    prod = np.kron(rho_a, rho_b)
     got = linalg.partial_transpose(prod, (2, 2), "A")
-    np.testing.assert_allclose(got, linalg.kron(rho_a.T, rho_b), atol=1e-12)
+    np.testing.assert_allclose(got, np.kron(rho_a.T, rho_b), atol=1e-12)
 
 
 def test_partial_transpose_entangled_spectrum():

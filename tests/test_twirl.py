@@ -98,6 +98,59 @@ def test_collective_bruteforce_matches_explicit_matrix_average():
 def test_bruteforce_dimension_guard():
     with pytest.raises(DimensionTooLargeError):
         twirl.twirl_bruteforce(np.eye(10))
+    # a permuted factor of 10 on either side, and 3! 9! > MAX_BRUTE_TERMS pairs
+    for call in (
+        lambda: twirl.twirl_one_sided_bruteforce(np.eye(20), (10, 2), "A"),
+        lambda: twirl.twirl_one_sided_bruteforce(np.eye(20), (2, 10), "B"),
+        lambda: twirl.twirl_two_sided_bruteforce(np.eye(27), (3, 9)),
+    ):
+        with pytest.raises(DimensionTooLargeError):
+            call()
+    # a fixed factor is not limited
+    x = states.random_hermitian(20, np.random.default_rng(37))
+    assert linalg.max_abs_diff(
+        twirl.twirl_one_sided_bruteforce(x, (2, 10), "A"),
+        twirl.twirl_one_sided(x, (2, 10), "A"),
+    ) <= 1e-12
+
+
+def test_gather_is_bounded_by_entries(monkeypatch):
+    monkeypatch.setattr(twirl, "_GATHER_ENTRIES", 200)
+    gathered = []
+
+    class Spy(np.ndarray):
+        def __getitem__(self, key):
+            out = np.asarray(super().__getitem__(key))
+            gathered.append(out.size)
+            return out
+
+    x = np.arange(25, dtype=complex).reshape(5, 5).view(Spy)
+    twirl._average_over_index_maps(x, twirl._perm_index_array(5))
+    assert max(gathered) <= 200 and sum(gathered) == 120 * 25
+
+
+def test_bruteforce_oracles_across_many_chunks(monkeypatch):
+    # 200 entries per gather: 8 maps at D = 5, 2 at D = 9 and 1 at D = 12
+    monkeypatch.setattr(twirl, "_GATHER_ENTRIES", 200)
+    rng = np.random.default_rng(38)
+    x5, x9, x12 = (
+        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in (5, 9, 12)
+    )
+    assert linalg.max_abs_diff(
+        twirl.twirl_bruteforce(x5), twirl.twirl_closed_form(x5)
+    ) <= 1e-12
+    for side in ("A", "B"):
+        assert linalg.max_abs_diff(
+            twirl.twirl_one_sided_bruteforce(x12, (3, 4), side),
+            twirl.twirl_one_sided(x12, (3, 4), side),
+        ) <= 1e-12
+    assert linalg.max_abs_diff(
+        twirl.twirl_two_sided_bruteforce(x9, (3, 3)), twirl.twirl_two_sided(x9, (3, 3))[0]
+    ) <= 1e-12
+    perms = map(states.permutation_matrix, states.enumerate_permutations(3))
+    pairs = [np.kron(p, p) for p in perms]
+    literal = sum(big @ x9 @ big.T for big in pairs) / len(pairs)
+    assert linalg.max_abs_diff(twirl.collective_twirl_bruteforce(x9, 3), literal) <= 1e-12
 
 
 def test_closed_form_qubit_image():
