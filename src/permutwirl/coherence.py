@@ -225,9 +225,11 @@ def assistance_estimate(
     rank = int(lam.size)
     sizes = list(range(rank, rho.d + EXTRA_ENSEMBLE_SIZES + 1))
     term = _pure_l1_terms if measure == MEASURE_L1 else _pure_rel_ent_terms
-    best = -np.inf
+    scores = []
     for i in range(samples):
         m = sizes[i % len(sizes)]
         u = _haar_isometry(m, rank, rng)
-        best = max(best, term(b @ u.conj().T))
+        scores.append(term(b @ u.conj().T))
+    # np.max keeps a NaN score wherever it falls; built-in max drops it
+    best = float(np.max(scores))
     return AssistanceEstimate(measure=measure, value=best, samples=samples, seed=seed)

@@ -149,15 +149,6 @@ def permutation_matrix(perm) -> np.ndarray:
     return mat
 
 
-def compose_permutations(p, q) -> tuple[int, ...]:
-    """Composition p after q: i -> p[q[i]].  Matches matrix products."""
-    p = _check_permutation(p)
-    q = _check_permutation(q)
-    if len(p) != len(q):
-        raise ValueError("permutations act on different sets")
-    return tuple(p[i] for i in q)
-
-
 def invert_permutation(perm) -> tuple[int, ...]:
     p = _check_permutation(perm)
     inv = [0] * len(p)

@@ -40,7 +40,7 @@ def qubit_sweep_rows(r2: float, r3: float, steps: int) -> list[tuple[float, ...]
             before any row is built).
     """
     r2, r3 = float(r2), float(r3)
-    if r2 * r2 + r3 * r3 > 1.0:
+    if not (r2 * r2 + r3 * r3 <= 1.0):  # NaN included
         raise ParamOutOfRangeError(f"r2^2 + r3^2 = {r2 * r2 + r3 * r3:.12g} exceeds 1")
     if steps < 1:
         raise ParamOutOfRangeError(f"steps must be >= 1, got {steps}")

@@ -13,13 +13,14 @@ where E is the all-ones matrix.  This module provides both evaluation
 routes (the brute force doubles as the oracle for every closed form),
 the bipartite one-sided and two-sided actions, the channel's Choi matrix
 with its explicit separable decomposition, and the collective twirl
-(P x P on both factors), for which only the brute force is offered.
+(P x P on both factors).
 
-The one-sided twirl, the two-sided twirl and its coefficients come from
-one orbit-mean pass: each entry is replaced by the mean of the entries
-in its orbit under permutations of the twirled factors.  Their oracles,
-and the single-system one, are one brute-force enumeration of that
-group, independent of the orbit labels.
+The one-sided twirl, the two-sided twirl with its coefficients and the
+collective twirl come from one orbit-mean pass: each entry is replaced
+by the mean of the entries in its orbit under the permutations acting
+on its factors, independently or together.  Their oracles, and the
+single-system one, are brute-force enumerations of those groups,
+independent of the orbit labels.
 
 All twirl operations accept arbitrary square complex matrices; the maps
 are linear on the full matrix algebra.  Density-specific helpers
@@ -110,20 +111,22 @@ def _perm_index_array(d: int) -> np.ndarray:
     return np.array(list(states.enumerate_permutations(d)), dtype=np.intp)
 
 
-def _average_over_index_maps(x: np.ndarray, maps: np.ndarray) -> np.ndarray:
-    """Average x over re-indexings x[m, m] for each row m of ``maps``.
+def _average_over_index_maps(x: np.ndarray, n: int, rows) -> np.ndarray:
+    """Average x over re-indexings x[m, m] for n index maps m, one chunk at a time.
 
-    Each row is a permutation of the matrix indices, so the average over a
-    full (inverse-closed) set equals the average of P x P^dagger over the
-    corresponding permutation matrices.  Accumulates everything and
-    divides once at the end.
+    ``rows(terms)`` gives each factor's maps for a chunk of term numbers;
+    a term's m is their composite.  Each m permutes the matrix indices, so
+    the average over a full (inverse-closed) set equals the average of
+    P x P^dagger over the corresponding permutation matrices.
     """
     total = np.zeros_like(x)
-    n = maps.shape[0]
     step = min(_CHUNK, max(1, _GATHER_ENTRIES // x.size))
     for start in range(0, n, step):
-        chunk = maps[start : start + step]
-        total += x[chunk[:, :, None], chunk[:, None, :]].sum(axis=0)
+        maps, *rest = rows(np.arange(start, min(start + step, n)))
+        for g in rest:
+            # composite index (i, k) -> (maps(i), g(k)) for each term
+            maps = (maps[..., None] * g.shape[1] + g[:, None]).reshape(len(g), -1)
+        total += x[maps[:, :, None], maps[:, None, :]].sum(axis=0)
     return total / n
 
 
@@ -139,15 +142,15 @@ def _bruteforce(m: np.ndarray, dims: tuple[int, ...], permuted: tuple[bool, ...]
             f"refused: each must be <= {MAX_BRUTE_DIM}, with <= {MAX_BRUTE_TERMS} "
             "permutations in all"
         )
-    maps, *rest = [
+    tables = [
         _perm_index_array(d) if p else np.arange(d)[None]
         for d, p in zip(dims, permuted)
     ]
-    for group in rest:
-        # composite index (i, k) -> (maps(i), group(k)) for every pair
-        pairs = maps[:, None, :, None] * group.shape[1] + group[:, None]
-        maps = pairs.reshape(-1, pairs.shape[2] * pairs.shape[3])
-    return _average_over_index_maps(m, maps)
+    shape = [len(t) for t in tables]
+    def rows(terms):  # each factor's maps for a chunk of terms, first factor major
+        return [a.take(i, 0) for a, i in zip(tables, np.unravel_index(terms, shape))]
+
+    return _average_over_index_maps(m, math.prod(shape), rows)
 
 
 def twirl_bruteforce(x) -> np.ndarray:
@@ -227,47 +230,54 @@ def reconstruct_output_state(
     return DensityMatrix(mat, (d,))
 
 
-def _factor_orbits(d: int, permuted: bool):
-    # Label of each index pair (i, j) of one factor, its number of runs and
-    # its orbit sizes.  A permuted factor's orbits, i == j and i != j (empty
-    # when d == 1), are split by the row i into d runs summed apart, as the
-    # matmul-and-trace formula does; a fixed factor keeps every pair apart.
-    if permuted:
-        i = np.arange(d)[:, None]
-        return 2 * i + (i != i.T), d, np.array([d, d * (d - 1)])
-    return np.arange(d * d).reshape(d, d), 1, np.ones(d * d, dtype=np.intp)
+def _orbit_labels(dims: tuple[int, ...], groups: tuple):
+    # Label of each raveled entry and its radix: (run, orbit) of each group in
+    # factor order.  groups[k] names factor k's permutation; None fixes it.  An
+    # orbit has one bit per slot pair (rows, then columns) that differs; a run is
+    # the first slot's value, summed apart to keep the one-sided formula's bits.
+    # A fixed factor's (row, col) is its orbit, in one run.
+    n, index = len(dims), np.indices((*dims, *dims), sparse=True)
+    labels, radix = 0, []
+    for k, (d, g) in enumerate(zip(dims, groups)):
+        if g is None:
+            label, radix_k = index[k] * d + index[n + k], (1, d * d)
+        elif g in groups[:k]:
+            continue
+        else:
+            slots = [index[j + c] for c in (0, n) for j in range(n) if groups[j] == g]
+            pairs = [(p, q) for i, p in enumerate(slots) for q in slots[i + 1 :]]
+            label, radix_k = slots[0], (d, 1 << len(pairs))
+            for p, q in pairs:
+                label = label * 2 + (p != q)
+        labels = labels * math.prod(radix_k) + label
+        radix += radix_k
+    return labels.ravel(), radix
 
 
-def _orbit_mean(m: np.ndarray, dims: tuple[int, int], permuted: tuple[bool, bool]):
-    """Replace each entry of ``m`` by its mean over the orbit of its indices.
-
-    The group permutes each factor flagged in ``permuted`` independently
-    and fixes the others.  ``m`` is one matrix or a stack ``(n, D, D)``,
-    each matrix averaged on its own.  Returns ``(out, sums, means)``, the
-    last two indexed by orbit (after any stack index) with the A factor's
-    label major; an empty orbit has mean 0.
-    """
-    (lab_a, r_a, size_a), (lab_b, r_b, size_b) = map(_factor_orbits, dims, permuted)
-    lead = m.shape[:-2]
-    shape = (math.prod(lead), r_a, size_a.size, r_b, size_b.size)
-    # composite label (matrix, run_a, orbit_a, run_b, orbit_b) of each entry
-    labels = (lab_a[:, None, :, None] * r_b * size_b.size + lab_b[None, :, None, :]).ravel()
-    labels = (np.arange(shape[0])[:, None] * math.prod(shape[1:]) + labels).ravel()
+def _orbit_mean(m: np.ndarray, dims: tuple[int, ...], groups: tuple):
+    """Replace each entry of ``m``, one matrix or a stack ``(n, D, D)``, by the
+    mean of its orbit under ``groups``.  Returns ``(out, sums, means)``, the last
+    two per orbit after any stack index, first group major; an empty orbit has
+    mean 0."""
+    labels, radix = _orbit_labels(dims, groups)
+    shape, runs_at = (math.prod(m.shape[:-2]), *radix), tuple(range(1, len(radix), 2))
+    sizes = np.bincount(labels, minlength=math.prod(radix)).reshape(shape[1:])
+    labels = (np.arange(shape[0])[:, None] * math.prod(radix) + labels).ravel()
     runs = np.empty(shape, dtype=complex)
     runs.real = np.bincount(labels, m.real.ravel(), runs.size).reshape(shape)
     runs.imag = np.bincount(labels, m.imag.ravel(), runs.size).reshape(shape)
-    sums = runs.sum(axis=(1, 3))
-    means = sums / np.maximum(size_a[:, None] * size_b, 1)
-    runs[...] = means[:, None, :, None, :]  # each run now holds its orbit's mean
+    sums = runs.sum(axis=runs_at, keepdims=True)
+    means = sums / np.maximum(sizes[None].sum(axis=runs_at, keepdims=True), 1)
+    runs[...] = means  # each run now holds its orbit's mean
     out = runs.ravel()[labels].reshape(m.shape)
-    return out, sums.reshape(*lead, -1), means.reshape(*lead, -1)
+    return out, sums.reshape(*m.shape[:-2], -1), means.reshape(*m.shape[:-2], -1)
 
 
 def _two_sided(m: np.ndarray, d_a: int, d_b: int):
     # Orbits 0-3 pair with I x I, I x (E_B - I), (E_A - I) x I and
     # (E_A - I) x (E_B - I): their sums are the overlaps, their means the
     # coefficients.
-    out, sums, means = _orbit_mean(m, (d_a, d_b), (True, True))
+    out, sums, means = _orbit_mean(m, (d_a, d_b), (0, 1))
     coeffs = BipartiteTwirlCoefficients(
         (d_a, d_b), *map(complex, means), *map(complex, sums[[2, 1, 3]])
     )
@@ -289,9 +299,8 @@ def twirl_one_sided(x, dims, side: str) -> np.ndarray:
     """
     m = linalg.as_complex_matrix(x, stack=True)
     d_a, d_b = linalg.split_dims(m, dims)
-    side = linalg._check_side(side)
-    permuted = (side == linalg.SIDE_A, side == linalg.SIDE_B)
-    return _orbit_mean(m, (d_a, d_b), permuted)[0]
+    groups = (0, None) if linalg._check_side(side) == linalg.SIDE_A else (None, 0)
+    return _orbit_mean(m, (d_a, d_b), groups)[0]
 
 
 def twirl_one_sided_bruteforce(x, dims, side: str) -> np.ndarray:
@@ -392,22 +401,36 @@ def entanglement_breaking_certificate(
     )
 
 
-def collective_twirl_bruteforce(x, d: int) -> np.ndarray:
-    """Average of (P x P) X (P x P)^dagger over all d! permutations.
-
-    No closed form is provided for this collective action; only the exact
-    enumeration is offered, guarded at d <= MAX_COLLECTIVE_DIM.
-    """
+def _collective_matrix(x, d: int) -> np.ndarray:
     m = linalg.as_complex_matrix(x)
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    if d > MAX_COLLECTIVE_DIM:
-        raise DimensionTooLargeError(
-            f"collective twirl limited to d <= {MAX_COLLECTIVE_DIM}, got {d}"
-        )
     side = linalg.require_square(m)
     if side != d * d:
         raise DimMismatchError(f"matrix side {side} does not equal d^2 = {d * d}")
+    return m
+
+
+def collective_twirl(x, d: int) -> np.ndarray:
+    """Average of (P x P) X (P x P)^dagger over all d! permutations.
+
+    Each entry becomes the mean of its orbit: the index 4-tuples
+    ``(i1, i2, j1, j2)`` with the same equality pattern, one of the set
+    partitions of four slots (15 for d >= 4).
+    """
+    return _orbit_mean(_collective_matrix(x, d), (d, d), (0, 0))[0]
+
+
+def collective_twirl_bruteforce(x, d: int) -> np.ndarray:
+    """Exact enumeration of the collective twirl (oracle).
+
+    Serves as the oracle for :func:`collective_twirl`.  Guarded at
+    d <= MAX_COLLECTIVE_DIM.
+    """
+    m = _collective_matrix(x, d)
+    if d > MAX_COLLECTIVE_DIM:
+        raise DimensionTooLargeError(
+            f"brute-force collective twirl needs d <= {MAX_COLLECTIVE_DIM}, got {d}"
+        )
     perms = _perm_index_array(d)
-    maps = (perms[:, :, None] * d + perms[:, None, :]).reshape(perms.shape[0], d * d)
-    return _average_over_index_maps(m, maps)
+    return _average_over_index_maps(m, len(perms), lambda t: [perms.take(t, 0)] * 2)

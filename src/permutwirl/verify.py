@@ -33,6 +33,7 @@ TWO_QUBIT_SAMPLES = 500
 COHERENCE_SAMPLES = 1000
 BLOCH_SAMPLES = 1000
 BELL_GRID = 21
+COLLECTIVE_SAMPLES = 10
 
 
 @dataclass(frozen=True)
@@ -285,6 +286,15 @@ def check_bell_geometry(dmax, samples, rng):
     yield float(np.count_nonzero(member != ppt)), linalg.max_abs_diff(image, expect)
 
 
+def check_collective_bruteforce(dmax, samples, rng):
+    for d in range(2, min(dmax, 5) + 1):
+        for _ in range(COLLECTIVE_SAMPLES):
+            x = states.random_hermitian(d * d, rng)
+            yield linalg.max_abs_diff(
+                twirl.collective_twirl(x, d), twirl.collective_twirl_bruteforce(x, d)
+            )
+
+
 # Each check with the (name, tol) of each result it measures, in run
 # order; each name and its tolerance are written here only.
 _CHECKS = (
@@ -320,6 +330,7 @@ _CHECKS = (
         ("bell_octahedron_ppt_agreement", 0.0),
         ("bell_one_sided_image", 1e-12),
     ),
+    (check_collective_bruteforce, ("collective_matches_bruteforce", 1e-10)),
 )
 
 

@@ -219,6 +219,20 @@ def test_coherence_assist_reports_both_states(tmp_path, capsys):
     assert doc["assist"]["samples"] == 300
 
 
+def test_coherence_assist_nan_estimate_exit_code(tmp_path, capsys, monkeypatch):
+    scores = iter([0.5, np.nan])
+    monkeypatch.setattr(
+        "permutwirl.coherence._pure_l1_terms", lambda w_cols: next(scores, 0.25)
+    )
+    path = _write_state(tmp_path, "q.json", states.qubit_from_bloch((0.3, 0.2, 0.5)))
+    code, out, err = _run(
+        capsys, ["coherence", path, "--measure", "l1", "--assist", "5", "9"]
+    )
+    assert code == cli.EXIT_INVALID
+    assert out == ""
+    assert "not finite" in err
+
+
 def test_coherence_rejects_bipartite(tmp_path, capsys):
     path = _write_state(tmp_path, "omega.json", states.maximally_entangled_state(2))
     code, _, err = _run(capsys, ["coherence", path])
@@ -251,6 +265,14 @@ def test_sweep_qubit_flag_validation(capsys):
     code, _, err = _run(capsys, ["sweep-qubit", "--r2", "0.9", "--r3", "0.9"])
     assert code == cli.EXIT_INVALID
     assert "exceeds 1" in err
+
+
+@pytest.mark.parametrize("flag", ["--r2", "--r3"])
+def test_sweep_qubit_nan_flag_exit_code(capsys, flag):
+    code, out, err = _run(capsys, ["sweep-qubit", flag, "nan"])
+    assert code == cli.EXIT_INVALID
+    assert out == ""
+    assert "r2^2 + r3^2 = nan exceeds 1" in err
 
 
 def test_sweep_qubit_deterministic(tmp_path, capsys):

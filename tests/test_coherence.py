@@ -284,6 +284,24 @@ def test_assistance_deterministic_given_seed():
     assert a == b
 
 
+def _nan_on_second_call(term):
+    calls = []
+
+    def fake(w_cols):
+        calls.append(None)
+        return np.nan if len(calls) == 2 else term(w_cols)
+
+    return fake
+
+
+@pytest.mark.parametrize("measure", ["l1", "relent"])
+def test_assistance_keeps_a_nan_score_that_is_not_first(monkeypatch, measure):
+    name = "_pure_l1_terms" if measure == "l1" else "_pure_rel_ent_terms"
+    monkeypatch.setattr(coherence, name, _nan_on_second_call(getattr(coherence, name)))
+    rho = states.random_density(3, np.random.default_rng(60))
+    assert np.isnan(coherence.assistance_estimate(rho, measure, 20, seed=5).value)
+
+
 def test_assistance_at_least_average_of_any_sampled_split():
     # estimator value also stays above the trivial eigen-decomposition average
     rng = np.random.default_rng(59)

@@ -106,16 +106,6 @@ def test_permutation_matrix_rejects_non_bijection():
         states.permutation_matrix((0, 0, 2))
 
 
-def test_permutation_composition_matches_matrix_product():
-    rng = np.random.default_rng(21)
-    for _ in range(20):
-        p = tuple(rng.permutation(4))
-        q = tuple(rng.permutation(4))
-        prod = states.permutation_matrix(p) @ states.permutation_matrix(q)
-        composed = states.permutation_matrix(states.compose_permutations(p, q))
-        np.testing.assert_array_equal(prod, composed)
-
-
 def test_permutation_inverse_is_transpose():
     rng = np.random.default_rng(22)
     for d in (2, 4, 6):

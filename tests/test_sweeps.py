@@ -82,3 +82,9 @@ def test_bell_lattice_grid_guards():
         sweeps.bell_lattice(1)
     with pytest.raises(DimensionTooLargeError, match=str((sweeps.MAX_BELL_GRID + 1) ** 3)):
         sweeps.bell_lattice(sweeps.MAX_BELL_GRID + 1)
+
+
+@pytest.mark.parametrize("r2, r3", [(np.nan, 0.1), (0.1, np.nan), (np.nan, np.nan)])
+def test_qubit_sweep_rejects_nan(r2, r3):
+    with pytest.raises(ParamOutOfRangeError, match="r2\\^2 \\+ r3\\^2 = nan"):
+        sweeps.qubit_sweep_rows(r2, r3, 5)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,8 +127,32 @@ def test_gather_is_bounded_by_entries(monkeypatch):
             return out
 
     x = np.arange(25, dtype=complex).reshape(5, 5).view(Spy)
-    twirl._average_over_index_maps(x, twirl._perm_index_array(5))
+    perms = twirl._perm_index_array(5)
+    twirl._average_over_index_maps(x, len(perms), lambda t: [perms.take(t, 0)])
     assert max(gathered) <= 200 and sum(gathered) == 120 * 25
+
+
+def test_bruteforce_maps_are_built_per_chunk(monkeypatch):
+    # 4 maps per gather at D = 70 (8 at D = 49): the whole (terms, D) map
+    # array outweighs every gather, so the peak stays below its size only
+    # if each chunk's maps are built on their own
+    monkeypatch.setattr(twirl, "_GATHER_ENTRIES", 4 * 70 * 70)
+    rng = np.random.default_rng(39)
+    calls = [
+        (lambda x: twirl.twirl_one_sided_bruteforce(x, (7, 10), "A"), 70, 5040),
+        (lambda x: twirl.twirl_one_sided_bruteforce(x, (10, 7), "B"), 70, 5040),
+        (lambda x: twirl.collective_twirl_bruteforce(x, 7), 49, 5040),
+    ]
+    for call, side, terms in calls:
+        x = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+        tracemalloc.start()
+        try:
+            out = call(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < terms * side * np.dtype(np.intp).itemsize
+        assert np.isfinite(out).all()
 
 
 def test_bruteforce_oracles_across_many_chunks(monkeypatch):
@@ -555,28 +581,31 @@ def test_entanglement_breaking_certificate():
 # ---------------------------------------------------------------- collective
 
 
-def test_collective_twirl_fixes_identity():
-    np.testing.assert_allclose(
-        twirl.collective_twirl_bruteforce(np.eye(9), 3), np.eye(9)
-    )
+COLLECTIVE_TWIRLS = [twirl.collective_twirl, twirl.collective_twirl_bruteforce]
+COLLECTIVE_IDS = ["orbit_mean", "bruteforce"]
 
 
-def test_collective_twirl_fixes_swap():
+@pytest.mark.parametrize("fn", COLLECTIVE_TWIRLS, ids=COLLECTIVE_IDS)
+def test_collective_twirl_fixes_identity(fn):
+    np.testing.assert_allclose(fn(np.eye(9), 3), np.eye(9))
+
+
+@pytest.mark.parametrize("fn", COLLECTIVE_TWIRLS, ids=COLLECTIVE_IDS)
+def test_collective_twirl_fixes_swap(fn):
     d = 3
     swap = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
         for j in range(d):
             swap[j * d + i, i * d + j] = 1.0
-    np.testing.assert_allclose(
-        twirl.collective_twirl_bruteforce(swap, d), swap, atol=1e-14
-    )
+    np.testing.assert_allclose(fn(swap, d), swap, atol=1e-14)
 
 
-def test_collective_twirl_output_is_invariant():
+@pytest.mark.parametrize("fn", COLLECTIVE_TWIRLS, ids=COLLECTIVE_IDS)
+def test_collective_twirl_output_is_invariant(fn):
     rng = np.random.default_rng(47)
     d = 4
     x = states.random_hermitian(d * d, rng)
-    out = twirl.collective_twirl_bruteforce(x, d)
+    out = fn(x, d)
     tau = tuple(rng.permutation(d))
     pair = states.permutation_matrix(tau)
     big = np.kron(pair, pair)
@@ -586,8 +615,34 @@ def test_collective_twirl_output_is_invariant():
 def test_collective_twirl_guards():
     with pytest.raises(DimensionTooLargeError):
         twirl.collective_twirl_bruteforce(np.eye(64), 8)
-    with pytest.raises(DimMismatchError):
-        twirl.collective_twirl_bruteforce(np.eye(8), 3)
+    for fn in COLLECTIVE_TWIRLS:
+        with pytest.raises(DimMismatchError):
+            fn(np.eye(8), 3)
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            fn(np.eye(1), 0)
+    # the orbit mean has no dimension limit of its own
+    x = states.random_hermitian(64, np.random.default_rng(48))
+    out = twirl.collective_twirl(x, 8)
+    assert linalg.max_abs_diff(twirl.collective_twirl(out, 8), out) <= 1e-12
+
+
+@st.composite
+def _collective_operators(draw):
+    # non-Hermitian complex operators on C^d x C^d
+    d = draw(st.integers(1, 5))
+    parts = draw(
+        hnp.arrays(np.float64, (2, d * d, d * d), elements=st.floats(-1.0, 1.0))
+    )
+    return parts[0] + 1j * parts[1], d
+
+
+@settings(max_examples=60, deadline=None)
+@given(_collective_operators())
+def test_collective_twirl_matches_oracle(operator):
+    x, d = operator
+    assert linalg.max_abs_diff(
+        twirl.collective_twirl(x, d), twirl.collective_twirl_bruteforce(x, d)
+    ) <= 1e-12
 
 
 @st.composite
@@ -617,9 +672,9 @@ def test_stacked_calls_match_per_matrix_calls_bitwise(stack):
             assert together.shape == xs.shape
             np.testing.assert_array_equal(_bits(together), _bits(apart))
     # both sides permuted: the orbit means of the two-sided twirl
-    together = twirl._orbit_mean(xs, dims, (True, True))
+    together = twirl._orbit_mean(xs, dims, (0, 1))
     for k, x in enumerate(xs):
-        for got, want in zip(together, twirl._orbit_mean(x, dims, (True, True))):
+        for got, want in zip(together, twirl._orbit_mean(x, dims, (0, 1))):
             np.testing.assert_array_equal(_bits(got[k]), _bits(want))
 
 
