@@ -83,7 +83,8 @@ def _xlogx(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _entropy_of_probs(p: np.ndarray) -> float:
+def _entropy_of_probs(p: np.ndarray) -> np.ndarray:
+    # Entropy of each probability vector along the last axis of p.
     p = np.asarray(p, dtype=float)
     bad = p[~(p >= ENTROPY_EIG_FLOOR)]  # NaN included
     if bad.size:
@@ -91,7 +92,12 @@ def _entropy_of_probs(p: np.ndarray) -> float:
             f"probability {bad.min():.3e} below {ENTROPY_EIG_FLOOR:g}",
             min_eigenvalue=float(bad.min()),
         )
-    return float(-_xlogx(np.clip(p, 0.0, None)).sum())
+    return -_xlogx(np.clip(p, 0.0, None)).sum(axis=-1)
+
+
+def _entropies(m: np.ndarray) -> np.ndarray:
+    # von Neumann entropy of each matrix of a stack: one eigensolver call
+    return _entropy_of_probs(linalg.hermitian_eigen(m)[0])
 
 
 def dephase(rho: DensityMatrix) -> DensityMatrix:
@@ -103,22 +109,37 @@ def dephase(rho: DensityMatrix) -> DensityMatrix:
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-Tr(rho ln rho) in nats, with 0 ln 0 = 0."""
     _require_monopartite(rho)
-    w, _ = linalg.hermitian_eigen(rho.mat)
-    return _entropy_of_probs(w)
+    return float(_entropies(rho.mat))
 
 
 def l1_coherence(rho: DensityMatrix) -> float:
     """Sum of the magnitudes of all off-diagonal entries."""
     _require_monopartite(rho)
-    mags = np.abs(rho.mat)
-    return float(mags.sum() - np.trace(mags))
+    return float(l1_coherences(rho.mat))
+
+
+def l1_coherences(mats) -> np.ndarray:
+    """:func:`l1_coherence` of each matrix of a stack ``(n, d, d)``."""
+    mags = np.abs(linalg.as_complex_matrix(mats, stack=True))
+    return mags.sum(axis=(-2, -1)) - np.trace(mags, axis1=-2, axis2=-1)
 
 
 def rel_ent_coherence(rho: DensityMatrix) -> float:
     """Entropy of the dephased state minus entropy of the state (nats)."""
     _require_monopartite(rho)
-    diag = np.diag(rho.mat).real
-    return _entropy_of_probs(diag) - von_neumann_entropy(rho)
+    return float(rel_ent_coherences(rho.mat))
+
+
+def rel_ent_coherences(mats) -> np.ndarray:
+    """:func:`rel_ent_coherence` of each matrix of a stack ``(n, d, d)``,
+    with one eigensolver call."""
+    m = linalg.as_complex_matrix(mats, stack=True)
+    diag = np.diagonal(m, axis1=-2, axis2=-1).real
+    return _entropy_of_probs(diag) - _entropies(m)
+
+
+def _l1_bound(d: int, off_diag) -> np.ndarray:
+    return d * (d - 1) * np.abs(off_diag)
 
 
 def l1_lower_bound(rho: DensityMatrix) -> float:
@@ -127,7 +148,28 @@ def l1_lower_bound(rho: DensityMatrix) -> float:
     Tight whenever all off-diagonal entries are real with a uniform sign.
     """
     summary = twirl.twirl_params(rho)
-    return summary.dim * (summary.dim - 1) * abs(summary.off_diag)
+    return float(_l1_bound(summary.dim, summary.off_diag))
+
+
+def l1_lower_bounds(mats) -> np.ndarray:
+    """:func:`l1_lower_bound` of each matrix of a stack ``(n, d, d)``."""
+    m = np.asarray(mats, dtype=complex)
+    return _l1_bound(m.shape[-1], twirl.off_diagonal_means(m))
+
+
+def _rel_ent_bound(d: int, w, tol: float) -> np.ndarray:
+    # The closed form of rel_ent_lower_bound at each mixing weight of w
+    w = np.asarray(w, dtype=float)
+    if d == 1:
+        return np.zeros_like(w)
+    lo = -1.0 / (d - 1)
+    outside = ~((lo - tol <= w) & (w <= 1.0 + tol))  # NaN included
+    if outside.any():
+        raise ParamOutOfRangeError(f"weight {w[outside][0]:.12g} outside [{lo:.12g}, 1]")
+    # Clamp endpoint noise so the log arguments stay nonnegative.
+    u = np.maximum(0.0, 1.0 - w)
+    v = np.maximum(0.0, (d - 1) * w + 1.0)
+    return (1.0 - 1.0 / d) * _xlogx(u) + (1.0 / d) * _xlogx(v)
 
 
 def rel_ent_lower_bound(rho: DensityMatrix, tol: float = linalg.DEFAULT_TOL) -> float:
@@ -141,18 +183,14 @@ def rel_ent_lower_bound(rho: DensityMatrix, tol: float = linalg.DEFAULT_TOL) -> 
     the measure on the reconstructed output state directly.
     """
     summary = twirl.twirl_params(rho)
-    d, w = summary.dim, summary.weight
-    if d == 1:
-        return 0.0
-    lo = -1.0 / (d - 1)
-    if not (lo - tol <= w <= 1.0 + tol):
-        raise ParamOutOfRangeError(f"weight {w:.12g} outside [{lo:.12g}, 1]")
-    # Clamp endpoint noise so the log arguments stay nonnegative.
-    u = max(0.0, 1.0 - w)
-    v = max(0.0, (d - 1) * w + 1.0)
-    term_u = (1.0 - 1.0 / d) * (u * np.log(u) if u > 0 else 0.0)
-    term_v = (1.0 / d) * (v * np.log(v) if v > 0 else 0.0)
-    return float(term_u + term_v)
+    return float(_rel_ent_bound(summary.dim, summary.weight, tol))
+
+
+def rel_ent_lower_bounds(mats, tol: float = linalg.DEFAULT_TOL) -> np.ndarray:
+    """:func:`rel_ent_lower_bound` of each matrix of a stack ``(n, d, d)``."""
+    m = np.asarray(mats, dtype=complex)
+    d = m.shape[-1]
+    return _rel_ent_bound(d, d * twirl.off_diagonal_means(m), tol)
 
 
 def coherence_value(rho: DensityMatrix, measure: str) -> float:

@@ -47,9 +47,7 @@ def is_ppt(rho: DensityMatrix, tol: float = PPT_TOL, side: str = "A") -> PptRepo
     are full transposes of each other, hence isospectral.
     """
     dims = _require_bipartite(rho)
-    pt = linalg.partial_transpose(rho.mat, dims, side)
-    w, _ = linalg.hermitian_eigen(pt)
-    min_eig = float(w[0])
+    min_eig = float(min_pt_eigenvalues(rho.mat, dims, side))
     return PptReport(
         min_eig_pt=min_eig,
         is_ppt=min_eig >= -tol,
@@ -63,10 +61,11 @@ def min_pt_eigenvalues(mats, dims, side: str = "A") -> np.ndarray:
     """Minimum partial-transpose eigenvalue of each matrix of a stack.
 
     The stacked ``is_ppt(rho).min_eig_pt`` for ``mats`` of shape
-    ``(n, D, D)``: one eigensolver call for the whole stack.
+    ``(n, D, D)``: one eigensolver call for the whole stack, with the same
+    bits as one call per matrix.
     """
     pt = linalg.partial_transpose(mats, dims, side)
-    return linalg.hermitian_eigvals(pt)[..., 0]
+    return linalg.hermitian_eigen(pt)[0][..., 0]
 
 
 def separable_verdict(rho: DensityMatrix, tol: float = PPT_TOL) -> Verdict:

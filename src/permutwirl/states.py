@@ -115,14 +115,31 @@ def sanitize_density(m, dims=None, tol: float = VALIDATION_TOL) -> DensityMatrix
 
 def qubit_from_bloch(r, tol: float = VALIDATION_TOL) -> DensityMatrix:
     """Qubit state 1/2 (I + r . sigma) for a Bloch vector inside the ball."""
-    r1, r2, r3 = (float(c) for c in r)
+    return DensityMatrix(qubit_stack_from_bloch([r], tol)[0], (2,))
+
+
+def qubit_stack_from_bloch(vectors, tol: float = VALIDATION_TOL) -> np.ndarray:
+    """The qubit states 1/2 (I + r . sigma), one per row r of ``vectors``.
+
+    ``vectors`` is an ``(n, 3)`` array; the result is an ``(n, 2, 2)`` stack.
+
+    Raises:
+        BlochOutsideBallError: if any row lies outside the unit ball.
+    """
+    v = np.asarray(vectors, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 3:
+        raise ValueError(f"expected Bloch vectors of shape (n, 3), got {v.shape}")
+    r1, r2, r3 = v.T
     norm = np.sqrt(r1 * r1 + r2 * r2 + r3 * r3)
-    if not norm <= 1.0 + tol:
-        raise BlochOutsideBallError(f"|r| = {norm:.12g} exceeds 1")
-    mat = 0.5 * np.array(
-        [[1 + r3, r1 - 1j * r2], [r1 + 1j * r2, 1 - r3]], dtype=complex
-    )
-    return DensityMatrix(mat, (2,))
+    outside = ~(norm <= 1.0 + tol)  # NaN included
+    if outside.any():
+        raise BlochOutsideBallError(f"|r| = {norm[outside][0]:.12g} exceeds 1")
+    mat = np.empty((len(v), 2, 2), dtype=complex)
+    mat[:, 0, 0] = 1 + r3
+    mat[:, 0, 1] = r1 - 1j * r2
+    mat[:, 1, 0] = r1 + 1j * r2
+    mat[:, 1, 1] = 1 - r3
+    return 0.5 * mat
 
 
 def bloch_of_qubit(rho: DensityMatrix) -> np.ndarray:
@@ -269,16 +286,41 @@ def bell_diagonal_stack(triples) -> np.ndarray:
 
 def random_density(d: int, rng: np.random.Generator, dims=None) -> DensityMatrix:
     """Full-rank random state G G^dagger / Tr, G with iid complex normals."""
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    mat = g @ g.conj().T
-    mat /= np.trace(mat).real
+    mat = random_density_stack(d, 1, rng)[0]
     return DensityMatrix(mat, _normalize_dims(d, dims))
+
+
+def random_density_stack(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` draws of :func:`random_density`'s matrix as one ``(n, d, d)`` stack.
+
+    Consumes the generator's stream as ``n`` sequential calls do, with the
+    same bits.
+    """
+    g = _ginibre_stack(d, n, rng)
+    mat = g @ g.conj().swapaxes(-1, -2)
+    mat /= np.trace(mat, axis1=-2, axis2=-1).real[:, None, None]
+    return mat
 
 
 def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
     """Hermitian part of a complex Ginibre matrix."""
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return 0.5 * (g + g.conj().T)
+    return random_hermitian_stack(d, 1, rng)[0]
+
+
+def random_hermitian_stack(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` draws of :func:`random_hermitian` as one ``(n, d, d)`` stack.
+
+    Consumes the generator's stream as ``n`` sequential calls do, with the
+    same bits.
+    """
+    g = _ginibre_stack(d, n, rng)
+    return 0.5 * (g + g.conj().swapaxes(-1, -2))
+
+
+def _ginibre_stack(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    # One draw for n matrices: each one's real block, then its imaginary block.
+    g = rng.standard_normal((n, 2, d, d))
+    return g[:, 0] + 1j * g[:, 1]
 
 
 def random_bloch(rng: np.random.Generator) -> np.ndarray:

@@ -163,46 +163,76 @@ def twirl_bruteforce(x) -> np.ndarray:
     return _bruteforce(m, (linalg.require_square(m),), (True,))
 
 
+def _trace_and_off_sum(m: np.ndarray):
+    # Tr(x) and Tr(x E) - Tr(x), the sum of the off-diagonal entries, of
+    # each matrix of a stack
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    return tr, m.sum(axis=(-2, -1)) - tr
+
+
+def _fill(shape, off_diag, diag) -> np.ndarray:
+    # Matrices with constant off-diagonal and constant diagonal entries
+    out = np.empty(shape, dtype=complex)
+    out[...] = np.asarray(off_diag)[..., None, None]
+    idx = np.arange(shape[-1])
+    out[..., idx, idx] = np.asarray(diag)[..., None]
+    return out
+
+
 def twirl_closed_form(x) -> np.ndarray:
     """O(d^2) evaluation of the twirl.
 
     Output has constant diagonal Tr(x)/d and constant off-diagonal
     Tr(x (E - I)) / (d (d - 1)).  A 1 x 1 matrix is returned unchanged
-    (the only permutation is trivial).
+    (the only permutation is trivial).  ``x`` is one matrix ``(d, d)`` or a
+    stack ``(n, d, d)``, twirled matrix by matrix with the same bits as one
+    call per matrix.
     """
-    m = linalg.as_complex_matrix(x)
+    m = linalg.as_complex_matrix(x, stack=True)
     d = linalg.require_square(m)
     if d == 1:
         return m.copy()
-    tr = np.trace(m)
-    off_sum = m.sum() - tr  # Tr(x E) - Tr(x)
-    out = np.full((d, d), off_sum / (d * (d - 1)), dtype=complex)
-    np.fill_diagonal(out, tr / d)
-    return out
+    tr, off_sum = _trace_and_off_sum(m)
+    return _fill(m.shape, off_sum / (d * (d - 1)), tr / d)
+
+
+def off_diagonal_means(x, tol: float = linalg.DEFAULT_TOL) -> np.ndarray:
+    """``twirl_params(rho).off_diag`` of each matrix of a stack ``(n, d, d)``.
+
+    The mean of the off-diagonal entries, sum_{i != j} x_ij / (d (d - 1)),
+    one per matrix (0-d for one matrix).  Hermiticity forces each sum to
+    be real.
+
+    Raises:
+        NonRealSumError: if a sum's imaginary part exceeds ``tol``, or a
+            sum is NaN.
+    """
+    m = np.asarray(x, dtype=complex)
+    d = linalg.require_square(m)
+    if d == 1:
+        return np.zeros(m.shape[:-2])
+    off_sum = _trace_and_off_sum(m)[1]
+    non_real = ~(np.abs(off_sum.imag) <= tol)  # NaN included
+    if non_real.any():
+        raise NonRealSumError(
+            f"off-diagonal sum has imaginary part {off_sum.imag[non_real][0]:.3e}; "
+            "input is not Hermitian"
+        )
+    if np.isnan(off_sum.real).any():
+        raise NonRealSumError("off-diagonal sum is NaN")
+    return off_sum.real / (d * (d - 1))
 
 
 def twirl_params(rho: DensityMatrix, tol: float = linalg.DEFAULT_TOL) -> TwirlSummary:
     """Scalars characterizing the twirl of a monopartite state.
 
-    ``off_diag`` is the mean of the off-diagonal entries,
-    sum_{i != j} rho_ij / (d (d - 1)); Hermiticity forces the sum to be
-    real.  ``weight = dim * off_diag``.
+    ``off_diag`` is the mean of the off-diagonal entries (see
+    :func:`off_diagonal_means`).  ``weight = dim * off_diag``.
     """
     if len(rho.dims) != 1:
         raise DimMismatchError(f"expected a monopartite state, got dims {rho.dims}")
-    d = rho.d
-    if d == 1:
-        return TwirlSummary(dim=1, off_diag=0.0, weight=0.0)
-    off_sum = complex(rho.mat.sum() - np.trace(rho.mat))
-    if not abs(off_sum.imag) <= tol:
-        raise NonRealSumError(
-            f"off-diagonal sum has imaginary part {off_sum.imag:.3e}; "
-            "input is not Hermitian"
-        )
-    if math.isnan(off_sum.real):
-        raise NonRealSumError("off-diagonal sum is NaN")
-    a = off_sum.real / (d * (d - 1))
-    return TwirlSummary(dim=d, off_diag=a, weight=d * a)
+    a = float(off_diagonal_means(rho.mat, tol))
+    return TwirlSummary(dim=rho.d, off_diag=a, weight=rho.d * a)
 
 
 def reconstruct_output_state(
@@ -214,20 +244,32 @@ def reconstruct_output_state(
     ``summary.weight``, and to the twirl of any state producing that
     summary.
     """
-    d = summary.dim
+    mat = output_state_stack(summary.dim, summary.off_diag, tol)
+    return DensityMatrix(mat, (summary.dim,))
+
+
+def output_state_stack(d: int, off_diag, tol: float = linalg.DEFAULT_TOL) -> np.ndarray:
+    """The twirled states of dimension ``d`` with common off-diagonal entries
+    ``off_diag``: the :func:`reconstruct_output_state` matrix of each entry,
+    an ``(n, d, d)`` stack for ``n`` entries.
+
+    Raises:
+        ParamOutOfRangeError: if ``d`` < 1, or an entry lies outside
+            [-1/(d (d - 1)), 1/d] by more than ``tol``.
+    """
     if d < 1:
         raise ParamOutOfRangeError(f"dimension must be >= 1, got {d}")
+    a = np.asarray(off_diag, dtype=float)
     if d == 1:
-        return DensityMatrix(np.ones((1, 1), dtype=complex), (1,))
+        return np.ones((*a.shape, 1, 1), dtype=complex)
     lo = -1.0 / (d * (d - 1))
     hi = 1.0 / d
-    if not (lo - tol <= summary.off_diag <= hi + tol):
+    outside = ~((lo - tol <= a) & (a <= hi + tol))  # NaN included
+    if outside.any():
         raise ParamOutOfRangeError(
-            f"off-diagonal {summary.off_diag:.12g} outside [{lo:.12g}, {hi:.12g}]"
+            f"off-diagonal {a[outside][0]:.12g} outside [{lo:.12g}, {hi:.12g}]"
         )
-    mat = np.full((d, d), summary.off_diag, dtype=complex)
-    np.fill_diagonal(mat, 1.0 / d)
-    return DensityMatrix(mat, (d,))
+    return _fill((*a.shape, d, d), a, 1.0 / d)
 
 
 def _orbit_labels(dims: tuple[int, ...], groups: tuple):
@@ -276,10 +318,12 @@ def _orbit_mean(m: np.ndarray, dims: tuple[int, ...], groups: tuple):
 def _two_sided(m: np.ndarray, d_a: int, d_b: int):
     # Orbits 0-3 pair with I x I, I x (E_B - I), (E_A - I) x I and
     # (E_A - I) x (E_B - I): their sums are the overlaps, their means the
-    # coefficients.
+    # coefficients.  For a stack each coefficient is an array, one entry
+    # per matrix.
     out, sums, means = _orbit_mean(m, (d_a, d_b), (0, 1))
+    per_orbit = np.concatenate([means, sums[..., [2, 1, 3]]], -1).T
     coeffs = BipartiteTwirlCoefficients(
-        (d_a, d_b), *map(complex, means), *map(complex, sums[[2, 1, 3]])
+        (d_a, d_b), *(complex(c) if c.ndim == 0 else c for c in per_orbit)
     )
     return out, coeffs
 
@@ -351,9 +395,11 @@ def twirl_two_sided(x, dims) -> tuple[np.ndarray, BipartiteTwirlCoefficients]:
 
     Returns the output matrix (side A twirl followed by side B twirl; the
     two commute) together with its invariant-basis coefficients, both
-    from one pass over the entries of ``x``.
+    from one pass over the entries of ``x``.  ``x`` is one matrix or a
+    stack ``(n, D, D)``; for a stack the output is a stack with the same
+    bits as one call per matrix, and each coefficient an ``(n,)`` array.
     """
-    m = linalg.as_complex_matrix(x)
+    m = linalg.as_complex_matrix(x, stack=True)
     d_a, d_b = linalg.split_dims(m, dims)
     return _two_sided(m, d_a, d_b)
 

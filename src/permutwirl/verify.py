@@ -6,10 +6,17 @@ bipartite closed forms, separability geometry).
 
 A check is a generator ``check(dmax, samples, rng)`` that yields its
 residuals: one float per measured quantity, or one tuple per row when it
-measures several results.  It has one ``_CHECKS`` row, ``(check, (name,
-tol), ...)``, which names each result and its tolerance.  ``run_suite``
-reduces each result's residuals to the worst one and compares it with
-the tolerance; a check holds no accumulator and returns no tolerance.
+measures several results.  A check that measures a whole stack of
+matrices at once may ``yield from`` its residual array.  It has one
+``_CHECKS`` row, ``(check, (name, tol), ...)``, which names each result
+and its tolerance.  ``run_suite`` reduces each result's residuals to the
+worst one and compares it with the tolerance; a check holds no
+accumulator and returns no tolerance.
+
+The checks draw their random matrices one stack per dimension, and every
+check shares one generator: a stacked draw consumes the stream as the
+sequential draws would, so the draws and residuals do not depend on how
+a check is vectorised.
 """
 
 import math
@@ -23,8 +30,9 @@ from .errors import DimensionTooLargeError, PermutwirlError
 DEFAULT_DMAX = 5
 DEFAULT_SAMPLES = 100
 DEFAULT_SEED = 20817
-# Largest ``samples``: a check holds each d's sampled matrices and all of
-# its residuals at once.
+# Largest ``samples``: a check holds each d's sampled stack and all of its
+# residuals at once.  At the limit, ``verify --dmax 3`` peaks at 185 MiB RSS
+# (101 MiB at ``--dmax 2``).
 MAX_SAMPLES = 100_000
 
 BIPARTITE_PAIRS = ((2, 2), (2, 3), (3, 3), (3, 4))
@@ -54,32 +62,37 @@ def _worst(*values) -> float:
     return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
-def _sample_matrices(d: int, samples: int, rng) -> list[np.ndarray]:
-    mats = [states.random_density(d, rng).mat for _ in range(samples)]
-    mats += [states.random_hermitian(d, rng) for _ in range(samples)]
-    return mats
-
-
-def _densities(dmax: int, samples: int, rng):
-    """Yield ``(d, rho)``: ``samples`` random densities for each d in 2..dmax."""
+def _density_stacks(dmax: int, samples: int, rng):
+    """Yield ``(d, stack)``: ``samples`` random densities, drawn as one stack,
+    for each d in 2..dmax."""
     for d in range(2, dmax + 1):
-        for _ in range(samples):
-            yield d, states.random_density(d, rng)
+        yield d, states.random_density_stack(d, samples, rng)
+
+
+def _matrix_stacks(dmax: int, samples: int, rng):
+    """Yield ``(d, stack)``: ``samples`` random densities, then ``samples``
+    random Hermitian matrices, for each d in 2..dmax."""
+    for d in range(2, dmax + 1):
+        yield d, np.concatenate(
+            [
+                states.random_density_stack(d, samples, rng),
+                states.random_hermitian_stack(d, samples, rng),
+            ]
+        )
 
 
 def check_closed_form_matches_bruteforce(dmax, samples, rng):
-    for d in range(2, dmax + 1):
-        for mat in _sample_matrices(d, samples, rng):
+    for _, mats in _matrix_stacks(dmax, samples, rng):
+        for mat in mats:
             yield linalg.max_abs_diff(
                 twirl.twirl_bruteforce(mat), twirl.twirl_closed_form(mat)
             )
 
 
 def check_idempotence(dmax, samples, rng):
-    for d in range(2, dmax + 1):
-        for mat in _sample_matrices(d, samples, rng):
-            once = twirl.twirl_closed_form(mat)
-            yield linalg.max_abs_diff(twirl.twirl_closed_form(once), once)
+    for _, mats in _matrix_stacks(dmax, samples, rng):
+        once = twirl.twirl_closed_form(mats)
+        yield from linalg.max_abs_diffs(twirl.twirl_closed_form(once), once)
 
 
 def check_unitality(dmax, samples, rng):
@@ -91,115 +104,118 @@ def check_unitality(dmax, samples, rng):
 
 def check_self_adjointness(dmax, samples, rng):
     for d in range(2, dmax + 1):
-        for _ in range(samples):
-            x = states.random_hermitian(d, rng)
-            y = states.random_hermitian(d, rng)
-            lhs = linalg.hs_inner(twirl.twirl_closed_form(x), y)
-            rhs = linalg.hs_inner(x, twirl.twirl_closed_form(y))
-            yield abs(lhs - rhs)
+        pairs = states.random_hermitian_stack(d, 2 * samples, rng)
+        xs, ys = pairs[0::2], pairs[1::2]
+        for x, y, tx, ty in zip(
+            xs, ys, twirl.twirl_closed_form(xs), twirl.twirl_closed_form(ys)
+        ):
+            yield abs(linalg.hs_inner(tx, y) - linalg.hs_inner(x, ty))
 
 
 def check_transpose_covariance(dmax, samples, rng):
-    for d in range(2, dmax + 1):
-        for mat in _sample_matrices(d, samples, rng):
-            yield linalg.max_abs_diff(
-                twirl.twirl_closed_form(mat).T, twirl.twirl_closed_form(mat.T)
-            )
+    for _, mats in _matrix_stacks(dmax, samples, rng):
+        yield from linalg.max_abs_diffs(
+            twirl.twirl_closed_form(mats).swapaxes(-1, -2),
+            twirl.twirl_closed_form(mats.swapaxes(-1, -2)),
+        )
 
 
 def check_permutation_invariance(dmax, samples, rng):
-    for d in range(2, dmax + 1):
-        for mat in _sample_matrices(d, samples, rng):
+    for d, mats in _matrix_stacks(dmax, samples, rng):
+        for out in twirl.twirl_closed_form(mats):
             tau = tuple(rng.permutation(d))
-            out = twirl.twirl_closed_form(mat)
             yield linalg.max_abs_diff(states.conjugate_by_permutation(out, tau), out)
 
 
 def check_trace_and_positivity(dmax, samples, rng):
-    for _, rho in _densities(dmax, samples, rng):
-        out = twirl.twirl_closed_form(rho.mat)
-        yield abs(np.trace(out) - 1.0)
+    for _, mats in _density_stacks(dmax, samples, rng):
+        out = twirl.twirl_closed_form(mats)
+        trace_gap = np.trace(out, axis1=-2, axis2=-1) - 1.0
         w, _ = linalg.hermitian_eigen(out)
-        yield -float(w[0])
+        # np.hypot, not np.abs: it keeps the bits of abs() of one complex
+        rows = np.column_stack([np.hypot(trace_gap.real, trace_gap.imag), -w[:, 0]])
+        yield from rows.ravel()
 
 
 def check_qubit_bloch_image(dmax, samples, rng):
-    for _ in range(BLOCH_SAMPLES):
-        r = states.random_bloch(rng)
-        rho = states.qubit_from_bloch(r)
-        out = states.DensityMatrix(twirl.twirl_closed_form(rho.mat), (2,))
-        image = states.bloch_of_qubit(out)
-        yield np.max(np.abs(image - np.array([r[0], 0.0, 0.0])))
+    r = np.array([states.random_bloch(rng) for _ in range(BLOCH_SAMPLES)])
+    out = twirl.twirl_closed_form(states.qubit_stack_from_bloch(r))
+    for r_k, out_k in zip(r, out):
+        image = states.bloch_of_qubit(states.DensityMatrix(out_k, (2,)))
+        yield np.max(np.abs(image - np.array([r_k[0], 0.0, 0.0])))
 
 
 def check_output_state_reconstruction(dmax, samples, rng):
-    for _, rho in _densities(dmax, samples, rng):
-        rebuilt = twirl.reconstruct_output_state(twirl.twirl_params(rho))
-        yield linalg.max_abs_diff(rebuilt.mat, twirl.twirl_bruteforce(rho.mat))
+    for d, mats in _density_stacks(dmax, samples, rng):
+        rebuilt = twirl.output_state_stack(d, twirl.off_diagonal_means(mats))
+        for mat, rebuilt_k in zip(mats, rebuilt):
+            yield linalg.max_abs_diff(rebuilt_k, twirl.twirl_bruteforce(mat))
 
 
 def check_output_state_eigenvalues(dmax, samples, rng):
-    for d, rho in _densities(dmax, samples, rng):
-        summary = twirl.twirl_params(rho)
-        rebuilt = twirl.reconstruct_output_state(summary)
-        w, _ = linalg.hermitian_eigen(rebuilt.mat)
+    for d, mats in _density_stacks(dmax, samples, rng):
+        off_diag = twirl.off_diagonal_means(mats)
+        weight = d * off_diag
+        w, _ = linalg.hermitian_eigen(twirl.output_state_stack(d, off_diag))
+        rest = (1 - weight) / d
         expect = np.sort(
-            np.array(
-                [summary.weight + (1 - summary.weight) / d]
-                + [(1 - summary.weight) / d] * (d - 1)
-            )
+            np.column_stack([weight + rest] + [rest] * (d - 1)), axis=-1
         )
-        yield np.max(np.abs(w - expect))
+        yield from np.max(np.abs(w - expect), axis=-1)
 
 
 def check_parameter_bounds(dmax, samples, rng):
     # -1/(d(d-1)) <= (d lmin - 1)/(d(d-1)) <= off_diag
     #             <= (d lmax - 1)/(d(d-1)) <= 1/d
-    for d, rho in _densities(dmax, samples, rng):
+    for d, mats in _density_stacks(dmax, samples, rng):
         denom = d * (d - 1)
-        a = twirl.twirl_params(rho).off_diag
-        w, _ = linalg.hermitian_eigen(rho.mat)
-        lo_chain = (d * float(w[0]) - 1.0) / denom
-        hi_chain = (d * float(w[-1]) - 1.0) / denom
-        yield from (
-            -1.0 / denom - lo_chain, lo_chain - a, a - hi_chain, hi_chain - 1.0 / d
+        a = twirl.off_diagonal_means(mats)
+        w, _ = linalg.hermitian_eigen(mats)
+        lo_chain = (d * w[:, 0] - 1.0) / denom
+        hi_chain = (d * w[:, -1] - 1.0) / denom
+        rows = np.column_stack(
+            [-1.0 / denom - lo_chain, lo_chain - a, a - hi_chain, hi_chain - 1.0 / d]
         )
-
-
-def _coherence_gaps(measure, dmax, rng):
-    for _, rho in _densities(min(dmax, 5), COHERENCE_SAMPLES, rng):
-        yield -coherence.coherence_report(rho, measure).gap
+        yield from rows.ravel()
 
 
 def check_coherence_gap_l1(dmax, samples, rng):
-    yield from _coherence_gaps(coherence.MEASURE_L1, dmax, rng)
+    for _, mats in _density_stacks(min(dmax, 5), COHERENCE_SAMPLES, rng):
+        yield from -(coherence.l1_coherences(mats) - coherence.l1_lower_bounds(mats))
 
 
 def check_coherence_gap_relent(dmax, samples, rng):
-    yield from _coherence_gaps(coherence.MEASURE_REL_ENT, dmax, rng)
+    for _, mats in _density_stacks(min(dmax, 5), COHERENCE_SAMPLES, rng):
+        yield from -(coherence.rel_ent_coherences(mats) - coherence.rel_ent_lower_bounds(mats))
 
 
 def check_l1_bound_formula(dmax, samples, rng):
-    for d, rho in _densities(dmax, samples, rng):
-        formula = d * (d - 1) * abs(twirl.twirl_params(rho).off_diag)
-        yield abs(coherence.l1_lower_bound(rho) - formula)
+    # The stacked bound against the formula on each state's scalar summary,
+    # bit for bit (tol 0).
+    for d, mats in _density_stacks(dmax, samples, rng):
+        formula = [
+            d * (d - 1) * abs(twirl.twirl_params(states.DensityMatrix(mat, (d,))).off_diag)
+            for mat in mats
+        ]
+        yield from np.abs(coherence.l1_lower_bounds(mats) - formula)
 
 
 def check_relent_bound_eigen_route(dmax, samples, rng):
-    for _, rho in _densities(dmax, samples, rng):
-        direct = coherence.rel_ent_lower_bound(rho)
-        rebuilt = twirl.reconstruct_output_state(twirl.twirl_params(rho))
-        yield abs(direct - coherence.rel_ent_coherence(rebuilt))
+    for d, mats in _density_stacks(dmax, samples, rng):
+        direct = coherence.rel_ent_lower_bounds(mats)
+        rebuilt = twirl.output_state_stack(d, twirl.off_diagonal_means(mats))
+        yield from np.abs(direct - coherence.rel_ent_coherences(rebuilt))
 
 
 def check_l1_tight_for_nonneg_real(dmax, samples, rng):
     for d in range(2, dmax + 1):
+        mats = []
         for _ in range(samples):
             g = rng.uniform(0.0, 1.0, size=(d, d))
             mat = g @ g.T
             mat /= np.trace(mat)
-            rho = states.validate_density(mat)
-            yield abs(coherence.coherence_report(rho, coherence.MEASURE_L1).gap)
+            mats.append(states.validate_density(mat).mat)
+        yield from np.abs(coherence.l1_coherences(mats) - coherence.l1_lower_bounds(mats))
 
 
 def check_figure_curves(dmax, samples, rng):
@@ -213,52 +229,49 @@ def check_figure_curves(dmax, samples, rng):
 
 
 def check_one_sided_bruteforce(dmax, samples, rng):
-    for d_a, d_b in BIPARTITE_PAIRS:
-        for _ in range(BIPARTITE_SAMPLES):
-            rho = states.random_density(d_a * d_b, rng, dims=(d_a, d_b))
-            for side in (linalg.SIDE_A, linalg.SIDE_B):
+    for dims in BIPARTITE_PAIRS:
+        mats = states.random_density_stack(dims[0] * dims[1], BIPARTITE_SAMPLES, rng)
+        sides = (linalg.SIDE_A, linalg.SIDE_B)
+        outs = [twirl.twirl_one_sided(mats, dims, side) for side in sides]
+        for k, mat in enumerate(mats):
+            for side, out in zip(sides, outs):
                 yield linalg.max_abs_diff(
-                    twirl.twirl_one_sided(rho.mat, (d_a, d_b), side),
-                    twirl.twirl_one_sided_bruteforce(rho.mat, (d_a, d_b), side),
+                    out[k], twirl.twirl_one_sided_bruteforce(mat, dims, side)
                 )
 
 
 def check_two_sided_bruteforce(dmax, samples, rng):
-    for d_a, d_b in BIPARTITE_PAIRS:
-        for _ in range(BIPARTITE_SAMPLES):
-            rho = states.random_density(d_a * d_b, rng, dims=(d_a, d_b))
-            out, coeffs = twirl.twirl_two_sided(rho.mat, (d_a, d_b))
-            yield linalg.max_abs_diff(
-                out, twirl.twirl_two_sided_bruteforce(rho.mat, (d_a, d_b))
-            )
+    for dims in BIPARTITE_PAIRS:
+        for mat in states.random_density_stack(dims[0] * dims[1], BIPARTITE_SAMPLES, rng):
+            out, coeffs = twirl.twirl_two_sided(mat, dims)
+            yield linalg.max_abs_diff(out, twirl.twirl_two_sided_bruteforce(mat, dims))
             yield linalg.max_abs_diff(out, twirl.coefficients_to_matrix(coeffs))
 
 
 def check_two_qubit_eigenvalue_formula(dmax, samples, rng):
-    for _ in range(BIPARTITE_SAMPLES):
-        rho = states.random_density(4, rng, dims=(2, 2))
-        out, cf = twirl.twirl_two_sided(rho.mat, (2, 2))
-        w, _ = linalg.hermitian_eigen(out)
-        c0, c1, c2, c3 = cf.c0.real, cf.c1.real, cf.c2.real, cf.c3.real
-        expect = np.sort(
-            np.array(
-                [c0 + c1 + c2 + c3, c0 + c1 - c2 - c3, c0 - c1 + c2 - c3, c0 - c1 - c2 + c3]
-            )
-        )
-        yield np.max(np.abs(w - expect))
+    mats = states.random_density_stack(4, BIPARTITE_SAMPLES, rng)
+    out, cf = twirl.twirl_two_sided(mats, (2, 2))
+    w, _ = linalg.hermitian_eigen(out)
+    c0, c1, c2, c3 = cf.c0.real, cf.c1.real, cf.c2.real, cf.c3.real
+    expect = np.sort(
+        np.column_stack(
+            [c0 + c1 + c2 + c3, c0 + c1 - c2 - c3, c0 - c1 + c2 - c3, c0 - c1 - c2 + c3]
+        ),
+        axis=-1,
+    )
+    yield from np.max(np.abs(w - expect), axis=-1)
 
 
 def check_two_qubit_outputs_separable(dmax, samples, rng):
-    for _ in range(TWO_QUBIT_SAMPLES):
-        rho = states.random_density(4, rng, dims=(2, 2))
-        one_sided = twirl.twirl_one_sided(rho.mat, (2, 2), linalg.SIDE_A)
-        two_sided = twirl.twirl_two_sided(rho.mat, (2, 2))[0]
-        for out in (one_sided, two_sided):
-            report = entanglement.is_ppt(states.DensityMatrix(out, (2, 2)))
-            yield -report.min_eig_pt
-            # for 2x2, PPT is separable_verdict's rule for SEPARABLE
-            if not report.is_ppt:
-                yield 1.0
+    mats = states.random_density_stack(4, TWO_QUBIT_SAMPLES, rng)
+    one_sided = twirl.twirl_one_sided(mats, (2, 2), linalg.SIDE_A)
+    two_sided = twirl.twirl_two_sided(mats, (2, 2))[0]
+    outs = np.stack([one_sided, two_sided], axis=1).reshape(-1, 4, 4)
+    min_eig = entanglement.min_pt_eigenvalues(outs, (2, 2))
+    yield from -min_eig
+    # for 2x2, PPT is separable_verdict's rule for SEPARABLE: each output
+    # that is not PPT also yields 1.0
+    yield from np.ones(np.count_nonzero(~(min_eig >= -entanglement.PPT_TOL)))
 
 
 def check_entanglement_breaking(dmax, samples, rng):
@@ -288,8 +301,7 @@ def check_bell_geometry(dmax, samples, rng):
 
 def check_collective_bruteforce(dmax, samples, rng):
     for d in range(2, min(dmax, 5) + 1):
-        for _ in range(COLLECTIVE_SAMPLES):
-            x = states.random_hermitian(d * d, rng)
+        for x in states.random_hermitian_stack(d * d, COLLECTIVE_SAMPLES, rng):
             yield linalg.max_abs_diff(
                 twirl.collective_twirl(x, d), twirl.collective_twirl_bruteforce(x, d)
             )

@@ -272,7 +272,9 @@ def test_sweep_qubit_nan_flag_exit_code(capsys, flag):
     code, out, err = _run(capsys, ["sweep-qubit", flag, "nan"])
     assert code == cli.EXIT_INVALID
     assert out == ""
-    assert "r2^2 + r3^2 = nan exceeds 1" in err
+    # NaN makes no comparison with 1: its message names the bad input instead
+    assert "r2^2 + r3^2 = nan: r2 = " in err and "must be finite" in err
+    assert "exceeds" not in err
 
 
 def test_sweep_qubit_deterministic(tmp_path, capsys):
@@ -370,6 +372,57 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     failing = [c["name"] for c in doc["checks"] if not c["passed"]]
     assert "closed_form_matches_bruteforce" in failing
     assert "verification failed" in err
+
+
+def _failing_checks(capsys):
+    code, out, err = _run(capsys, ["verify", "--dmax", "3", "--samples", "3"])
+    assert code == cli.EXIT_VERIFY_FAILED
+    assert "verification failed" in err
+    return {c["name"] for c in json.loads(out)["checks"] if not c["passed"]}
+
+
+@pytest.mark.parametrize(
+    "name, shift, failing",
+    [
+        ("l1_coherences", -1.0, {"coherence_gap_l1", "l1_bound_tight_for_nonneg_real"}),
+        (
+            "l1_lower_bounds",
+            1.0,
+            {"coherence_gap_l1", "l1_bound_equals_formula", "l1_bound_tight_for_nonneg_real"},
+        ),
+        ("rel_ent_coherences", -1.0, {"coherence_gap_relent", "relent_bound_eigen_route"}),
+        ("rel_ent_lower_bounds", 1.0, {"coherence_gap_relent", "relent_bound_eigen_route"}),
+    ],
+)
+def test_verify_detects_a_faulty_coherence_stack(capsys, monkeypatch, name, shift, failing):
+    # negative control: verify reaches each stacked coherence kernel through
+    # its module attribute, so a shifted kernel fails the checks it feeds
+    import permutwirl.coherence as coherence_module
+
+    original = getattr(coherence_module, name)
+    monkeypatch.setattr(coherence_module, name, lambda *a, **k: original(*a, **k) + shift)
+    assert failing <= _failing_checks(capsys)
+
+
+def test_verify_detects_a_faulty_stacked_eigensolver(capsys, monkeypatch):
+    # negative control: shift the eigenvalues of stacks only; the checks
+    # that solve one stack per (check, d) must fail
+    import permutwirl.linalg as linalg_module
+
+    original = linalg_module.hermitian_eigen
+
+    def shifted_on_stacks(a, *args, **kwargs):
+        w, v = original(a, *args, **kwargs)
+        return (w - 1.0, v) if np.ndim(a) == 3 else (w, v)
+
+    monkeypatch.setattr(linalg_module, "hermitian_eigen", shifted_on_stacks)
+    assert {
+        "trace_and_positivity_preserved",
+        "output_state_eigenvalues",
+        "parameter_bounds",
+        "two_qubit_eigenvalue_formula",
+        "two_qubit_outputs_separable",
+    } <= _failing_checks(capsys)
 
 
 def test_verify_reports_nan_output_as_failure(capsys, monkeypatch):

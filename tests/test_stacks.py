@@ -1,0 +1,169 @@
+"""Each stacked function against its scalar row, bit for bit.
+
+A stacked path takes an ``(n, d, d)`` stack where the scalar path takes one
+matrix; the two must give the same bits, row by row, and refuse a NaN row
+with the same error class.
+"""
+
+import numpy as np
+import pytest
+
+from permutwirl import coherence, entanglement, linalg, states, twirl
+from permutwirl.errors import PermutwirlError
+
+
+def _bits(a):
+    a = np.ascontiguousarray(a)
+    return a.view(np.uint64) if a.ndim else a.reshape(1).view(np.uint64)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("n", [1, 7, 100])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize(
+    "stacked, single",
+    [
+        (states.random_density_stack, lambda d, rng: states.random_density(d, rng).mat),
+        (states.random_hermitian_stack, states.random_hermitian),
+    ],
+    ids=["density", "hermitian"],
+)
+def test_random_stack_matches_sequential_draws(stacked, single, d, n):
+    rng_stack, rng_seq = np.random.default_rng(d * 100 + n), np.random.default_rng(d * 100 + n)
+    got = stacked(d, n, rng_stack)
+    assert_same_bits(got, np.stack([single(d, rng_seq) for _ in range(n)]))
+    assert rng_stack.bit_generator.state == rng_seq.bit_generator.state
+
+
+def _densities(d):
+    # random states of side d, a rank-1 pure state and the maximally
+    # coherent state: every d = 1 row is the 1 x 1 state [[1]]
+    rng = np.random.default_rng(40 + d)
+    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    psi /= np.linalg.norm(psi)
+    pure = np.outer(psi, psi.conj())
+    return np.concatenate(
+        [
+            states.random_density_stack(d, 20, rng),
+            [pure, states.maximally_coherent_state(d).mat],
+        ]
+    )
+
+
+def _matrices(d):
+    rng = np.random.default_rng(50 + d)
+    return np.concatenate([_densities(d), states.random_hermitian_stack(d, 20, rng)])
+
+
+DIMS = [1, 2, 3, 5, 8]
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_closed_form_stack_rows(d):
+    mats = _matrices(d)
+    for source in (mats, mats.swapaxes(-1, -2)):
+        assert_same_bits(
+            twirl.twirl_closed_form(source),
+            np.stack([twirl.twirl_closed_form(m) for m in source]),
+        )
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_hermitian_eigen_stack_rows(d):
+    mats = _matrices(d)
+    w, v = linalg.hermitian_eigen(mats)
+    rows = [linalg.hermitian_eigen(m) for m in mats]
+    assert_same_bits(w, np.stack([r[0] for r in rows]))
+    assert_same_bits(v, np.stack([r[1] for r in rows]))
+    assert_same_bits(
+        linalg.hermitian_eigvals(mats), np.stack([linalg.hermitian_eigvals(m) for m in mats])
+    )
+
+
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize(
+    "stacked, scalar",
+    [
+        (coherence.l1_coherences, coherence.l1_coherence),
+        (coherence.rel_ent_coherences, coherence.rel_ent_coherence),
+        (coherence.l1_lower_bounds, coherence.l1_lower_bound),
+        (coherence.rel_ent_lower_bounds, coherence.rel_ent_lower_bound),
+        (twirl.off_diagonal_means, lambda rho: twirl.twirl_params(rho).off_diag),
+    ],
+    ids=["l1", "relent", "l1-bound", "relent-bound", "off-diag"],
+)
+def test_coherence_stack_rows(stacked, scalar, d):
+    mats = _densities(d)
+    want = [scalar(states.DensityMatrix(m, (d,))) for m in mats]
+    assert_same_bits(stacked(mats), np.array(want))
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_output_state_stack_rows(d):
+    rhos = [states.DensityMatrix(m, (d,)) for m in _densities(d)]
+    summaries = [twirl.twirl_params(rho) for rho in rhos]
+    got = twirl.output_state_stack(d, [s.off_diag for s in summaries])
+    assert_same_bits(got, np.stack([twirl.reconstruct_output_state(s).mat for s in summaries]))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_bipartite_stack_rows(dims):
+    mats = _densities(dims[0] * dims[1])
+    out, coeffs = twirl.twirl_two_sided(mats, dims)
+    rows = [twirl.twirl_two_sided(m, dims) for m in mats]
+    assert_same_bits(out, np.stack([r[0] for r in rows]))
+    for field in ("c0", "c1", "c2", "c3", "overlap_a", "overlap_b", "overlap_ab"):
+        assert_same_bits(getattr(coeffs, field), np.array([getattr(r[1], field) for r in rows]))
+    for side in ("A", "B"):
+        reports = [entanglement.is_ppt(states.DensityMatrix(m, dims), side=side) for m in mats]
+        assert_same_bits(
+            entanglement.min_pt_eigenvalues(mats, dims, side),
+            np.array([r.min_eig_pt for r in reports]),
+        )
+
+
+def test_qubit_stack_rows():
+    rng = np.random.default_rng(61)
+    r = [states.random_bloch(rng) for _ in range(50)] + [[0.0, -0.0, 0.0], [1.0, 0.0, 0.0]]
+    assert_same_bits(
+        states.qubit_stack_from_bloch(r), np.stack([states.qubit_from_bloch(v).mat for v in r])
+    )
+
+
+def test_max_abs_diffs_rows():
+    a, b = _matrices(3), _matrices(3)[::-1]
+    assert_same_bits(
+        linalg.max_abs_diffs(a, b), np.array([linalg.max_abs_diff(x, y) for x, y in zip(a, b)])
+    )
+
+
+def _error_class(call):
+    with pytest.raises((PermutwirlError, ValueError, ArithmeticError)) as caught:
+        call()
+    return caught.type
+
+
+@pytest.mark.parametrize(
+    "stacked, scalar",
+    [
+        (twirl.twirl_closed_form, lambda rho: twirl.twirl_closed_form(rho.mat)),
+        (linalg.hermitian_eigen, lambda rho: linalg.hermitian_eigen(rho.mat)),
+        (coherence.l1_coherences, coherence.l1_coherence),
+        (coherence.rel_ent_coherences, coherence.rel_ent_coherence),
+        (coherence.l1_lower_bounds, coherence.l1_lower_bound),
+        (coherence.rel_ent_lower_bounds, coherence.rel_ent_lower_bound),
+        (twirl.off_diagonal_means, twirl.twirl_params),
+    ],
+    ids=["closed-form", "eigen", "l1", "relent", "l1-bound", "relent-bound", "off-diag"],
+)
+@pytest.mark.parametrize("entry", [(0, 1), (1, 1)], ids=["off-diagonal", "diagonal"])
+def test_nan_row_raises_the_scalar_error_class(stacked, scalar, entry):
+    mats = _densities(3)
+    mats[5][entry] = np.nan
+    want = _error_class(lambda: scalar(states.DensityMatrix(mats[5], (3,))))
+    assert _error_class(lambda: stacked(mats)) is want

@@ -88,3 +88,16 @@ def test_bell_lattice_grid_guards():
 def test_qubit_sweep_rejects_nan(r2, r3):
     with pytest.raises(ParamOutOfRangeError, match="r2\\^2 \\+ r3\\^2 = nan"):
         sweeps.qubit_sweep_rows(r2, r3, 5)
+
+
+@pytest.mark.parametrize("r2, r3", [(np.nan, 0.1), (0.1, np.inf), (-np.inf, np.nan)])
+def test_qubit_sweep_non_finite_message_makes_no_comparison(r2, r3):
+    # NaN cannot exceed 1, and an infinite input is named as such
+    with pytest.raises(ParamOutOfRangeError, match="must be finite") as caught:
+        sweeps.qubit_sweep_rows(r2, r3, 5)
+    assert "exceeds" not in str(caught.value)
+
+
+def test_qubit_sweep_finite_overflow_still_exceeds_1():
+    with pytest.raises(ParamOutOfRangeError, match="= inf exceeds 1"):
+        sweeps.qubit_sweep_rows(1e200, 0.0, 5)
