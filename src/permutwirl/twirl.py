@@ -20,7 +20,8 @@ collective twirl come from one orbit-mean pass: each entry is replaced
 by the mean of the entries in its orbit under the permutations acting
 on its factors, independently or together.  Their oracles, and the
 single-system one, are brute-force enumerations of those groups,
-independent of the orbit labels.
+independent of the orbit labels, under one work bound: at most
+MAX_BRUTE_ENTRIES permutations times matrix entries.
 
 All twirl operations accept arbitrary square complex matrices; the maps
 are linear on the full matrix algebra.  Density-specific helpers
@@ -42,11 +43,10 @@ from .errors import (
 )
 from .states import DensityMatrix
 
-# Factorial guards for exact enumeration.  A factor above MAX_BRUTE_DIM is
-# refused before its factorial is computed.
-MAX_BRUTE_DIM = 9
-MAX_BRUTE_TERMS = 1_000_000
-MAX_COLLECTIVE_DIM = 7
+# Work bound of the brute-force oracles: each of the prod(d!) permutations of
+# the distinct groups gathers the D^2 entries of the matrix.  A factor above
+# states.MAX_ENUM_DIM is refused before its factorial is computed.
+MAX_BRUTE_ENTRIES = 1 << 26
 
 # Permutation batches are gathered in chunks of at most _CHUNK maps and
 # _GATHER_ENTRIES entries (256 MiB of complex) to bound peak memory.
@@ -111,56 +111,53 @@ def _perm_index_array(d: int) -> np.ndarray:
     return np.array(list(states.enumerate_permutations(d)), dtype=np.intp)
 
 
-def _average_over_index_maps(x: np.ndarray, n: int, rows) -> np.ndarray:
-    """Average x over re-indexings x[m, m] for n index maps m, one chunk at a time.
+def _bruteforce(m: np.ndarray, dims: tuple[int, ...], groups: tuple):
+    """Average ``m`` over all permutations of ``groups``, named as in
+    :func:`_orbit_labels`: ``None`` fixes a factor, and factors that share a
+    name share one permutation.
 
-    ``rows(terms)`` gives each factor's maps for a chunk of term numbers;
-    a term's m is their composite.  Each m permutes the matrix indices, so
-    the average over a full (inverse-closed) set equals the average of
-    P x P^dagger over the corresponding permutation matrices.
+    Each group element re-indexes ``m`` as ``m[g, g]`` by its composite index
+    map ``g``; the elements form a full (inverse-closed) set, so their average
+    is that of P x P^dagger over the permutation matrices.  Elements run first
+    group major, in chunks of at most ``_CHUNK`` maps and ``_GATHER_ENTRIES``
+    gathered entries, each chunk's maps built on their own.
     """
-    total = np.zeros_like(x)
-    step = min(_CHUNK, max(1, _GATHER_ENTRIES // x.size))
-    for start in range(0, n, step):
-        maps, *rest = rows(np.arange(start, min(start + step, n)))
-        for g in rest:
-            # composite index (i, k) -> (maps(i), g(k)) for each term
-            maps = (maps[..., None] * g.shape[1] + g[:, None]).reshape(len(g), -1)
-        total += x[maps[:, :, None], maps[:, None, :]].sum(axis=0)
-    return total / n
-
-
-def _bruteforce(m: np.ndarray, dims: tuple[int, ...], permuted: tuple[bool, ...]):
-    """Average ``m`` over all permutations of each flagged factor, the others
-    fixed: one index map per group element, the first factor's elements major."""
-    sizes = [d for d, p in zip(dims, permuted) if p]
-    if max(sizes) > MAX_BRUTE_DIM or (
-        math.prod(map(math.factorial, sizes)) > MAX_BRUTE_TERMS
+    sizes = {g: d for d, g in zip(dims, groups) if g is not None}
+    if max(sizes.values()) > states.MAX_ENUM_DIM or (
+        math.prod(map(math.factorial, sizes.values())) * m.size > MAX_BRUTE_ENTRIES
     ):
         raise DimensionTooLargeError(
-            f"brute-force twirl permuting factors {tuple(sizes)} of dims {tuple(dims)} "
-            f"refused: each must be <= {MAX_BRUTE_DIM}, with <= {MAX_BRUTE_TERMS} "
-            "permutations in all"
+            f"brute-force twirl permuting factors {tuple(sizes.values())} of dims "
+            f"{tuple(dims)} refused: each must be <= {states.MAX_ENUM_DIM}, with "
+            f"prod(d!) * D^2 <= {MAX_BRUTE_ENTRIES} gathered entries"
         )
-    tables = [
-        _perm_index_array(d) if p else np.arange(d)[None]
-        for d, p in zip(dims, permuted)
-    ]
-    shape = [len(t) for t in tables]
-    def rows(terms):  # each factor's maps for a chunk of terms, first factor major
-        return [a.take(i, 0) for a, i in zip(tables, np.unravel_index(terms, shape))]
-
-    return _average_over_index_maps(m, math.prod(shape), rows)
+    tables = {g: _perm_index_array(d) for g, d in sizes.items()}
+    shape = [len(t) for t in tables.values()]
+    n = math.prod(shape)
+    total = np.zeros_like(m)
+    step = min(_CHUNK, max(1, _GATHER_ENTRIES // m.size))
+    for start in range(0, n, step):
+        terms = np.unravel_index(np.arange(start, min(start + step, n)), shape)
+        rows = {g: t.take(i, 0) for (g, t), i in zip(tables.items(), terms)}
+        maps, *rest = [
+            rows[g] if g in rows else np.arange(d)[None] for d, g in zip(dims, groups)
+        ]
+        for factor in rest:
+            # composite index (i, k) -> (maps(i), factor(k)) for each term
+            maps = maps[..., None] * factor.shape[1] + factor[:, None]
+            maps = maps.reshape(len(maps), -1)
+        total += m[maps[:, :, None], maps[:, None, :]].sum(axis=0)
+    return total / n
 
 
 def twirl_bruteforce(x) -> np.ndarray:
     """Exact average over all d! permutation conjugations.
 
     Serves as the oracle for :func:`twirl_closed_form`.  Guarded at
-    d <= MAX_BRUTE_DIM.
+    d! d^2 <= MAX_BRUTE_ENTRIES (d <= 9).
     """
     m = linalg.as_complex_matrix(x)
-    return _bruteforce(m, (linalg.require_square(m),), (True,))
+    return _bruteforce(m, (linalg.require_square(m),), (0,))
 
 
 def _trace_and_off_sum(m: np.ndarray):
@@ -350,15 +347,14 @@ def twirl_one_sided(x, dims, side: str) -> np.ndarray:
 def twirl_one_sided_bruteforce(x, dims, side: str) -> np.ndarray:
     """Average over permutations of one factor only (oracle)."""
     m = linalg.as_complex_matrix(x)
-    dims = linalg.split_dims(m, dims)
-    side = linalg._check_side(side)
-    return _bruteforce(m, dims, (side == linalg.SIDE_A, side == linalg.SIDE_B))
+    groups = (0, None) if linalg._check_side(side) == linalg.SIDE_A else (None, 0)
+    return _bruteforce(m, linalg.split_dims(m, dims), groups)
 
 
 def twirl_two_sided_bruteforce(x, dims) -> np.ndarray:
     """Double enumeration over independent permutations of both factors."""
     m = linalg.as_complex_matrix(x)
-    return _bruteforce(m, linalg.split_dims(m, dims), (True, True))
+    return _bruteforce(m, linalg.split_dims(m, dims), (0, 1))
 
 
 def bipartite_coefficients(x, dims) -> BipartiteTwirlCoefficients:
@@ -471,12 +467,6 @@ def collective_twirl_bruteforce(x, d: int) -> np.ndarray:
     """Exact enumeration of the collective twirl (oracle).
 
     Serves as the oracle for :func:`collective_twirl`.  Guarded at
-    d <= MAX_COLLECTIVE_DIM.
+    d! d^4 <= MAX_BRUTE_ENTRIES (d <= 7).
     """
-    m = _collective_matrix(x, d)
-    if d > MAX_COLLECTIVE_DIM:
-        raise DimensionTooLargeError(
-            f"brute-force collective twirl needs d <= {MAX_COLLECTIVE_DIM}, got {d}"
-        )
-    perms = _perm_index_array(d)
-    return _average_over_index_maps(m, len(perms), lambda t: [perms.take(t, 0)] * 2)
+    return _bruteforce(_collective_matrix(x, d), (d, d), (0, 0))

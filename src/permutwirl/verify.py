@@ -34,6 +34,12 @@ DEFAULT_SEED = 20817
 # residuals at once.  At the limit, ``verify --dmax 3`` peaks at 185 MiB RSS
 # (101 MiB at ``--dmax 2``).
 MAX_SAMPLES = 100_000
+# Largest ``dmax``: the single-system oracle at d gathers d! d^2 entries.
+MAX_DMAX = max(
+    d
+    for d in range(1, states.MAX_ENUM_DIM + 1)
+    if math.factorial(d) * d * d <= twirl.MAX_BRUTE_ENTRIES
+)
 
 BIPARTITE_PAIRS = ((2, 2), (2, 3), (3, 3), (3, 4))
 BIPARTITE_SAMPLES = 50
@@ -363,8 +369,8 @@ def run_suite(
         raise ValueError(f"dmax must be >= 1, got {dmax}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if dmax > twirl.MAX_BRUTE_DIM:
-        raise ValueError(f"dmax must be <= {twirl.MAX_BRUTE_DIM}, got {dmax}")
+    if dmax > MAX_DMAX:
+        raise ValueError(f"dmax must be <= {MAX_DMAX}, got {dmax}")
     if samples > MAX_SAMPLES:
         raise DimensionTooLargeError(
             f"samples {samples} exceeds the limit of {MAX_SAMPLES}: each check "

@@ -145,10 +145,13 @@ def test_twirl_dimension_guard_exit_code(tmp_path, capsys):
     assert out == ""
     bipartite = str(tmp_path / "big_a.json")
     statefile.save_state(bipartite, np.eye(10) / 10, (10, 1))
-    code, out, err = _run(capsys, ["twirl", bipartite, "--side", "A", "--method", "brute"])
-    assert code == cli.EXIT_DIMENSION
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    pair = str(tmp_path / "big_ab.json")
+    statefile.save_state(pair, np.eye(36) / 36, (6, 6))
+    for path, side in ((bipartite, "A"), (pair, "both")):
+        code, out, err = _run(capsys, ["twirl", path, "--side", side, "--method", "brute"])
+        assert code == cli.EXIT_DIMENSION
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_twirl_stdin_stdout(tmp_path, capsys, monkeypatch):
@@ -338,6 +341,11 @@ def test_verify_rejects_bad_flags(capsys):
     assert "dmax" in err
     code, _, _ = _run(capsys, ["verify", "--samples", "0"])
     assert code == cli.EXIT_INVALID
+
+
+def test_run_suite_dmax_limit_is_the_brute_force_bound():
+    with pytest.raises(ValueError, match="dmax must be <= 9"):
+        verify.run_suite(dmax=10)
 
 
 def test_run_suite_importable_names():

@@ -97,18 +97,36 @@ def test_collective_bruteforce_matches_explicit_matrix_average():
     )
 
 
-def test_bruteforce_dimension_guard():
-    with pytest.raises(DimensionTooLargeError):
-        twirl.twirl_bruteforce(np.eye(10))
-    # a permuted factor of 10 on either side, and 3! 9! > MAX_BRUTE_TERMS pairs
-    for call in (
-        lambda: twirl.twirl_one_sided_bruteforce(np.eye(20), (10, 2), "A"),
-        lambda: twirl.twirl_one_sided_bruteforce(np.eye(20), (2, 10), "B"),
-        lambda: twirl.twirl_two_sided_bruteforce(np.eye(27), (3, 9)),
-    ):
+def test_bruteforce_dimension_guard(monkeypatch):
+    class TableBuilt(Exception):
+        pass
+
+    def no_table(d):
+        raise TableBuilt(d)
+
+    # every refusal comes before any permutation table is built
+    with monkeypatch.context() as patch:
+        patch.setattr(twirl, "_perm_index_array", no_table)
         with pytest.raises(DimensionTooLargeError):
-            call()
-    # a fixed factor is not limited
+            twirl.twirl_bruteforce(np.eye(10))
+        # prod(d!) D^2 entries above MAX_BRUTE_ENTRIES = 2^26: a permuted
+        # factor of 10 on either side (1.5e9), 3! 9! pairs at D = 27 (1.6e9),
+        # 6! 6! pairs at D = 36 (6.7e8), 9! maps at D = 90 (2.9e9), and
+        # 6! maps at D = 306 (6.74e7, just outside)
+        for call in (
+            lambda: twirl.twirl_one_sided_bruteforce(np.eye(20), (10, 2), "A"),
+            lambda: twirl.twirl_one_sided_bruteforce(np.eye(20), (2, 10), "B"),
+            lambda: twirl.twirl_two_sided_bruteforce(np.eye(27), (3, 9)),
+            lambda: twirl.twirl_two_sided_bruteforce(np.eye(36), (6, 6)),
+            lambda: twirl.twirl_one_sided_bruteforce(np.eye(90), (9, 10), "A"),
+            lambda: twirl.twirl_one_sided_bruteforce(np.eye(306), (6, 51), "A"),
+        ):
+            with pytest.raises(DimensionTooLargeError):
+                call()
+        # 6! maps at D = 300 (6.48e7, just inside) pass the guard
+        with pytest.raises(TableBuilt):
+            twirl.twirl_one_sided_bruteforce(np.eye(300), (6, 50), "A")
+    # a fixed factor counts only through D^2
     x = states.random_hermitian(20, np.random.default_rng(37))
     assert linalg.max_abs_diff(
         twirl.twirl_one_sided_bruteforce(x, (2, 10), "A"),
@@ -127,8 +145,7 @@ def test_gather_is_bounded_by_entries(monkeypatch):
             return out
 
     x = np.arange(25, dtype=complex).reshape(5, 5).view(Spy)
-    perms = twirl._perm_index_array(5)
-    twirl._average_over_index_maps(x, len(perms), lambda t: [perms.take(t, 0)])
+    twirl._bruteforce(x, (5,), (0,))
     assert max(gathered) <= 200 and sum(gathered) == 120 * 25
 
 
