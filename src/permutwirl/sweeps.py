@@ -22,9 +22,12 @@ BELL_SWEEP_COLUMNS = (
 # not a state and is left out.
 BELL_VALID_FLOOR = -1e-12
 
-# Largest ``steps`` for the qubit sweep, whose states and rows are all held
-# at once (481 MiB peak RSS at the limit).
+# Largest ``steps`` for the qubit sweep, whose rows are all held at once
+# (288 MiB peak RSS at the limit, nearly all of it the rows).
 MAX_QUBIT_STEPS = 1_000_000
+# The sweep's states are built, twirled and measured in blocks of this many
+# points, so that only the rows grow with ``steps``.
+_QUBIT_BLOCK = 1 << 14
 
 # Largest ``grid`` for the Bell lattice, which is held as arrays: grid^3
 # points are allocated at once.
@@ -35,8 +38,9 @@ def qubit_sweep_rows(r2: float, r3: float, steps: int) -> list[tuple[float, ...]
     """Coherence of a qubit and of its twirl along r1 at fixed (r2, r3).
 
     r1 runs over [0, sqrt(1 - r2^2 - r3^2)] in ``steps`` points, keeping
-    the Bloch vector inside the ball.  The states of all points form one
-    stack, twirled and measured in one call per column.
+    the Bloch vector inside the ball.  The states of each block of
+    ``_QUBIT_BLOCK`` points form one stack, twirled and measured in one
+    call per column, with the same bits as one call per point.
 
     Raises:
         ParamOutOfRangeError: if r2 or r3 is not finite, r2^2 + r3^2 > 1,
@@ -59,18 +63,24 @@ def qubit_sweep_rows(r2: float, r3: float, steps: int) -> list[tuple[float, ...]
             f"steps {steps} exceeds the limit of {MAX_QUBIT_STEPS} sweep rows"
         )
     r1 = np.linspace(0.0, np.sqrt(max(0.0, 1.0 - r2 * r2 - r3 * r3)), steps)
-    rho = states.qubit_stack_from_bloch(
-        np.column_stack([r1, np.full(steps, r2), np.full(steps, r3)])
-    )
-    star = twirl.twirl_closed_form(rho)
-    columns = (
-        r1,
-        coherence.l1_coherences(rho),
-        coherence.l1_coherences(star),
-        coherence.rel_ent_coherences(rho),
-        coherence.rel_ent_coherences(star),
-    )
-    return list(zip(*(c.tolist() for c in columns)))
+    rows = []
+    for lo in range(0, steps, _QUBIT_BLOCK):
+        r1_block = r1[lo : lo + _QUBIT_BLOCK]
+        rho = states.qubit_stack_from_bloch(
+            np.column_stack(
+                [r1_block, np.full(len(r1_block), r2), np.full(len(r1_block), r3)]
+            )
+        )
+        star = twirl.twirl_closed_form(rho)
+        columns = (
+            r1_block,
+            coherence.l1_coherences(rho),
+            coherence.l1_coherences(star),
+            coherence.rel_ent_coherences(rho),
+            coherence.rel_ent_coherences(star),
+        )
+        rows += zip(*(c.tolist() for c in columns))
+    return rows
 
 
 def bell_lattice(grid: int) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,9 @@ by the mean of the entries in its orbit under the permutations acting
 on its factors, independently or together.  Their oracles, and the
 single-system one, are brute-force enumerations of those groups,
 independent of the orbit labels, under one work bound: at most
-MAX_BRUTE_ENTRIES permutations times matrix entries.
+MAX_BRUTE_ENTRIES permutations times matrix entries.  Each oracle takes
+a stack of matrices as well, and enumerates the group once for the
+whole stack.
 
 All twirl operations accept arbitrary square complex matrices; the maps
 are linear on the full matrix algebra.  Density-specific helpers
@@ -52,6 +54,9 @@ MAX_BRUTE_ENTRIES = 1 << 26
 # _GATHER_ENTRIES entries (256 MiB of complex) to bound peak memory.
 _CHUNK = 5000
 _GATHER_ENTRIES = 1 << 24
+# A chunk gathers a stack in batches of matrices of at most _BATCH_ENTRIES
+# entries (4 MiB of complex) in all, or one matrix when a chunk is larger.
+_BATCH_ENTRIES = 1 << 18
 
 # Default residual bound of the Choi state's separable decomposition.
 CERTIFICATE_TOL = 1e-12
@@ -112,19 +117,24 @@ def _perm_index_array(d: int) -> np.ndarray:
 
 
 def _bruteforce(m: np.ndarray, dims: tuple[int, ...], groups: tuple):
-    """Average ``m`` over all permutations of ``groups``, named as in
-    :func:`_orbit_labels`: ``None`` fixes a factor, and factors that share a
-    name share one permutation.
+    """Average ``m``, one matrix or a stack ``(n, D, D)``, over all permutations
+    of ``groups``, named as in :func:`_orbit_labels`: ``None`` fixes a factor,
+    and factors that share a name share one permutation.
 
-    Each group element re-indexes ``m`` as ``m[g, g]`` by its composite index
+    Each group element re-indexes a matrix as ``m[g, g]`` by its composite index
     map ``g``; the elements form a full (inverse-closed) set, so their average
     is that of P x P^dagger over the permutation matrices.  Elements run first
     group major, in chunks of at most ``_CHUNK`` maps and ``_GATHER_ENTRIES``
-    gathered entries, each chunk's maps built on their own.
+    entries of one matrix, each chunk's maps built on their own.  A chunk
+    gathers its matrices in batches of at most ``_BATCH_ENTRIES`` entries
+    (at least one matrix), through flat indices into the raveled matrices, and
+    each matrix has the bits of one call on it alone.
     """
+    side = m.shape[-1]
+    entries = side * side
     sizes = {g: d for d, g in zip(dims, groups) if g is not None}
     if max(sizes.values()) > states.MAX_ENUM_DIM or (
-        math.prod(map(math.factorial, sizes.values())) * m.size > MAX_BRUTE_ENTRIES
+        math.prod(map(math.factorial, sizes.values())) * entries > MAX_BRUTE_ENTRIES
     ):
         raise DimensionTooLargeError(
             f"brute-force twirl permuting factors {tuple(sizes.values())} of dims "
@@ -134,8 +144,10 @@ def _bruteforce(m: np.ndarray, dims: tuple[int, ...], groups: tuple):
     tables = {g: _perm_index_array(d) for g, d in sizes.items()}
     shape = [len(t) for t in tables.values()]
     n = math.prod(shape)
-    total = np.zeros_like(m)
-    step = min(_CHUNK, max(1, _GATHER_ENTRIES // m.size))
+    flat = m.reshape(-1, entries)
+    total = np.zeros((len(flat), side, side), dtype=complex)
+    step = min(_CHUNK, max(1, _GATHER_ENTRIES // entries))
+    batch = max(1, _BATCH_ENTRIES // (min(step, n) * entries))
     for start in range(0, n, step):
         terms = np.unravel_index(np.arange(start, min(start + step, n)), shape)
         rows = {g: t.take(i, 0) for (g, t), i in zip(tables.items(), terms)}
@@ -146,17 +158,23 @@ def _bruteforce(m: np.ndarray, dims: tuple[int, ...], groups: tuple):
             # composite index (i, k) -> (maps(i), factor(k)) for each term
             maps = maps[..., None] * factor.shape[1] + factor[:, None]
             maps = maps.reshape(len(maps), -1)
-        total += m[maps[:, :, None], maps[:, None, :]].sum(axis=0)
-    return total / n
+        # raveled entry (maps(i), maps(j)) of each term, in int32 (D^2 is at
+        # most MAX_BRUTE_ENTRIES) to halve the index array
+        maps = maps.astype(np.int32)
+        index = maps[:, :, None] * side + maps[:, None, :]
+        for lo in range(0, len(flat), batch):
+            total[lo : lo + batch] += flat[lo : lo + batch, index].sum(axis=1)
+    return (total / n).reshape(m.shape)
 
 
 def twirl_bruteforce(x) -> np.ndarray:
     """Exact average over all d! permutation conjugations.
 
     Serves as the oracle for :func:`twirl_closed_form`.  Guarded at
-    d! d^2 <= MAX_BRUTE_ENTRIES (d <= 9).
+    d! d^2 <= MAX_BRUTE_ENTRIES (d <= 9).  ``x`` is one matrix ``(d, d)`` or
+    a stack ``(n, d, d)``, with the same bits as one call per matrix.
     """
-    m = linalg.as_complex_matrix(x)
+    m = linalg.as_complex_matrix(x, stack=True)
     return _bruteforce(m, (linalg.require_square(m),), (0,))
 
 
@@ -345,15 +363,17 @@ def twirl_one_sided(x, dims, side: str) -> np.ndarray:
 
 
 def twirl_one_sided_bruteforce(x, dims, side: str) -> np.ndarray:
-    """Average over permutations of one factor only (oracle)."""
-    m = linalg.as_complex_matrix(x)
+    """Average over permutations of one factor only (oracle), of one matrix
+    or of each matrix of a stack ``(n, D, D)``."""
+    m = linalg.as_complex_matrix(x, stack=True)
     groups = (0, None) if linalg._check_side(side) == linalg.SIDE_A else (None, 0)
     return _bruteforce(m, linalg.split_dims(m, dims), groups)
 
 
 def twirl_two_sided_bruteforce(x, dims) -> np.ndarray:
-    """Double enumeration over independent permutations of both factors."""
-    m = linalg.as_complex_matrix(x)
+    """Double enumeration over independent permutations of both factors, of
+    one matrix or of each matrix of a stack ``(n, D, D)``."""
+    m = linalg.as_complex_matrix(x, stack=True)
     return _bruteforce(m, linalg.split_dims(m, dims), (0, 1))
 
 
@@ -372,17 +392,25 @@ def bipartite_coefficients(x, dims) -> BipartiteTwirlCoefficients:
 
 
 def coefficients_to_matrix(coeffs: BipartiteTwirlCoefficients) -> np.ndarray:
-    """Assemble the two-sided output from its invariant-basis coefficients."""
+    """Assemble the two-sided output from its invariant-basis coefficients.
+
+    Coefficients that are ``(n,)`` arrays, as a stacked :func:`twirl_two_sided`
+    returns them, give an ``(n, D, D)`` stack with the same bits as one call
+    per matrix.
+    """
     d_a, d_b = coeffs.dims
     e_a = states.all_ones_projector(d_a) - np.eye(d_a)
     e_b = states.all_ones_projector(d_b) - np.eye(d_b)
     i_a = np.eye(d_a)
     i_b = np.eye(d_b)
+    c0, c1, c2, c3 = (
+        np.asarray(c)[..., None, None] for c in (coeffs.c0, coeffs.c1, coeffs.c2, coeffs.c3)
+    )
     return (
-        coeffs.c0 * np.kron(i_a, i_b)
-        + coeffs.c1 * np.kron(i_a, e_b)
-        + coeffs.c2 * np.kron(e_a, i_b)
-        + coeffs.c3 * np.kron(e_a, e_b)
+        c0 * np.kron(i_a, i_b)
+        + c1 * np.kron(i_a, e_b)
+        + c2 * np.kron(e_a, i_b)
+        + c3 * np.kron(e_a, e_b)
     )
 
 
@@ -444,7 +472,7 @@ def entanglement_breaking_certificate(
 
 
 def _collective_matrix(x, d: int) -> np.ndarray:
-    m = linalg.as_complex_matrix(x)
+    m = linalg.as_complex_matrix(x, stack=True)
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     side = linalg.require_square(m)
@@ -458,7 +486,8 @@ def collective_twirl(x, d: int) -> np.ndarray:
 
     Each entry becomes the mean of its orbit: the index 4-tuples
     ``(i1, i2, j1, j2)`` with the same equality pattern, one of the set
-    partitions of four slots (15 for d >= 4).
+    partitions of four slots (15 for d >= 4).  ``x`` is one matrix or a
+    stack ``(n, d^2, d^2)``, with the same bits as one call per matrix.
     """
     return _orbit_mean(_collective_matrix(x, d), (d, d), (0, 0))[0]
 
@@ -467,6 +496,7 @@ def collective_twirl_bruteforce(x, d: int) -> np.ndarray:
     """Exact enumeration of the collective twirl (oracle).
 
     Serves as the oracle for :func:`collective_twirl`.  Guarded at
-    d! d^4 <= MAX_BRUTE_ENTRIES (d <= 7).
+    d! d^4 <= MAX_BRUTE_ENTRIES (d <= 7).  ``x`` is one matrix or a stack
+    ``(n, d^2, d^2)``, with the same bits as one call per matrix.
     """
     return _bruteforce(_collective_matrix(x, d), (d, d), (0, 0))

@@ -16,7 +16,8 @@ accumulator and returns no tolerance.
 The checks draw their random matrices one stack per dimension, and every
 check shares one generator: a stacked draw consumes the stream as the
 sequential draws would, so the draws and residuals do not depend on how
-a check is vectorised.
+a check is vectorised.  The brute-force oracles, too, take each stack in
+one call.
 """
 
 import math
@@ -30,9 +31,9 @@ from .errors import DimensionTooLargeError, PermutwirlError
 DEFAULT_DMAX = 5
 DEFAULT_SAMPLES = 100
 DEFAULT_SEED = 20817
-# Largest ``samples``: a check holds each d's sampled stack and all of its
-# residuals at once.  At the limit, ``verify --dmax 3`` peaks at 185 MiB RSS
-# (101 MiB at ``--dmax 2``).
+# Largest ``samples``: a check holds each d's sampled stack, the oracle's
+# output stack and all of its residuals at once.  At the limit,
+# ``verify --dmax 3`` peaks at 185 MiB RSS (101 MiB at ``--dmax 2``).
 MAX_SAMPLES = 100_000
 # Largest ``dmax``: the single-system oracle at d gathers d! d^2 entries.
 MAX_DMAX = max(
@@ -89,10 +90,8 @@ def _matrix_stacks(dmax: int, samples: int, rng):
 
 def check_closed_form_matches_bruteforce(dmax, samples, rng):
     for _, mats in _matrix_stacks(dmax, samples, rng):
-        for mat in mats:
-            yield linalg.max_abs_diff(
-                twirl.twirl_bruteforce(mat), twirl.twirl_closed_form(mat)
-            )
+        for mat, brute in zip(mats, twirl.twirl_bruteforce(mats)):
+            yield linalg.max_abs_diff(brute, twirl.twirl_closed_form(mat))
 
 
 def check_idempotence(dmax, samples, rng):
@@ -154,8 +153,7 @@ def check_qubit_bloch_image(dmax, samples, rng):
 def check_output_state_reconstruction(dmax, samples, rng):
     for d, mats in _density_stacks(dmax, samples, rng):
         rebuilt = twirl.output_state_stack(d, twirl.off_diagonal_means(mats))
-        for mat, rebuilt_k in zip(mats, rebuilt):
-            yield linalg.max_abs_diff(rebuilt_k, twirl.twirl_bruteforce(mat))
+        yield from linalg.max_abs_diffs(rebuilt, twirl.twirl_bruteforce(mats))
 
 
 def check_output_state_eigenvalues(dmax, samples, rng):
@@ -237,21 +235,29 @@ def check_figure_curves(dmax, samples, rng):
 def check_one_sided_bruteforce(dmax, samples, rng):
     for dims in BIPARTITE_PAIRS:
         mats = states.random_density_stack(dims[0] * dims[1], BIPARTITE_SAMPLES, rng)
-        sides = (linalg.SIDE_A, linalg.SIDE_B)
-        outs = [twirl.twirl_one_sided(mats, dims, side) for side in sides]
-        for k, mat in enumerate(mats):
-            for side, out in zip(sides, outs):
-                yield linalg.max_abs_diff(
-                    out[k], twirl.twirl_one_sided_bruteforce(mat, dims, side)
+        # per matrix, the side A residual, then the side B one
+        yield from np.column_stack(
+            [
+                linalg.max_abs_diffs(
+                    twirl.twirl_one_sided(mats, dims, side),
+                    twirl.twirl_one_sided_bruteforce(mats, dims, side),
                 )
+                for side in (linalg.SIDE_A, linalg.SIDE_B)
+            ]
+        ).ravel()
 
 
 def check_two_sided_bruteforce(dmax, samples, rng):
     for dims in BIPARTITE_PAIRS:
-        for mat in states.random_density_stack(dims[0] * dims[1], BIPARTITE_SAMPLES, rng):
-            out, coeffs = twirl.twirl_two_sided(mat, dims)
-            yield linalg.max_abs_diff(out, twirl.twirl_two_sided_bruteforce(mat, dims))
-            yield linalg.max_abs_diff(out, twirl.coefficients_to_matrix(coeffs))
+        mats = states.random_density_stack(dims[0] * dims[1], BIPARTITE_SAMPLES, rng)
+        out, coeffs = twirl.twirl_two_sided(mats, dims)
+        # per matrix, the oracle residual, then the coefficient one
+        yield from np.column_stack(
+            [
+                linalg.max_abs_diffs(out, twirl.twirl_two_sided_bruteforce(mats, dims)),
+                linalg.max_abs_diffs(out, twirl.coefficients_to_matrix(coeffs)),
+            ]
+        ).ravel()
 
 
 def check_two_qubit_eigenvalue_formula(dmax, samples, rng):
@@ -307,10 +313,10 @@ def check_bell_geometry(dmax, samples, rng):
 
 def check_collective_bruteforce(dmax, samples, rng):
     for d in range(2, min(dmax, 5) + 1):
-        for x in states.random_hermitian_stack(d * d, COLLECTIVE_SAMPLES, rng):
-            yield linalg.max_abs_diff(
-                twirl.collective_twirl(x, d), twirl.collective_twirl_bruteforce(x, d)
-            )
+        xs = states.random_hermitian_stack(d * d, COLLECTIVE_SAMPLES, rng)
+        yield from linalg.max_abs_diffs(
+            twirl.collective_twirl(xs, d), twirl.collective_twirl_bruteforce(xs, d)
+        )
 
 
 # Each check with the (name, tol) of each result it measures, in run

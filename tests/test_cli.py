@@ -476,6 +476,40 @@ def test_verify_keeps_a_nan_residual_that_is_not_first(monkeypatch):
     assert closed.passed is False
 
 
+def test_verify_catches_an_oracle_wrong_past_its_first_row(monkeypatch):
+    # each oracle is exact on row 0 of a stack and off by 1e-6 on every
+    # other row: a stacked check that compared only its first row would pass
+    import permutwirl.twirl as twirl_module
+
+    def shifted_past_row_0(oracle):
+        def faulty(x, *args):
+            out = oracle(x, *args)
+            if out.ndim == 3:
+                out[1:] += 1e-6
+            return out
+
+        return faulty
+
+    for name in (
+        "twirl_bruteforce",
+        "twirl_one_sided_bruteforce",
+        "twirl_two_sided_bruteforce",
+        "collective_twirl_bruteforce",
+    ):
+        monkeypatch.setattr(twirl_module, name, shifted_past_row_0(getattr(twirl_module, name)))
+    results = {r.name: r for r in verify.run_suite(dmax=2, samples=2, seed=1)}
+    for name in (
+        "closed_form_matches_bruteforce",
+        "output_state_reconstruction",
+        "one_sided_matches_bruteforce",
+        "two_sided_matches_nested_bruteforce",
+        "collective_matches_bruteforce",
+    ):
+        assert results[name].passed is False
+        assert results[name].max_residual >= 1e-6 * 0.99
+    assert results["unitality"].passed is True
+
+
 def test_verify_oversized_samples_exit_code(capsys):
     samples = verify.MAX_SAMPLES + 1
     code, out, err = _run(capsys, ["verify", "--dmax", "2", "--samples", str(samples)])

@@ -5,6 +5,8 @@ matrix; the two must give the same bits, row by row, and refuse a NaN row
 with the same error class.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -167,3 +169,57 @@ def test_nan_row_raises_the_scalar_error_class(stacked, scalar, entry):
     mats[5][entry] = np.nan
     want = _error_class(lambda: scalar(states.DensityMatrix(mats[5], (3,))))
     assert _error_class(lambda: stacked(mats)) is want
+
+
+def _oracle_cases():
+    # (id, oracle(x), side D): the single-system oracle for d = 1..7, both
+    # one-sided oracles and the two-sided one on four pairs, and the
+    # collective oracle for d = 1..5
+    cases = [(f"single-{d}", twirl.twirl_bruteforce, d) for d in range(1, 8)]
+    for dims in [(1, 3), (3, 1), (2, 3), (3, 4)]:
+        side = dims[0] * dims[1]
+        cases += [
+            (f"A-{dims}", partial(twirl.twirl_one_sided_bruteforce, dims=dims, side="A"), side),
+            (f"B-{dims}", partial(twirl.twirl_one_sided_bruteforce, dims=dims, side="B"), side),
+            (f"two-{dims}", partial(twirl.twirl_two_sided_bruteforce, dims=dims), side),
+        ]
+    collective = twirl.collective_twirl_bruteforce
+    return cases + [(f"collective-{d}", partial(collective, d=d), d * d) for d in range(1, 6)]
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("small", [False, True], ids=["default", "split"])
+@pytest.mark.parametrize("n", [1, 7])
+@pytest.mark.parametrize(
+    "oracle, side", [c[1:] for c in ORACLE_CASES], ids=[c[0] for c in ORACLE_CASES]
+)
+def test_bruteforce_stack_rows(oracle, side, n, small, monkeypatch):
+    if small:
+        # at most 64 entries per chunk and 128 per batch: the terms split
+        # into many chunks and, for most cases, a stack of 7 into batches
+        monkeypatch.setattr(twirl, "_GATHER_ENTRIES", 64)
+        monkeypatch.setattr(twirl, "_BATCH_ENTRIES", 128)
+    rng = np.random.default_rng(70 + side + n)
+    xs = rng.standard_normal((n, side, side)) + 1j * rng.standard_normal((n, side, side))
+    assert_same_bits(oracle(xs), np.stack([oracle(x) for x in xs]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_collective_stack_rows(d):
+    xs = _matrices(d * d)
+    assert_same_bits(
+        twirl.collective_twirl(xs, d), np.stack([twirl.collective_twirl(x, d) for x in xs])
+    )
+
+
+@pytest.mark.parametrize("dims", [(1, 3), (2, 2), (2, 3), (3, 4)])
+def test_coefficients_to_matrix_stack_rows(dims):
+    mats = _densities(dims[0] * dims[1])
+    coeffs = twirl.twirl_two_sided(mats, dims)[1]
+    rows = [twirl.twirl_two_sided(m, dims)[1] for m in mats]
+    assert_same_bits(
+        twirl.coefficients_to_matrix(coeffs),
+        np.stack([twirl.coefficients_to_matrix(c) for c in rows]),
+    )

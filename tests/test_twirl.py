@@ -149,6 +149,50 @@ def test_gather_is_bounded_by_entries(monkeypatch):
     assert max(gathered) <= 200 and sum(gathered) == 120 * 25
 
 
+def test_bruteforce_stack_guard_and_gather_bound(monkeypatch):
+    class TableBuilt(Exception):
+        pass
+
+    def no_table(d):
+        raise TableBuilt(d)
+
+    # a stack of two is refused exactly when its matrix is, before any table
+    # is built: the bound counts prod(d!) D^2 per matrix, not per stack
+    accepted, refused = TableBuilt, DimensionTooLargeError
+    calls = [
+        (twirl.twirl_bruteforce, 9, (), accepted),
+        (twirl.twirl_bruteforce, 10, (), refused),
+        (twirl.twirl_one_sided_bruteforce, 300, ((6, 50), "A"), accepted),
+        (twirl.twirl_one_sided_bruteforce, 306, ((6, 51), "A"), refused),
+        (twirl.twirl_one_sided_bruteforce, 20, ((2, 10), "B"), refused),
+        (twirl.twirl_two_sided_bruteforce, 25, ((5, 5),), accepted),
+        (twirl.twirl_two_sided_bruteforce, 36, ((6, 6),), refused),
+        (twirl.collective_twirl_bruteforce, 49, (7,), accepted),
+        (twirl.collective_twirl_bruteforce, 64, (8,), refused),
+    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(twirl, "_perm_index_array", no_table)
+        for oracle, side, args, outcome in calls:
+            for x in (np.zeros((side, side)), np.zeros((2, side, side))):
+                with pytest.raises(outcome):
+                    oracle(x, *args)
+    # one gather over a stack of 64 at d = 6 holds at most _BATCH_ENTRIES
+    gathered = []
+
+    class Spy(np.ndarray):
+        def __getitem__(self, key):
+            out = np.asarray(super().__getitem__(key))
+            gathered.append(out.size)
+            return out
+
+    rng = np.random.default_rng(41)
+    xs = rng.standard_normal((64, 6, 6)) + 1j * rng.standard_normal((64, 6, 6))
+    out = twirl._bruteforce(xs.view(Spy), (6,), (0,))
+    assert max(gathered) <= twirl._BATCH_ENTRIES and len(gathered) > 1
+    assert sum(gathered) == 720 * 36 * 64
+    assert linalg.max_abs_diff(out, twirl.twirl_closed_form(xs)) <= 1e-12
+
+
 def test_bruteforce_maps_are_built_per_chunk(monkeypatch):
     # 4 maps per gather at D = 70 (8 at D = 49): the whole (terms, D) map
     # array outweighs every gather, so the peak stays below its size only
