@@ -184,7 +184,8 @@ def _write_csv(target: str, header, rows) -> None:
 
 def _cmd_sweep_qubit(args) -> int:
     rows = sweeps.qubit_sweep_rows(args.r2, args.r3, args.steps)
-    _write_csv(args.out, sweeps.QUBIT_SWEEP_COLUMNS, rows)
+    # one row list at a time, not a list of every row
+    _write_csv(args.out, sweeps.QUBIT_SWEEP_COLUMNS, map(np.ndarray.tolist, rows))
     return EXIT_OK
 
 
@@ -293,10 +294,7 @@ def main(argv=None) -> int:
     except DimensionTooLargeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DIMENSION
-    except PermutwirlError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID
-    except ValueError as exc:
+    except (PermutwirlError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
 

@@ -39,6 +39,10 @@ ASSIST_RANK_FLOOR = 1e-12
 # Ensemble sizes used by the assistance sampler extend past the matrix
 # dimension to explore decompositions of larger cardinality.
 EXTRA_ENSEMBLE_SIZES = 2
+# The sampler draws and scores its samples in blocks of at most this many
+# entries of their ensemble members (1 MiB of complex; the normals drawn
+# for them take no more), so its stacks do not grow with the sample count.
+_ASSIST_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -216,28 +220,62 @@ def coherence_report(rho: DensityMatrix, measure: str) -> CoherenceReport:
     )
 
 
-def _haar_isometry(m: int, r: int, rng: np.random.Generator) -> np.ndarray:
-    """m x r matrix with Haar-distributed orthonormal columns (m >= r)."""
-    g = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
-    q, upper = np.linalg.qr(g)
-    phases = np.diag(upper).copy()
-    phases /= np.abs(phases)
-    return q * phases.conj()
-
-
-def _pure_l1_terms(w_cols: np.ndarray) -> float:
-    # For unnormalized columns w_k: sum_k q_k C_l1(psi_k)
-    #   = sum_k [ (sum_i |w_ik|)^2 - q_k ]  with q_k = sum_i |w_ik|^2.
+def _pure_l1_terms(w_cols: np.ndarray) -> np.ndarray:
+    # For the unnormalized columns w_k of each (d, m) matrix of a stack:
+    #   sum_k q_k C_l1(psi_k) = sum_k [ (sum_i |w_ik|)^2 - q_k ]
+    # with q_k = sum_i |w_ik|^2.
     mags = np.abs(w_cols)
-    return float((mags.sum(axis=0) ** 2).sum() - (mags**2).sum())
+    return (mags.sum(axis=-2) ** 2).sum(axis=-1) - (mags**2).sum(axis=(-2, -1))
 
 
-def _pure_rel_ent_terms(w_cols: np.ndarray) -> float:
+def _pure_rel_ent_terms(w_cols: np.ndarray) -> np.ndarray:
     # sum_k q_k S(diag(psi_k)); the states are pure, so S(psi_k) = 0.
     probs = np.abs(w_cols) ** 2
-    q = probs.sum(axis=0)
-    total = -_xlogx(probs).sum()
-    return float(total + _xlogx(q).sum())
+    q = probs.sum(axis=-2)
+    total = -_xlogx(probs).sum(axis=(-2, -1))
+    return total + _xlogx(q).sum(axis=-1)
+
+
+def _assistance_scores(
+    rho: DensityMatrix, measure: str, samples: int, seed: int
+) -> np.ndarray:
+    """The score of each sampled decomposition, in sample order.
+
+    Sample i has ensemble size ``m = sizes[i % len(sizes)]`` and draws its
+    ``2 m r`` normals in order: the real ``(m, r)`` block, then the
+    imaginary one.  The stream is drawn in consecutive blocks of samples,
+    each holding at most ``_ASSIST_BLOCK_ENTRIES`` member entries or one
+    sample, which leaves it as one draw per sample would; within a block,
+    the samples of each size are orthonormalised and scored as one stack.
+    """
+    rng = np.random.default_rng(seed)
+    w, v = linalg.hermitian_eigen(rho.mat)
+    keep = w > ASSIST_RANK_FLOOR
+    lam = w[keep]
+    b = v[:, keep] * np.sqrt(lam)
+    rank = int(lam.size)
+    sizes = np.arange(rank, rho.d + EXTRA_ENSEMBLE_SIZES + 1)
+    term = _pure_l1_terms if measure == MEASURE_L1 else _pure_rel_ent_terms
+    m = sizes[np.arange(samples) % len(sizes)]
+    ends = np.cumsum(m)  # sample i owns members ends[i] - m[i] .. ends[i] - 1
+    starts = ends - m
+    block_members = _ASSIST_BLOCK_ENTRIES // rho.d
+    scores = np.empty(samples)
+    lo = 0
+    while lo < samples:
+        last = np.searchsorted(ends, starts[lo] + block_members, "right")
+        hi = max(lo + 1, int(last))
+        normals = rng.standard_normal(2 * rank * (ends[hi - 1] - starts[lo]))
+        for size in np.unique(m[lo:hi]):
+            idx = lo + np.flatnonzero(m[lo:hi] == size)
+            cut = 2 * rank * (starts[idx, None] - starts[lo]) + np.arange(2 * size * rank)
+            re_im = normals[cut].reshape(-1, 2, size, rank)
+            q, upper = np.linalg.qr(re_im[:, 0] + 1j * re_im[:, 1])
+            phases = np.diagonal(upper, axis1=1, axis2=2)
+            u = q * (phases / np.abs(phases)).conj()[:, None, :]
+            scores[idx] = term(b @ u.conj().swapaxes(-1, -2))
+        lo = hi
+    return scores
 
 
 def assistance_estimate(
@@ -249,25 +287,15 @@ def assistance_estimate(
     (r = rank): the unnormalized members are the columns of B U^dagger
     where B = V sqrt(Lambda) from the eigendecomposition.  Ensemble sizes
     cycle through r, ..., d + EXTRA_ENSEMBLE_SIZES; isometries are Haar
-    samples.  Deterministic given ``seed``.
+    samples, drawn and scored as stacks in bounded blocks with the bits
+    of one sample at a time (see ``_assistance_scores``).  Deterministic
+    given ``seed``.
     """
     _require_monopartite(rho)
     measure = _check_measure(measure)
     if samples < 1:
         raise SampleCountError(f"samples must be >= 1, got {samples}")
-    rng = np.random.default_rng(seed)
-    w, v = linalg.hermitian_eigen(rho.mat)
-    keep = w > ASSIST_RANK_FLOOR
-    lam = w[keep]
-    b = v[:, keep] * np.sqrt(lam)
-    rank = int(lam.size)
-    sizes = list(range(rank, rho.d + EXTRA_ENSEMBLE_SIZES + 1))
-    term = _pure_l1_terms if measure == MEASURE_L1 else _pure_rel_ent_terms
-    scores = []
-    for i in range(samples):
-        m = sizes[i % len(sizes)]
-        u = _haar_isometry(m, rank, rng)
-        scores.append(term(b @ u.conj().T))
+    scores = _assistance_scores(rho, measure, samples, seed)
     # np.max keeps a NaN score wherever it falls; built-in max drops it
     best = float(np.max(scores))
     return AssistanceEstimate(measure=measure, value=best, samples=samples, seed=seed)

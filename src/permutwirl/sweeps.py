@@ -23,7 +23,7 @@ BELL_SWEEP_COLUMNS = (
 BELL_VALID_FLOOR = -1e-12
 
 # Largest ``steps`` for the qubit sweep, whose rows are all held at once
-# (288 MiB peak RSS at the limit, nearly all of it the rows).
+# as one float array (90 MiB peak RSS at the limit).
 MAX_QUBIT_STEPS = 1_000_000
 # The sweep's states are built, twirled and measured in blocks of this many
 # points, so that only the rows grow with ``steps``.
@@ -34,13 +34,13 @@ _QUBIT_BLOCK = 1 << 14
 MAX_BELL_GRID = 101
 
 
-def qubit_sweep_rows(r2: float, r3: float, steps: int) -> list[tuple[float, ...]]:
+def qubit_sweep_rows(r2: float, r3: float, steps: int) -> np.ndarray:
     """Coherence of a qubit and of its twirl along r1 at fixed (r2, r3).
 
     r1 runs over [0, sqrt(1 - r2^2 - r3^2)] in ``steps`` points, keeping
-    the Bloch vector inside the ball.  The states of each block of
-    ``_QUBIT_BLOCK`` points form one stack, twirled and measured in one
-    call per column, with the same bits as one call per point.
+    the Bloch vector inside the ball, as the rows of a float ``(steps, 5)``
+    array.  Each block of ``_QUBIT_BLOCK`` states is one stack, twirled
+    and measured in one call per column, with the bits of one per point.
 
     Raises:
         ParamOutOfRangeError: if r2 or r3 is not finite, r2^2 + r3^2 > 1,
@@ -63,7 +63,7 @@ def qubit_sweep_rows(r2: float, r3: float, steps: int) -> list[tuple[float, ...]
             f"steps {steps} exceeds the limit of {MAX_QUBIT_STEPS} sweep rows"
         )
     r1 = np.linspace(0.0, np.sqrt(max(0.0, 1.0 - r2 * r2 - r3 * r3)), steps)
-    rows = []
+    rows = np.empty((steps, len(QUBIT_SWEEP_COLUMNS)))
     for lo in range(0, steps, _QUBIT_BLOCK):
         r1_block = r1[lo : lo + _QUBIT_BLOCK]
         rho = states.qubit_stack_from_bloch(
@@ -79,7 +79,7 @@ def qubit_sweep_rows(r2: float, r3: float, steps: int) -> list[tuple[float, ...]
             coherence.rel_ent_coherences(rho),
             coherence.rel_ent_coherences(star),
         )
-        rows += zip(*(c.tolist() for c in columns))
+        rows[lo : lo + _QUBIT_BLOCK] = np.column_stack(columns)
     return rows
 
 

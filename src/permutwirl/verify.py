@@ -90,8 +90,9 @@ def _matrix_stacks(dmax: int, samples: int, rng):
 
 def check_closed_form_matches_bruteforce(dmax, samples, rng):
     for _, mats in _matrix_stacks(dmax, samples, rng):
-        for mat, brute in zip(mats, twirl.twirl_bruteforce(mats)):
-            yield linalg.max_abs_diff(brute, twirl.twirl_closed_form(mat))
+        yield from linalg.max_abs_diffs(
+            twirl.twirl_bruteforce(mats), twirl.twirl_closed_form(mats)
+        )
 
 
 def check_idempotence(dmax, samples, rng):
@@ -224,9 +225,7 @@ def check_l1_tight_for_nonneg_real(dmax, samples, rng):
 
 def check_figure_curves(dmax, samples, rng):
     # rows: (l1 curve residual, relent ordering residual)
-    arr = np.array(sweeps.qubit_sweep_rows(0.1, 0.1, 200))
-    r1, l1_rho, l1_star = arr[:, 0], arr[:, 1], arr[:, 2]
-    relent_rho, relent_star = arr[:, 3], arr[:, 4]
+    r1, l1_rho, l1_star, relent_rho, relent_star = sweeps.qubit_sweep_rows(0.1, 0.1, 200).T
     yield np.max(np.abs(l1_rho - np.sqrt(r1**2 + 0.01))), -np.min(np.diff(relent_rho))
     yield np.max(np.abs(l1_star - r1)), -np.min(np.diff(relent_star))
     yield 0.0, -np.min(relent_rho - relent_star)

@@ -1,6 +1,5 @@
 import csv
 import io
-import itertools
 import json
 import warnings
 
@@ -167,6 +166,45 @@ def test_twirl_stdin_stdout(tmp_path, capsys, monkeypatch):
     assert summary["weight"] == pytest.approx(0.4, abs=1e-12)
     doc = json.loads(lines[1])
     assert doc["dims"] == [2]
+
+
+def _one_error_line(err):
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["twirl", "coherence"])
+@pytest.mark.parametrize("input_kind", ["missing", "directory"])
+def test_unreadable_input_exit_code(tmp_path, capsys, command, input_kind):
+    path = tmp_path / "missing.json" if input_kind == "missing" else tmp_path
+    code, out, err = _run(capsys, [command, str(path)])
+    assert code == cli.EXIT_INVALID
+    assert out == ""
+    assert _one_error_line(err), err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep-qubit", "--steps", "5"], ["sweep-bell", "--grid", "3"]],
+    ids=["sweep-qubit", "sweep-bell"],
+)
+def test_sweep_out_in_missing_directory_exit_code(tmp_path, capsys, argv):
+    target = tmp_path / "missing-dir" / "x.csv"
+    code, out, err = _run(capsys, argv + ["--out", str(target)])
+    assert code == cli.EXIT_INVALID
+    assert out == ""
+    assert _one_error_line(err), err
+
+
+def test_twirl_out_in_missing_directory_exit_code(tmp_path, capsys):
+    # the summary is printed before the state file is written
+    path = _write_state(tmp_path, "q.json", states.qubit_from_bloch((0.4, 0.0, 0.0)))
+    target = tmp_path / "missing-dir" / "out.json"
+    code, out, err = _run(capsys, ["twirl", path, "--out", str(target)])
+    assert code == cli.EXIT_INVALID
+    assert json.loads(out)["weight"] == pytest.approx(0.4, abs=1e-12)
+    assert _one_error_line(err), err
+    assert not target.parent.exists()
 
 
 def test_coherence_maximally_coherent(tmp_path, capsys):
@@ -457,23 +495,39 @@ def test_verify_reports_nan_output_as_failure(capsys, monkeypatch):
     assert "verification failed: two_sided_matches_nested_bruteforce" in err
 
 
-def test_verify_keeps_a_nan_residual_that_is_not_first(monkeypatch):
-    # the closed form turns NaN on its 3rd call only: the worst residual of
-    # its check must stay NaN after the finite residuals before it
+def _nan_past_row_0_of_closed_form(monkeypatch):
+    # the closed form turns NaN in row 1 of each stack it returns, never in
+    # row 0
     import permutwirl.twirl as twirl_module
 
     original = twirl_module.twirl_closed_form
-    calls = itertools.count(1)
 
-    def nan_on_third_call(x):
+    def nan_in_row_1(x):
         out = original(x)
-        return np.full_like(out, np.nan) if next(calls) == 3 else out
+        if out.ndim == 3 and len(out) > 1:
+            out[1] = np.nan
+        return out
 
-    monkeypatch.setattr(twirl_module, "twirl_closed_form", nan_on_third_call)
+    monkeypatch.setattr(twirl_module, "twirl_closed_form", nan_in_row_1)
+
+
+def test_verify_keeps_a_nan_residual_that_is_not_first(monkeypatch):
+    # the worst residual of the closed form's check must stay NaN after the
+    # finite residual before it
+    _nan_past_row_0_of_closed_form(monkeypatch)
     results = {r.name: r for r in verify.run_suite(dmax=2, samples=2, seed=1)}
     closed = results["closed_form_matches_bruteforce"]
     assert np.isnan(closed.max_residual)
     assert closed.passed is False
+
+
+def test_closed_form_check_nan_is_not_its_first_residual(monkeypatch):
+    # the fault above lands past the check's first residual, so the test
+    # above cannot pass on a NaN that built-in max would keep anyway
+    _nan_past_row_0_of_closed_form(monkeypatch)
+    residuals = list(verify.check_closed_form_matches_bruteforce(2, 2, np.random.default_rng(1)))
+    assert np.isfinite(residuals[0])
+    assert np.isnan(residuals[1])
 
 
 def test_verify_catches_an_oracle_wrong_past_its_first_row(monkeypatch):

@@ -284,6 +284,56 @@ def test_assistance_deterministic_given_seed():
     assert a == b
 
 
+def _assistance_scores_per_sample(rho, measure, samples, seed):
+    # the per-sample loop that the stacked estimator replaced, kept as its
+    # oracle: one Haar isometry drawn, orthonormalised and scored at a time
+    rng = np.random.default_rng(seed)
+    w, v = linalg.hermitian_eigen(rho.mat)
+    keep = w > coherence.ASSIST_RANK_FLOOR
+    b = v[:, keep] * np.sqrt(w[keep])
+    rank = int(np.count_nonzero(keep))
+    sizes = list(range(rank, rho.d + coherence.EXTRA_ENSEMBLE_SIZES + 1))
+    scores = []
+    for i in range(samples):
+        m = sizes[i % len(sizes)]
+        g = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
+        q, upper = np.linalg.qr(g)
+        phases = np.diag(upper).copy()
+        phases /= np.abs(phases)
+        w_cols = b @ (q * phases.conj()).conj().T
+        if measure == "l1":
+            mags = np.abs(w_cols)
+            scores.append(float((mags.sum(axis=0) ** 2).sum() - (mags**2).sum()))
+        else:
+            probs = np.abs(w_cols) ** 2
+            total = -coherence._xlogx(probs).sum()
+            scores.append(float(total + coherence._xlogx(probs.sum(axis=0)).sum()))
+    return np.array(scores)
+
+
+def _state_of_rank(d, rank, rng):
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    mat = g @ g.conj().T
+    return states.DensityMatrix(mat / np.trace(mat).real, (d,))
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+@pytest.mark.parametrize("rank", ["1", "2", "full"])
+def test_assistance_scores_equal_per_sample_loop(monkeypatch, d, rank):
+    r = d if rank == "full" else min(int(rank), d)
+    rho = _state_of_rank(d, r, np.random.default_rng(100 * d + r))
+    # 40 member entries per block splits every run of more than a few
+    # samples, and leaves single samples larger than a block alone
+    for block in (40, coherence._ASSIST_BLOCK_ENTRIES):
+        monkeypatch.setattr(coherence, "_ASSIST_BLOCK_ENTRIES", block)
+        for measure in coherence.MEASURES:
+            for samples in (1, 7, 300):
+                got = coherence._assistance_scores(rho, measure, samples, seed=d)
+                want = _assistance_scores_per_sample(rho, measure, samples, seed=d)
+                assert got.shape == (samples,)
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def _nan_on_second_call(term):
     calls = []
 

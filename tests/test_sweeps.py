@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from permutwirl import entanglement, linalg, states, sweeps, twirl, verify
+from permutwirl import coherence, entanglement, linalg, states, sweeps, twirl, verify
 from permutwirl.errors import DimensionTooLargeError, ParamOutOfRangeError
 
 
@@ -101,3 +101,37 @@ def test_qubit_sweep_non_finite_message_makes_no_comparison(r2, r3):
 def test_qubit_sweep_finite_overflow_still_exceeds_1():
     with pytest.raises(ParamOutOfRangeError, match="= inf exceeds 1"):
         sweeps.qubit_sweep_rows(1e200, 0.0, 5)
+
+
+def _qubit_rows_per_point(r2, r3, steps):
+    # the per-point walk that the stacked sweep replaced, kept as its oracle
+    r1 = np.linspace(0.0, np.sqrt(max(0.0, 1.0 - r2 * r2 - r3 * r3)), steps)
+    rows = []
+    for x in r1:
+        rho = states.qubit_from_bloch((x, r2, r3))
+        star = states.DensityMatrix(twirl.twirl_closed_form(rho.mat), (2,))
+        rows.append(
+            [
+                x,
+                coherence.l1_coherence(rho),
+                coherence.l1_coherence(star),
+                coherence.rel_ent_coherence(rho),
+                coherence.rel_ent_coherence(star),
+            ]
+        )
+    return np.array(rows)
+
+
+@pytest.mark.parametrize(
+    "steps, block", [(1, None), (2, None), (200, None), (200, 7)]
+)
+@pytest.mark.parametrize("r2, r3", [(0.1, 0.1), (0.3, 0.4)])
+def test_qubit_sweep_rows_equal_per_point_walk(monkeypatch, steps, block, r2, r3):
+    if block is not None:  # blocks of 7 points: 200 rows split unevenly
+        monkeypatch.setattr(sweeps, "_QUBIT_BLOCK", block)
+    rows = sweeps.qubit_sweep_rows(r2, r3, steps)
+    assert rows.dtype == np.float64
+    assert rows.shape == (steps, len(sweeps.QUBIT_SWEEP_COLUMNS))
+    np.testing.assert_array_equal(
+        rows.view(np.uint64), _qubit_rows_per_point(r2, r3, steps).view(np.uint64)
+    )
