@@ -70,7 +70,8 @@ def validate_density(m, dims=None, tol: float = VALIDATION_TOL) -> DensityMatrix
     """Check Hermiticity, unit trace and positivity; return the state.
 
     Never repairs the input.  Use :func:`sanitize_density` to clamp tiny
-    negative eigenvalues explicitly.
+    negative eigenvalues explicitly.  One row of
+    :func:`validate_density_stack`, with messages that name no index.
 
     Raises:
         NotHermitianError, TraceNotOneError, NotPositiveError
@@ -78,19 +79,57 @@ def validate_density(m, dims=None, tol: float = VALIDATION_TOL) -> DensityMatrix
     mat = linalg.as_complex_matrix(m)
     d = linalg.require_square(mat)
     dims = _normalize_dims(d, dims)
-    dev = linalg.max_abs_diff(mat, mat.conj().T)
-    if not dev <= tol:
-        raise NotHermitianError(f"not Hermitian within {tol:g} (deviation {dev:.3e})")
-    tr = complex(np.trace(mat))
-    if not abs(tr - 1.0) <= tol:
-        raise TraceNotOneError(f"trace is {tr:.12g}, expected 1 within {tol:g}")
-    w, _ = linalg.hermitian_eigen(mat, tol=tol)
-    min_eig = float(w[0])
-    if not min_eig >= -tol:
-        raise NotPositiveError(
-            f"min eigenvalue {min_eig:.6e} below -{tol:g}", min_eigenvalue=min_eig
-        )
+    _check_densities(mat[None], tol, where=lambda i: "")
     return DensityMatrix(mat, dims)
+
+
+def validate_density_stack(mats, tol: float = VALIDATION_TOL) -> np.ndarray:
+    """Check each matrix of an ``(n, D, D)`` stack as :func:`validate_density`
+    does; return the stack as complex128.
+
+    One Hermiticity reduction, one trace and one eigenvalue call
+    (``linalg.hermitian_eigvals``) for the whole stack.  Hermiticity is
+    checked on every matrix first, then the trace, then positivity; a
+    refusal raises the error class :func:`validate_density` raises for the
+    first matrix failing that check, and its message names that matrix's
+    index.
+
+    Raises:
+        NotHermitianError, TraceNotOneError, NotPositiveError
+    """
+    stack = linalg.as_complex_matrix(mats, stack=True)
+    if stack.ndim != 3:
+        raise DimMismatchError(f"expected an (n, D, D) stack, got ndim={stack.ndim}")
+    linalg.require_square(stack)
+    _check_densities(stack, tol, where=lambda i: f"matrix {i}: ")
+    return stack
+
+
+def _check_densities(stack: np.ndarray, tol: float, where) -> None:
+    # Refuse the first matrix of the stack that fails a check, with
+    # where(index) ahead of the message.  `not (x <= tol)` refuses NaN too.
+    dev = linalg.max_abs_diffs(stack, stack.conj().swapaxes(-1, -2))
+    bad = np.flatnonzero(~(dev <= tol))
+    if bad.size:
+        i = bad[0]
+        raise NotHermitianError(
+            f"{where(i)}not Hermitian within {tol:g} (deviation {dev[i]:.3e})"
+        )
+    tr = np.trace(stack, axis1=-2, axis2=-1)
+    bad = np.flatnonzero(~(np.abs(tr - 1.0) <= tol))
+    if bad.size:
+        i = bad[0]
+        raise TraceNotOneError(
+            f"{where(i)}trace is {complex(tr[i]):.12g}, expected 1 within {tol:g}"
+        )
+    min_eig = linalg.hermitian_eigvals(stack, tol=tol)[:, 0]
+    bad = np.flatnonzero(~(min_eig >= -tol))
+    if bad.size:
+        i = bad[0]
+        raise NotPositiveError(
+            f"{where(i)}min eigenvalue {min_eig[i]:.6e} below -{tol:g}",
+            min_eigenvalue=float(min_eig[i]),
+        )
 
 
 def sanitize_density(m, dims=None, tol: float = VALIDATION_TOL) -> DensityMatrix:
@@ -143,10 +182,26 @@ def qubit_stack_from_bloch(vectors, tol: float = VALIDATION_TOL) -> np.ndarray:
 
 
 def bloch_of_qubit(rho: DensityMatrix) -> np.ndarray:
-    """Bloch vector (Tr rho sigma_k for k = 1..3) of a qubit state."""
+    """Bloch vector (Tr rho sigma_k for k = 1..3) of a qubit state; one row
+    of :func:`bloch_of_qubit_stack`."""
     if rho.dims != (2,):
         raise DimMismatchError(f"expected a single qubit, got dims {rho.dims}")
-    return np.array([np.trace(rho.mat @ s).real for s in PAULIS])
+    return bloch_of_qubit_stack(rho.mat[None])[0]
+
+
+def bloch_of_qubit_stack(mats) -> np.ndarray:
+    """The Bloch vector of each qubit operator of an ``(n, 2, 2)`` stack.
+
+    Returns an ``(n, 3)`` array whose k-th column is ``Re Tr(rho sigma_k)``,
+    one stacked product and trace per Pauli matrix.  The operators are
+    not validated.
+    """
+    m = np.asarray(mats, dtype=complex)
+    if m.ndim != 3 or m.shape[1:] != (2, 2):
+        raise DimMismatchError(f"expected an (n, 2, 2) stack, got shape {m.shape}")
+    return np.stack(
+        [np.trace(m @ s, axis1=-2, axis2=-1).real for s in PAULIS], axis=-1
+    )
 
 
 def _check_permutation(perm) -> tuple[int, ...]:
@@ -175,14 +230,36 @@ def invert_permutation(perm) -> tuple[int, ...]:
 
 
 def conjugate_by_permutation(x, perm) -> np.ndarray:
-    """P x P^dagger via index gymnastics, avoiding explicit matrices."""
-    m = linalg.as_complex_matrix(x)
+    """P x P^dagger via index gymnastics, avoiding explicit matrices; one row
+    of :func:`conjugate_stack_by_permutations`."""
+    return conjugate_stack_by_permutations(linalg.as_complex_matrix(x)[None], [perm])[0]
+
+
+def conjugate_stack_by_permutations(mats, perms) -> np.ndarray:
+    """``P_k x_k P_k^dagger`` for each matrix ``x_k`` of an ``(n, d, d)`` stack
+    and each row ``perms[k]`` of an ``(n, d)`` array of permutations.
+
+    One fancy-index gather for the whole stack: entry ``(i, j)`` of the
+    k-th result is entry ``(inv_k[i], inv_k[j])`` of ``x_k``, with ``inv_k``
+    the inverse of ``perms[k]``.
+
+    Raises:
+        DimMismatchError: if the stack and the permutations do not match.
+        ValueError: if a row of ``perms`` is not a permutation of 0..d-1.
+    """
+    m = linalg.as_complex_matrix(mats, stack=True)
     d = linalg.require_square(m)
-    p = _check_permutation(perm)
-    if len(p) != d:
-        raise DimMismatchError(f"permutation on {len(p)} elements, matrix side {d}")
-    inv = np.array(invert_permutation(p))
-    return m[np.ix_(inv, inv)]
+    p = np.asarray(perms)
+    if m.ndim != 3 or p.shape != m.shape[:2]:
+        raise DimMismatchError(
+            f"expected an (n, d, d) stack and (n, d) permutations, got shapes "
+            f"{m.shape} and {p.shape}"
+        )
+    if not (np.sort(p, axis=-1) == np.arange(d)).all():
+        raise ValueError(f"a row of perms is not a permutation of 0..{d - 1}")
+    inv = np.argsort(p, axis=-1)
+    rows = np.arange(len(m))[:, None, None]
+    return m[rows, inv[:, :, None], inv[:, None, :]]
 
 
 def enumerate_permutations(d: int):

@@ -17,7 +17,9 @@ The checks draw their random matrices one stack per dimension, and every
 check shares one generator: a stacked draw consumes the stream as the
 sequential draws would, so the draws and residuals do not depend on how
 a check is vectorised.  The brute-force oracles, too, take each stack in
-one call.
+one call.  Draws that interleave with the matrices (a permutation per
+matrix, a Bloch vector per qubit) stay one per item; the kernels that
+read them take the whole stack.
 """
 
 import math
@@ -128,9 +130,10 @@ def check_transpose_covariance(dmax, samples, rng):
 
 def check_permutation_invariance(dmax, samples, rng):
     for d, mats in _matrix_stacks(dmax, samples, rng):
-        for out in twirl.twirl_closed_form(mats):
-            tau = tuple(rng.permutation(d))
-            yield linalg.max_abs_diff(states.conjugate_by_permutation(out, tau), out)
+        outs = twirl.twirl_closed_form(mats)
+        # one permutation per matrix, drawn in matrix order
+        perms = np.array([rng.permutation(d) for _ in outs])
+        yield from linalg.max_abs_diffs(states.conjugate_stack_by_permutations(outs, perms), outs)
 
 
 def check_trace_and_positivity(dmax, samples, rng):
@@ -145,10 +148,10 @@ def check_trace_and_positivity(dmax, samples, rng):
 
 def check_qubit_bloch_image(dmax, samples, rng):
     r = np.array([states.random_bloch(rng) for _ in range(BLOCH_SAMPLES)])
-    out = twirl.twirl_closed_form(states.qubit_stack_from_bloch(r))
-    for r_k, out_k in zip(r, out):
-        image = states.bloch_of_qubit(states.DensityMatrix(out_k, (2,)))
-        yield np.max(np.abs(image - np.array([r_k[0], 0.0, 0.0])))
+    image = states.bloch_of_qubit_stack(twirl.twirl_closed_form(states.qubit_stack_from_bloch(r)))
+    expect = np.zeros_like(r)
+    expect[:, 0] = r[:, 0]
+    yield from np.max(np.abs(image - expect), axis=-1)
 
 
 def check_output_state_reconstruction(dmax, samples, rng):
@@ -214,12 +217,11 @@ def check_relent_bound_eigen_route(dmax, samples, rng):
 
 def check_l1_tight_for_nonneg_real(dmax, samples, rng):
     for d in range(2, dmax + 1):
-        mats = []
-        for _ in range(samples):
-            g = rng.uniform(0.0, 1.0, size=(d, d))
-            mat = g @ g.T
-            mat /= np.trace(mat)
-            mats.append(states.validate_density(mat).mat)
+        # one draw for the stack consumes the stream as per-matrix draws do
+        g = rng.uniform(0.0, 1.0, size=(samples, d, d))
+        mats = g @ g.swapaxes(-1, -2)
+        mats /= np.trace(mats, axis1=-2, axis2=-1)[:, None, None]
+        mats = states.validate_density_stack(mats)
         yield from np.abs(coherence.l1_coherences(mats) - coherence.l1_lower_bounds(mats))
 
 

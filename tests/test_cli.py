@@ -564,6 +564,32 @@ def test_verify_catches_an_oracle_wrong_past_its_first_row(monkeypatch):
     assert results["unitality"].passed is True
 
 
+def test_verify_refuses_a_density_that_is_not_positive_past_row_0(capsys, monkeypatch):
+    # the density validation's eigenvalues turn negative on row 1 of each
+    # stack, never on row 0: a validation of row 0 alone would pass
+    import permutwirl.linalg as linalg_module
+
+    passing = [r.name for r in verify.run_suite(dmax=2, samples=2, seed=1)]
+    original = linalg_module.hermitian_eigvals
+
+    def negative_on_row_1(a, *args, **kwargs):
+        w = original(a, *args, **kwargs)
+        if w.ndim == 2 and len(w) > 1:
+            w[1] -= 1.0
+        return w
+
+    monkeypatch.setattr(linalg_module, "hermitian_eigvals", negative_on_row_1)
+    results = {r.name: r for r in verify.run_suite(dmax=2, samples=2, seed=1)}
+    tight = results["l1_bound_tight_for_nonneg_real"]
+    assert np.isnan(tight.max_residual)
+    assert tight.passed is False
+
+    code, out, err = _run(capsys, ["verify", "--dmax", "2", "--samples", "2", "--seed", "1"])
+    assert code == cli.EXIT_VERIFY_FAILED
+    assert [c["name"] for c in json.loads(out)["checks"]] == passing
+    assert "l1_bound_tight_for_nonneg_real" in err
+
+
 def test_verify_oversized_samples_exit_code(capsys):
     samples = verify.MAX_SAMPLES + 1
     code, out, err = _run(capsys, ["verify", "--dmax", "2", "--samples", str(samples)])

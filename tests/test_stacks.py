@@ -10,8 +10,13 @@ from functools import partial
 import numpy as np
 import pytest
 
-from permutwirl import coherence, entanglement, linalg, states, twirl
-from permutwirl.errors import PermutwirlError
+from permutwirl import coherence, entanglement, linalg, states, twirl, verify
+from permutwirl.errors import (
+    NotHermitianError,
+    NotPositiveError,
+    PermutwirlError,
+    TraceNotOneError,
+)
 
 
 def _bits(a):
@@ -223,3 +228,130 @@ def test_coefficients_to_matrix_stack_rows(dims):
         twirl.coefficients_to_matrix(coeffs),
         np.stack([twirl.coefficients_to_matrix(c) for c in rows]),
     )
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+def test_conjugation_stack_rows(d):
+    rng = np.random.default_rng(80 + d)
+    mats = _matrices(d)
+    perms = np.array([rng.permutation(d) for _ in mats])
+    got = states.conjugate_stack_by_permutations(mats, perms)
+    assert_same_bits(
+        got, np.stack([states.conjugate_by_permutation(m, p) for m, p in zip(mats, perms)])
+    )
+    # and the index form of P x P^dagger, one matrix at a time
+    inverses = [np.array(states.invert_permutation(p)) for p in perms]
+    assert_same_bits(got, np.stack([m[np.ix_(inv, inv)] for m, inv in zip(mats, inverses)]))
+
+
+def test_conjugation_stack_refuses_a_row_that_is_not_a_permutation():
+    mats = _matrices(3)[:3]
+    with pytest.raises(ValueError, match="not a permutation"):
+        states.conjugate_stack_by_permutations(mats, [[0, 1, 2], [2, 1, 0], [0, 0, 2]])
+
+
+def test_bloch_stack_rows():
+    rng = np.random.default_rng(62)
+    r = np.array([states.random_bloch(rng) for _ in range(50)] + [[0.0, -0.0, 0.0], [1.0, 0, 0]])
+    qubits = states.qubit_stack_from_bloch(r)
+    for stack in (qubits, twirl.twirl_closed_form(qubits)):
+        assert_same_bits(
+            states.bloch_of_qubit_stack(stack),
+            np.stack([states.bloch_of_qubit(states.DensityMatrix(m, (2,))) for m in stack]),
+        )
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_validate_density_stack_rows(d):
+    mats = _densities(d)
+    assert_same_bits(
+        states.validate_density_stack(mats),
+        np.stack([states.validate_density(m).mat for m in mats]),
+    )
+
+
+def _not_hermitian(m):
+    m[0, 1] += 1e-3
+    return m
+
+
+def _not_unit_trace(m):
+    return 1.5 * m
+
+
+def _not_positive(m):
+    # unit trace and Hermitian, with a negative eigenvalue
+    return m + 0.5 * np.diag([1.0, -1.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "spoil, error, message",
+    [
+        (_not_hermitian, NotHermitianError, "not Hermitian within"),
+        (_not_unit_trace, TraceNotOneError, "trace is"),
+        (_not_positive, NotPositiveError, "min eigenvalue"),
+    ],
+    ids=["hermiticity", "trace", "positivity"],
+)
+def test_validate_density_stack_refuses_a_bad_row_past_row_0(spoil, error, message):
+    mats = _densities(3)
+    mats[5] = spoil(mats[5])
+    with pytest.raises(error) as scalar:
+        states.validate_density(mats[5])
+    with pytest.raises(error) as stacked:
+        states.validate_density_stack(mats)
+    # the scalar row keeps its message; the stack names the bad matrix
+    assert str(scalar.value).startswith(message)
+    assert str(stacked.value) == f"matrix 5: {scalar.value}"
+    if error is NotPositiveError:
+        assert stacked.value.min_eigenvalue == scalar.value.min_eigenvalue < -0.1
+
+
+# The per-matrix bodies of three checks before they were stacked, kept as
+# their oracles: same draws, one matrix at a time.
+
+
+def _permutation_invariance_per_matrix(dmax, samples, rng):
+    for d, mats in verify._matrix_stacks(dmax, samples, rng):
+        for out in twirl.twirl_closed_form(mats):
+            inv = np.array(states.invert_permutation(tuple(rng.permutation(d))))
+            yield linalg.max_abs_diff(out[np.ix_(inv, inv)], out)
+
+
+def _qubit_bloch_image_per_matrix(dmax, samples, rng):
+    r = np.array([states.random_bloch(rng) for _ in range(verify.BLOCH_SAMPLES)])
+    out = twirl.twirl_closed_form(states.qubit_stack_from_bloch(r))
+    for r_k, out_k in zip(r, out):
+        image = np.array([np.trace(out_k @ s).real for s in states.PAULIS])
+        yield np.max(np.abs(image - np.array([r_k[0], 0.0, 0.0])))
+
+
+def _l1_tight_for_nonneg_real_per_matrix(dmax, samples, rng):
+    for d in range(2, dmax + 1):
+        mats = []
+        for _ in range(samples):
+            g = rng.uniform(0.0, 1.0, size=(d, d))
+            mat = g @ g.T
+            mat /= np.trace(mat)
+            mats.append(states.validate_density(mat).mat)
+        yield from np.abs(coherence.l1_coherences(mats) - coherence.l1_lower_bounds(mats))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("dmax, samples", [(6, 100), (3, 7), (2, 1)])
+@pytest.mark.parametrize(
+    "check, per_matrix",
+    [
+        (verify.check_permutation_invariance, _permutation_invariance_per_matrix),
+        (verify.check_qubit_bloch_image, _qubit_bloch_image_per_matrix),
+        (verify.check_l1_tight_for_nonneg_real, _l1_tight_for_nonneg_real_per_matrix),
+    ],
+    ids=["permutation-invariance", "bloch-image", "l1-tight"],
+)
+def test_stacked_checks_equal_per_matrix_loops(check, per_matrix, dmax, samples, seed):
+    rng_stack, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = np.array(list(check(dmax, samples, rng_stack)), dtype=float)
+    want = np.array(list(per_matrix(dmax, samples, rng_loop)), dtype=float)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert rng_stack.bit_generator.state == rng_loop.bit_generator.state

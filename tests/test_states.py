@@ -261,17 +261,17 @@ def _nan_bell_eigenvalues(monkeypatch):
 
 
 def _nan_hermiticity(monkeypatch):
-    monkeypatch.setattr(linalg, "max_abs_diff", lambda a, b: np.nan)
+    monkeypatch.setattr(linalg, "max_abs_diffs", lambda a, b: np.full(np.shape(a)[:-2], np.nan))
 
 
 def _nan_trace(monkeypatch):
     # let a NaN diagonal pass as_complex_matrix and the Hermiticity guard
     monkeypatch.setattr(linalg, "as_complex_matrix", lambda m, **_: np.asarray(m, complex))
-    monkeypatch.setattr(linalg, "max_abs_diff", lambda a, b: 0.0)
+    monkeypatch.setattr(linalg, "max_abs_diffs", lambda a, b: np.zeros(np.shape(a)[:-2]))
 
 
 def _nan_eigenvalues(monkeypatch):
-    monkeypatch.setattr(linalg, "hermitian_eigen", lambda m, **_: (np.full(2, np.nan), None))
+    monkeypatch.setattr(linalg, "hermitian_eigvals", lambda m, **_: np.full(np.shape(m)[:-1], np.nan))
 
 
 MIXED = np.eye(2) / 2
