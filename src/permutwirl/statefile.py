@@ -10,16 +10,20 @@ Infinity, -Infinity and integers too large for a float; a save refuses a
 matrix holding NaN or an infinity.  Floats are written exactly as ``json.dumps`` writes them (``repr``), so
 save followed by load is bit-exact.  The path '-' means stdin/stdout.
 
-Both directions work on whole arrays: a load converts every pair in one
-``numpy`` call, and a save formats each distinct entry once.  An input
-the array route cannot take is parsed pair by pair, which finds the
-first bad index for the error message.
+Both directions work on whole arrays.  A load checks the types of every
+entry and part with set-building passes, then converts all parts in one
+``np.fromiter`` call; an input those checks or the conversion cannot
+vouch for is parsed pair by pair, which finds the first bad index for
+the error message.  A save groups the entries by their (re, im) bits
+with one ``np.lexsort``, spells each distinct entry once, and writes the
+head, the entries and the tail in turn, without building the whole text.
 """
 
 import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -43,26 +47,25 @@ def _read_text(source) -> str:
         return fh.read()
 
 
-def _pairs_as_array(entries: list, text: str) -> np.ndarray | None:
+def _pairs_as_array(entries: list) -> np.ndarray | None:
     """All pairs as one complex array, or None when the array route cannot vouch for them.
 
-    ``np.array`` turns JSON booleans mixed with numbers into 1.0/0.0, so any
-    ``true``/``false`` in the text sends the file to the per-pair route.
-    The view reinterprets (re, im) float pairs, so the bits equal
-    ``complex(re, im)``.
+    ``np.fromiter`` reads the string "1" as 1.0 and a boolean as 1.0/0.0,
+    so the exact types of the entries and of their parts are checked first:
+    lists of two, holding floats and integers only.  The view reinterprets
+    (re, im) float pairs, so the bits equal ``complex(re, im)``.
     """
-    if "true" in text or "false" in text:
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        return None
+    if not set(map(type, chain.from_iterable(entries))) <= {float, int}:
         return None
     try:
-        arr = np.array(entries)
-    except ValueError:  # ragged pairs
+        flat = np.fromiter(chain.from_iterable(entries), float, 2 * len(entries))
+    except OverflowError:  # an integer too large for a float
         return None
-    if arr.dtype.kind not in "fi" or arr.shape != (len(entries), 2):
+    if not np.isfinite(flat).all():
         return None
-    arr = np.ascontiguousarray(arr, dtype=float)
-    if not np.isfinite(arr).all():
-        return None
-    return arr.view(complex).reshape(-1)
+    return flat.view(complex)
 
 
 def _pairs_one_by_one(entries: list) -> np.ndarray:
@@ -123,7 +126,7 @@ def load_raw(source) -> StateFile:
             f"field 'matrix' must hold {d * d} [re, im] pairs for dims {list(dims)}, "
             f"got {len(entries) if isinstance(entries, list) else type(entries).__name__}"
         )
-    flat = _pairs_as_array(entries, text)
+    flat = _pairs_as_array(entries)
     if flat is None:
         flat = _pairs_one_by_one(entries)
     label = doc.get("label")
@@ -139,22 +142,29 @@ def load_density(source, tol: float = states.VALIDATION_TOL) -> StateFile:
     return StateFile(mat=validated.mat, dims=validated.dims, label=raw.label)
 
 
-def _matrix_json(mat: np.ndarray) -> str:
-    """``json.dumps`` of the [[re, im], ...] list, spelling each distinct entry once.
+def _matrix_entries_json(mat: np.ndarray) -> str:
+    """The entries of ``json.dumps`` of the [[re, im], ...] list, without its
+    brackets, spelling each distinct entry once.
 
-    Entries are grouped by the bit pattern of the (re, im) pair, so -0.0
-    keeps its own spelling; ``%r`` is the ``repr`` that ``json.dumps`` uses.
+    Entries are grouped by the bits of the (re, im) pair, so -0.0 keeps
+    its own spelling; ``%r`` is the ``repr`` that ``json.dumps`` uses.
     """
     flat = np.ascontiguousarray(mat.reshape(-1))
     if not np.isfinite(flat).all():
         raise StateFileError(
             "matrix holds a value that is not finite; state files store finite numbers only"
         )
-    distinct, inverse = np.unique(flat.view(np.dtype((np.void, 16))), return_inverse=True)
+    bits = flat.view(np.uint64).reshape(-1, 2)
+    order = np.lexsort((bits[:, 1], bits[:, 0]))
+    re, im = bits[order, 0], bits[order, 1]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (re[1:] != re[:-1]) | (im[1:] != im[:-1])
     spelled = np.array(
-        ["[%r, %r]" % (z.real, z.imag) for z in distinct.view(complex).tolist()], dtype=object
+        ["[%r, %r]" % (z.real, z.imag) for z in flat[order[first]].tolist()], dtype=object
     )
-    return "[" + ", ".join(spelled[inverse].tolist()) + "]"
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ", ".join(spelled[inverse].tolist())
 
 
 def save_state(target, mat: np.ndarray, dims, label: str | None = None) -> None:
@@ -164,17 +174,15 @@ def save_state(target, mat: np.ndarray, dims, label: str | None = None) -> None:
     Raises StateFileError, before writing anything, if ``mat`` holds NaN
     or an infinity.
     """
-    text = (
-        '{"dims": ' + json.dumps([int(k) for k in dims])
-        + ', "matrix": ' + _matrix_json(np.asarray(mat, dtype=complex))
+    parts = (
+        '{"dims": ' + json.dumps([int(k) for k in dims]) + ', "matrix": [',
+        _matrix_entries_json(np.asarray(mat, dtype=complex)),
+        "]" + ("" if label is None else ', "label": ' + json.dumps(label)) + "}\n",
     )
-    if label is not None:
-        text += ', "label": ' + json.dumps(label)
-    text += "}"
-    if target == "-":
-        sys.stdout.write(text + "\n")
-    elif hasattr(target, "write"):
-        target.write(text + "\n")
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    if target == "-" or hasattr(target, "write"):
+        out = sys.stdout if target == "-" else target
+        for part in parts:
+            out.write(part)
+        return
+    with open(target, "w", encoding="utf-8") as fh:
+        fh.writelines(parts)

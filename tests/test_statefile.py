@@ -78,6 +78,11 @@ def test_malformed_json_reports_position(tmp_path):
         # An integer beyond the float range.
         ({"dims": [2], "matrix": [[1, 0], [10**400, 0], [0, 0], [1, 0]]}, r"matrix'\[1\] .*too large"),
         ({"dims": [1], "matrix": [[0.5, -(10**400)]]}, r"matrix'\[0\] .*too large"),
+        # Strings, which np.fromiter would read as numbers: "12" has two
+        # parts, as a pair has.
+        ({"dims": [2], "matrix": [[1, 0], "12", [0, 0], [1, 0]]}, r"matrix'\[1\] is not"),
+        ({"dims": [2], "matrix": [[1, 0], ["1", "2"], [0, 0], [1, 0]]}, r"matrix'\[1\] is not"),
+        ({"dims": [2], "matrix": [[1, 0], [0, 0], ["1.5", 0], [1, 0]]}, r"matrix'\[2\] is not"),
     ],
 )
 def test_schema_violations(tmp_path, doc, message):
@@ -225,15 +230,19 @@ _json_number = (
 )
 _pair = st.lists(_json_number, min_size=2, max_size=2)
 _finite_pair = st.lists(st.integers(-(2**70), 2**70) | _finite, min_size=2, max_size=2)
-# Mostly pairs of numbers (finite or not), sometimes a boolean, a list of
-# the wrong length, or a pair holding a boolean.
+# Number-like strings, which np.fromiter would read as numbers.
+_numeric_text = st.text(alphabet="0123456789.-e", min_size=1, max_size=3)
+# Mostly pairs of numbers (finite or not), sometimes a boolean, a string,
+# a list of the wrong length, or a pair holding a boolean or a string.
 _entry = st.one_of(
     _pair,
     _pair,
     _pair,
     st.booleans(),
+    _numeric_text,
     st.lists(_json_number, max_size=3),
     st.lists(st.booleans() | _json_number, min_size=2, max_size=2),
+    st.lists(_numeric_text | _json_number, min_size=2, max_size=2),
 )
 
 

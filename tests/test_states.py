@@ -10,6 +10,7 @@ from permutwirl.errors import (
     InvalidBellParamsError,
     NotHermitianError,
     NotPositiveError,
+    PermutwirlError,
     TraceNotOneError,
     WeightOutOfRangeError,
 )
@@ -112,7 +113,7 @@ def test_permutation_inverse_is_transpose():
         p = tuple(rng.permutation(d))
         mat = states.permutation_matrix(p)
         np.testing.assert_array_equal(
-            mat.T, states.permutation_matrix(states.invert_permutation(p))
+            mat.T, states.permutation_matrix(np.argsort(p))
         )
         np.testing.assert_array_equal(mat.conj().T, mat.T)
 
@@ -309,3 +310,97 @@ def test_guards_reject_nan(monkeypatch, patch, fn, args, error):
         patch(monkeypatch)
     with pytest.raises(error):
         fn(*args)
+
+
+# ------------------------------------------------------------ positivity screen
+#
+# From states.POSITIVITY_SCREEN_MIN_SIDE up, a Cholesky screen may accept a
+# density before any eigenvalue call.  Every decision and message must still
+# be the one the eigenvalues alone give.
+
+TOL = states.VALIDATION_TOL
+# min eigenvalues placed around -TOL; the eigenvalues refuse the first,
+# may go either way on the second, and refuse only the last of the rest
+PLACEMENTS = [-1.001 * TOL, -TOL, -0.999 * TOL, -TOL / 2, 0.0, 1e-12, -1e-9]
+
+
+def _density_with_min_eigenvalue(d, lam_min, seed):
+    """U diag(lam) U^dagger with trace one and smallest eigenvalue lam_min."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, _ = np.linalg.qr(g)
+    rest = rng.uniform(0.5, 1.5, d - 1)
+    lam = np.concatenate([[lam_min], rest * (1 - lam_min) / rest.sum()])
+    rho = (q * lam) @ q.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+def _eigenvalue_refusal(stack, where=lambda i: ""):
+    """(error class, message) of the positivity check by eigenvalues alone,
+    or None when it accepts every matrix of the stack."""
+    min_eig = linalg.hermitian_eigvals(stack, tol=TOL)[:, 0]
+    bad = np.flatnonzero(~(min_eig >= -TOL))
+    if not bad.size:
+        return None
+    i = bad[0]
+    return NotPositiveError, f"{where(i)}min eigenvalue {min_eig[i]:.6e} below -{TOL:g}"
+
+
+def _refusal(fn, arg):
+    try:
+        fn(arg)
+    except PermutwirlError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("d", [32, 64, 256])
+def test_positivity_decisions_equal_the_eigenvalues_at_the_boundary(d):
+    rhos = [_density_with_min_eigenvalue(d, lam, seed=d + k) for k, lam in enumerate(PLACEMENTS)]
+    want = [_eigenvalue_refusal(rho[None]) for rho in rhos]
+    refused = [w is not None for w in want]
+    assert refused[0] and not any(refused[2:6]) and refused[6]
+    assert [_refusal(states.validate_density, rho) for rho in rhos] == want
+    # a stack is refused at its first bad matrix, past row 0
+    stack = np.stack(rhos[2:])
+    assert _refusal(states.validate_density_stack, stack) == _eigenvalue_refusal(
+        stack, where=lambda i: f"matrix {i}: "
+    )
+
+
+@pytest.mark.parametrize(
+    "lam_min, proved",
+    [(-0.6 * TOL, False), (-0.4 * TOL, True), (1e-3, True)],
+    ids=["-0.6tol", "-0.4tol", "1e-3"],
+)
+def test_cholesky_screen_proves_no_min_eigenvalue_below_minus_half_tol(lam_min, proved):
+    rho = _density_with_min_eigenvalue(64, lam_min, seed=5)[None]
+    assert states._cholesky_proves_positive(rho, rho.conj().swapaxes(-1, -2), TOL) is proved
+
+
+def test_positive_densities_from_the_screen_floor_up_need_no_eigenvalues(monkeypatch):
+    sides = []
+    original = linalg.hermitian_eigvals
+
+    def counted(a, *args, **kwargs):
+        sides.append(np.shape(a)[-1])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "hermitian_eigvals", counted)
+    floor = states.POSITIVITY_SCREEN_MIN_SIDE
+    for d in (floor - 1, floor, 64):
+        states.validate_density(_density_with_min_eigenvalue(d, 1e-3, seed=d))
+    assert sides == [floor - 1]
+
+
+def test_large_non_positive_density_skips_the_screen(monkeypatch):
+    # trace one and Hermitian, but |h|_F near 7e3: the factorisation's
+    # rounding could hide a negative eigenvalue, so the eigenvalues decide
+    rho = np.eye(32, dtype=complex) / 32
+    rho[0, 1] = rho[1, 0] = 5e3
+    factorised = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factorised.append(a) or cholesky(a))
+    refusal = _refusal(states.validate_density, rho)
+    assert refusal is not None and refusal == _eigenvalue_refusal(rho[None])
+    assert factorised == []
