@@ -23,7 +23,9 @@ single-system one, are brute-force enumerations of those groups,
 independent of the orbit labels, under one work bound: at most
 MAX_BRUTE_ENTRIES permutations times matrix entries.  Each oracle takes
 a stack of matrices as well, and enumerates the group once for the
-whole stack.
+whole stack: the stack is held entries-major, so a permutation gathers
+whole rows of the stack, and the permutations are added in one fixed
+order, so a stacked call has the bits of one call per matrix.
 
 All twirl operations accept arbitrary square complex matrices; the maps
 are linear on the full matrix algebra.  Density-specific helpers
@@ -32,6 +34,7 @@ validate separately.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -50,13 +53,14 @@ from .states import DensityMatrix
 # states.MAX_ENUM_DIM is refused before its factorial is computed.
 MAX_BRUTE_ENTRIES = 1 << 26
 
-# Permutation batches are gathered in chunks of at most _CHUNK maps and
-# _GATHER_ENTRIES entries (256 MiB of complex) to bound peak memory.
+# Permutations are summed in chunks of at most _CHUNK maps and
+# _GATHER_ENTRIES entries of one matrix; the chunks fix the order of addition.
 _CHUNK = 5000
 _GATHER_ENTRIES = 1 << 24
-# A chunk gathers a stack in batches of matrices of at most _BATCH_ENTRIES
-# entries (4 MiB of complex) in all, or one matrix when a chunk is larger.
-_BATCH_ENTRIES = 1 << 18
+# A stack is averaged in slabs of at most _BATCH_ENTRIES entries (1 MiB of
+# complex), or one matrix when a matrix is larger; a chunk gathers a slab in
+# blocks of terms of at most _BATCH_ENTRIES entries, or one term.
+_BATCH_ENTRIES = 1 << 16
 
 # Default residual bound of the Choi state's separable decomposition.
 CERTIFICATE_TOL = 1e-12
@@ -113,7 +117,9 @@ class EntanglementBreakingCertificate:
 
 
 def _perm_index_array(d: int) -> np.ndarray:
-    return np.array(list(states.enumerate_permutations(d)), dtype=np.intp)
+    count = math.factorial(d)
+    perms = chain.from_iterable(states.enumerate_permutations(d))
+    return np.fromiter(perms, np.intp, d * count).reshape(count, d)
 
 
 def _bruteforce(m: np.ndarray, dims: tuple[int, ...], groups: tuple):
@@ -125,10 +131,14 @@ def _bruteforce(m: np.ndarray, dims: tuple[int, ...], groups: tuple):
     map ``g``; the elements form a full (inverse-closed) set, so their average
     is that of P x P^dagger over the permutation matrices.  Elements run first
     group major, in chunks of at most ``_CHUNK`` maps and ``_GATHER_ENTRIES``
-    entries of one matrix, each chunk's maps built on their own.  A chunk
-    gathers its matrices in batches of at most ``_BATCH_ENTRIES`` entries
-    (at least one matrix), through flat indices into the raveled matrices, and
-    each matrix has the bits of one call on it alone.
+    entries of one matrix.  The stack is averaged in slabs of at most
+    ``_BATCH_ENTRIES`` entries (at least one matrix), each held entries-major,
+    ``(D^2, k)``, so a term gathers whole rows of the slab's k values, in
+    blocks of at most ``_BATCH_ENTRIES`` entries (at least one term).  Each
+    chunk sums its terms in order, one reduction per block with the running
+    sum as its first row, and the chunk sums are added in order: the bits
+    depend on the chunks only, not on the slabs or blocks, so each matrix has
+    the bits of one call on it alone.
     """
     side = m.shape[-1]
     entries = side * side
@@ -142,12 +152,39 @@ def _bruteforce(m: np.ndarray, dims: tuple[int, ...], groups: tuple):
             f"prod(d!) * D^2 <= {MAX_BRUTE_ENTRIES} gathered entries"
         )
     tables = {g: _perm_index_array(d) for g, d in sizes.items()}
+    n = math.prod(len(t) for t in tables.values())
+    step = min(_CHUNK, max(1, _GATHER_ENTRIES // entries))
+    flat = m.reshape(-1, entries)
+    out = np.empty(flat.shape, dtype=complex)
+    per_slab = max(1, _BATCH_ENTRIES // entries)
+    for lo in range(0, len(flat), per_slab):
+        # row e holds entry e of every matrix of the slab (a copy keeps an
+        # ndarray subclass)
+        cols = flat[lo : lo + per_slab].T.copy()
+        block = min(step, n, max(1, _BATCH_ENTRIES // cols.size))
+        # row 0 carries the chunk's running sum into each block's reduction
+        buf = np.empty((block + 1, *cols.shape), dtype=complex)
+        total = np.zeros(cols.shape, dtype=complex)
+        for maps in _chunk_maps(dims, groups, tables, step):
+            # 0 + t0 + t1 + ... has the bits of t0 + t1 + ... once added to total
+            chunk_sum = np.zeros_like(total)
+            for first in range(0, len(maps), block):
+                part = maps[first : first + block]
+                index = (part[:, :, None] * side + part[:, None, :]).reshape(len(part), entries)
+                buf[0] = chunk_sum
+                # every index is in range; mode "clip" writes to out unbuffered
+                cols.take(index, 0, out=buf[1 : len(part) + 1], mode="clip")
+                np.add.reduce(buf[: len(part) + 1], axis=0, out=chunk_sum)
+            total += chunk_sum
+        np.divide(total.T, n, out=out[lo : lo + per_slab])
+    return out.reshape(m.shape)
+
+
+def _chunk_maps(dims: tuple[int, ...], groups: tuple, tables: dict, step: int):
+    # Composite index map of each group element, first group major, in chunks
+    # of at most step maps, each chunk's maps built on their own
     shape = [len(t) for t in tables.values()]
     n = math.prod(shape)
-    flat = m.reshape(-1, entries)
-    total = np.zeros((len(flat), side, side), dtype=complex)
-    step = min(_CHUNK, max(1, _GATHER_ENTRIES // entries))
-    batch = max(1, _BATCH_ENTRIES // (min(step, n) * entries))
     for start in range(0, n, step):
         terms = np.unravel_index(np.arange(start, min(start + step, n)), shape)
         rows = {g: t.take(i, 0) for (g, t), i in zip(tables.items(), terms)}
@@ -158,13 +195,7 @@ def _bruteforce(m: np.ndarray, dims: tuple[int, ...], groups: tuple):
             # composite index (i, k) -> (maps(i), factor(k)) for each term
             maps = maps[..., None] * factor.shape[1] + factor[:, None]
             maps = maps.reshape(len(maps), -1)
-        # raveled entry (maps(i), maps(j)) of each term, in int32 (D^2 is at
-        # most MAX_BRUTE_ENTRIES) to halve the index array
-        maps = maps.astype(np.int32)
-        index = maps[:, :, None] * side + maps[:, None, :]
-        for lo in range(0, len(flat), batch):
-            total[lo : lo + batch] += flat[lo : lo + batch, index].sum(axis=1)
-    return (total / n).reshape(m.shape)
+        yield maps
 
 
 def twirl_bruteforce(x) -> np.ndarray:

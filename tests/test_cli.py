@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -528,6 +529,28 @@ def test_closed_form_check_nan_is_not_its_first_residual(monkeypatch):
     residuals = list(verify.check_closed_form_matches_bruteforce(2, 2, np.random.default_rng(1)))
     assert np.isfinite(residuals[0])
     assert np.isnan(residuals[1])
+
+
+@pytest.mark.parametrize(
+    "residuals",
+    [[], [-0.0], [-1.0, -0.0], [-3.0, 1e-300], [0.5, np.nan, 0.25], [1.0, 2.0, np.nan], [np.inf, 1.0]],
+)
+def test_run_suite_reduces_residuals_as_worst_does(residuals, monkeypatch):
+    # one reduction per result keeps _worst(0.0, *residuals): NaN wherever it
+    # is, a 0.0 floor, and +0.0 (not -0.0) for a zero worst
+    def check(dmax, samples, rng):
+        yield from residuals
+
+    monkeypatch.setattr(verify, "_CHECKS", ((check, ("fake", 1.0)),))
+    (result,) = verify.run_suite(dmax=2, samples=2, seed=1)
+    want = verify._worst(0.0, *residuals)
+    assert type(result.max_residual) is float
+    if math.isnan(want):
+        assert math.isnan(result.max_residual)
+    else:
+        assert math.copysign(1.0, result.max_residual) == 1.0
+        assert result.max_residual == want
+    assert result.passed is (want <= 1.0)
 
 
 def test_verify_catches_an_oracle_wrong_past_its_first_row(monkeypatch):

@@ -202,13 +202,19 @@ ORACLE_CASES = _oracle_cases()
 )
 def test_bruteforce_stack_rows(oracle, side, n, small, monkeypatch):
     if small:
-        # at most 64 entries per chunk and 128 per batch: the terms split
-        # into many chunks and, for most cases, a stack of 7 into batches
+        # at most 64 entries per chunk and 128 per gather: the terms split
+        # into many chunks and, for most cases, each chunk into many blocks
         monkeypatch.setattr(twirl, "_GATHER_ENTRIES", 64)
         monkeypatch.setattr(twirl, "_BATCH_ENTRIES", 128)
     rng = np.random.default_rng(70 + side + n)
     xs = rng.standard_normal((n, side, side)) + 1j * rng.standard_normal((n, side, side))
-    assert_same_bits(oracle(xs), np.stack([oracle(x) for x in xs]))
+    want = oracle(xs)
+    assert_same_bits(np.stack([oracle(x) for x in xs]), want)
+    # one-matrix slabs with one-term blocks, and one block of the whole stack
+    # per chunk, sum in the same order
+    for batch in (1, 1 << 40):
+        monkeypatch.setattr(twirl, "_BATCH_ENTRIES", batch)
+        assert_same_bits(oracle(xs), want)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -307,8 +313,8 @@ def test_validate_density_stack_refuses_a_bad_row_past_row_0(spoil, error, messa
         assert stacked.value.min_eigenvalue == scalar.value.min_eigenvalue < -0.1
 
 
-# The per-matrix bodies of three checks before they were stacked, kept as
-# their oracles: same draws, one matrix at a time.
+# The per-matrix bodies of four checks before they were stacked, kept as
+# their oracles: same draws, one matrix (or pair) at a time.
 
 
 def _permutation_invariance_per_matrix(dmax, samples, rng):
@@ -324,6 +330,16 @@ def _qubit_bloch_image_per_matrix(dmax, samples, rng):
     for r_k, out_k in zip(r, out):
         image = np.array([np.trace(out_k @ s).real for s in states.PAULIS])
         yield np.max(np.abs(image - np.array([r_k[0], 0.0, 0.0])))
+
+
+def _self_adjointness_per_pair(dmax, samples, rng):
+    for d in range(2, dmax + 1):
+        pairs = states.random_hermitian_stack(d, 2 * samples, rng)
+        xs, ys = pairs[0::2], pairs[1::2]
+        for x, y, tx, ty in zip(
+            xs, ys, twirl.twirl_closed_form(xs), twirl.twirl_closed_form(ys)
+        ):
+            yield abs(linalg.hs_inner(tx, y) - linalg.hs_inner(x, ty))
 
 
 def _l1_tight_for_nonneg_real_per_matrix(dmax, samples, rng):
@@ -345,8 +361,9 @@ def _l1_tight_for_nonneg_real_per_matrix(dmax, samples, rng):
         (verify.check_permutation_invariance, _permutation_invariance_per_matrix),
         (verify.check_qubit_bloch_image, _qubit_bloch_image_per_matrix),
         (verify.check_l1_tight_for_nonneg_real, _l1_tight_for_nonneg_real_per_matrix),
+        (verify.check_self_adjointness, _self_adjointness_per_pair),
     ],
-    ids=["permutation-invariance", "bloch-image", "l1-tight"],
+    ids=["permutation-invariance", "bloch-image", "l1-tight", "self-adjointness"],
 )
 def test_stacked_checks_equal_per_matrix_loops(check, per_matrix, dmax, samples, seed):
     rng_stack, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)

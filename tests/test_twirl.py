@@ -97,6 +97,14 @@ def test_collective_bruteforce_matches_explicit_matrix_average():
     )
 
 
+@pytest.mark.parametrize("d", range(1, 9))
+def test_perm_index_array_lists_the_permutations(d):
+    table = twirl._perm_index_array(d)
+    want = np.array(list(states.enumerate_permutations(d)), dtype=np.intp)
+    assert table.dtype == want.dtype
+    np.testing.assert_array_equal(table, want)
+
+
 def test_bruteforce_dimension_guard(monkeypatch):
     class TableBuilt(Exception):
         pass
@@ -139,8 +147,10 @@ def test_gather_is_bounded_by_entries(monkeypatch):
     gathered = []
 
     class Spy(np.ndarray):
-        def __getitem__(self, key):
-            out = np.asarray(super().__getitem__(key))
+        # the oracle's entries-major copy of its input keeps the class, so
+        # every gather from that copy passes through here
+        def take(self, *args, **kwargs):
+            out = np.asarray(super().take(*args, **kwargs))
             gathered.append(out.size)
             return out
 
@@ -180,8 +190,9 @@ def test_bruteforce_stack_guard_and_gather_bound(monkeypatch):
     gathered = []
 
     class Spy(np.ndarray):
-        def __getitem__(self, key):
-            out = np.asarray(super().__getitem__(key))
+        # gathers from the oracle's entries-major copy, as above
+        def take(self, *args, **kwargs):
+            out = np.asarray(super().take(*args, **kwargs))
             gathered.append(out.size)
             return out
 
