@@ -39,9 +39,10 @@ ASSIST_RANK_FLOOR = 1e-12
 # Ensemble sizes used by the assistance sampler extend past the matrix
 # dimension to explore decompositions of larger cardinality.
 EXTRA_ENSEMBLE_SIZES = 2
-# The sampler draws and scores its samples in blocks of at most this many
-# entries of their ensemble members (1 MiB of complex; the normals drawn
-# for them take no more), so its stacks do not grow with the sample count.
+# The sampler draws and scores whole cycles of samples, one per ensemble
+# size, in blocks of at most this many entries of their ensemble members
+# (1 MiB of complex; the normals drawn for them take no more) or one cycle,
+# so its stacks do not grow with the sample count.
 _ASSIST_BLOCK_ENTRIES = 1 << 16
 
 
@@ -142,28 +143,43 @@ def rel_ent_coherences(mats) -> np.ndarray:
     return _entropy_of_probs(diag) - _entropies(m)
 
 
-def _l1_bound(d: int, off_diag) -> np.ndarray:
-    return d * (d - 1) * np.abs(off_diag)
-
-
 def l1_lower_bound(rho: DensityMatrix) -> float:
-    """d (d - 1) |off_diag|: the l1 coherence of the twirled state.
+    """d (d - 1) |off_diag|: the l1 coherence of the twirled state, one row
+    of :func:`l1_lower_bounds`.
 
     Tight whenever all off-diagonal entries are real with a uniform sign.
     """
-    summary = twirl.twirl_params(rho)
-    return float(_l1_bound(summary.dim, summary.off_diag))
+    _require_monopartite(rho)
+    return float(l1_lower_bounds(rho.mat))
 
 
 def l1_lower_bounds(mats) -> np.ndarray:
     """:func:`l1_lower_bound` of each matrix of a stack ``(n, d, d)``."""
     m = np.asarray(mats, dtype=complex)
-    return _l1_bound(m.shape[-1], twirl.off_diagonal_means(m))
+    d = m.shape[-1]
+    return d * (d - 1) * np.abs(twirl.off_diagonal_means(m))
 
 
-def _rel_ent_bound(d: int, w, tol: float) -> np.ndarray:
-    # The closed form of rel_ent_lower_bound at each mixing weight of w
-    w = np.asarray(w, dtype=float)
+def rel_ent_lower_bound(rho: DensityMatrix, tol: float = linalg.DEFAULT_TOL) -> float:
+    """Closed form for the relative entropy of coherence of the twirled
+    state, one row of :func:`rel_ent_lower_bounds`.
+
+    With w the mixing weight of the twirled state,
+
+        (1 - 1/d) (1 - w) ln(1 - w) + (1/d) ((d - 1) w + 1) ln((d - 1) w + 1),
+
+    evaluated with 0 ln 0 = 0 at the endpoints.  Agrees with computing
+    the measure on the reconstructed output state directly.
+    """
+    _require_monopartite(rho)
+    return float(rel_ent_lower_bounds(rho.mat, tol))
+
+
+def rel_ent_lower_bounds(mats, tol: float = linalg.DEFAULT_TOL) -> np.ndarray:
+    """:func:`rel_ent_lower_bound` of each matrix of a stack ``(n, d, d)``."""
+    m = np.asarray(mats, dtype=complex)
+    d = m.shape[-1]
+    w = d * twirl.off_diagonal_means(m)
     if d == 1:
         return np.zeros_like(w)
     lo = -1.0 / (d - 1)
@@ -174,27 +190,6 @@ def _rel_ent_bound(d: int, w, tol: float) -> np.ndarray:
     u = np.maximum(0.0, 1.0 - w)
     v = np.maximum(0.0, (d - 1) * w + 1.0)
     return (1.0 - 1.0 / d) * _xlogx(u) + (1.0 / d) * _xlogx(v)
-
-
-def rel_ent_lower_bound(rho: DensityMatrix, tol: float = linalg.DEFAULT_TOL) -> float:
-    """Closed form for the relative entropy of coherence of the twirled state.
-
-    With w the mixing weight of the twirled state,
-
-        (1 - 1/d) (1 - w) ln(1 - w) + (1/d) ((d - 1) w + 1) ln((d - 1) w + 1),
-
-    evaluated with 0 ln 0 = 0 at the endpoints.  Agrees with computing
-    the measure on the reconstructed output state directly.
-    """
-    summary = twirl.twirl_params(rho)
-    return float(_rel_ent_bound(summary.dim, summary.weight, tol))
-
-
-def rel_ent_lower_bounds(mats, tol: float = linalg.DEFAULT_TOL) -> np.ndarray:
-    """:func:`rel_ent_lower_bound` of each matrix of a stack ``(n, d, d)``."""
-    m = np.asarray(mats, dtype=complex)
-    d = m.shape[-1]
-    return _rel_ent_bound(d, d * twirl.off_diagonal_means(m), tol)
 
 
 def coherence_value(rho: DensityMatrix, measure: str) -> float:
@@ -241,12 +236,15 @@ def _assistance_scores(
 ) -> np.ndarray:
     """The score of each sampled decomposition, in sample order.
 
-    Sample i has ensemble size ``m = sizes[i % len(sizes)]`` and draws its
-    ``2 m r`` normals in order: the real ``(m, r)`` block, then the
-    imaginary one.  The stream is drawn in consecutive blocks of samples,
-    each holding at most ``_ASSIST_BLOCK_ENTRIES`` member entries or one
-    sample, which leaves it as one draw per sample would; within a block,
-    the samples of each size are orthonormalised and scored as one stack.
+    Sample i has ensemble size ``m = sizes[i % L]``, ``L = len(sizes)``, and
+    draws its ``2 m r`` normals in order: the real ``(m, r)`` block, then
+    the imaginary one.  So a cycle of L samples is one row of a
+    ``(cycles, sum 2 m r)`` draw, which leaves the stream as one draw per
+    sample would, and each size owns a fixed column slice of the row.  The
+    cycles are drawn in blocks of at most ``_ASSIST_BLOCK_ENTRIES`` member
+    entries or one cycle; within a block, the samples of each size are
+    orthonormalised and scored as one stack, and the last block scores
+    only the samples asked for.
     """
     rng = np.random.default_rng(seed)
     w, v = linalg.hermitian_eigen(rho.mat)
@@ -256,25 +254,21 @@ def _assistance_scores(
     rank = int(lam.size)
     sizes = np.arange(rank, rho.d + EXTRA_ENSEMBLE_SIZES + 1)
     term = _pure_l1_terms if measure == MEASURE_L1 else _pure_rel_ent_terms
-    m = sizes[np.arange(samples) % len(sizes)]
-    ends = np.cumsum(m)  # sample i owns members ends[i] - m[i] .. ends[i] - 1
-    starts = ends - m
-    block_members = _ASSIST_BLOCK_ENTRIES // rho.d
+    cols = np.cumsum([0, *(2 * rank * sizes)])  # size j: cols[j] .. cols[j + 1] - 1
+    cycles = -(-samples // len(sizes))
+    per_block = max(1, _ASSIST_BLOCK_ENTRIES // (rho.d * int(sizes.sum())))
     scores = np.empty(samples)
-    lo = 0
-    while lo < samples:
-        last = np.searchsorted(ends, starts[lo] + block_members, "right")
-        hi = max(lo + 1, int(last))
-        normals = rng.standard_normal(2 * rank * (ends[hi - 1] - starts[lo]))
-        for size in np.unique(m[lo:hi]):
-            idx = lo + np.flatnonzero(m[lo:hi] == size)
-            cut = 2 * rank * (starts[idx, None] - starts[lo]) + np.arange(2 * size * rank)
-            re_im = normals[cut].reshape(-1, 2, size, rank)
+    for c in range(0, cycles, per_block):
+        normals = rng.standard_normal((min(per_block, cycles - c), int(cols[-1])))
+        for j, size in enumerate(sizes):
+            out = scores[j :: len(sizes)][c : c + len(normals)]
+            if not out.size:  # the last cycle ends before size j
+                break
+            re_im = normals[: len(out), cols[j] : cols[j + 1]].reshape(-1, 2, size, rank)
             q, upper = np.linalg.qr(re_im[:, 0] + 1j * re_im[:, 1])
             phases = np.diagonal(upper, axis1=1, axis2=2)
             u = q * (phases / np.abs(phases)).conj()[:, None, :]
-            scores[idx] = term(b @ u.conj().swapaxes(-1, -2))
-        lo = hi
+            out[:] = term(b @ u.conj().swapaxes(-1, -2))
     return scores
 
 
@@ -287,9 +281,9 @@ def assistance_estimate(
     (r = rank): the unnormalized members are the columns of B U^dagger
     where B = V sqrt(Lambda) from the eigendecomposition.  Ensemble sizes
     cycle through r, ..., d + EXTRA_ENSEMBLE_SIZES; isometries are Haar
-    samples, drawn and scored as stacks in bounded blocks with the bits
-    of one sample at a time (see ``_assistance_scores``).  Deterministic
-    given ``seed``.
+    samples, drawn and scored as stacks in bounded blocks of whole cycles
+    with the bits of one sample at a time (see ``_assistance_scores``).
+    Deterministic given ``seed``.
     """
     _require_monopartite(rho)
     measure = _check_measure(measure)

@@ -13,7 +13,7 @@ save followed by load is bit-exact.  The path '-' means stdin/stdout.
 Both directions work on whole arrays.  A load checks the types of every
 entry and part with set-building passes, then converts all parts in one
 ``np.fromiter`` call; an input those checks or the conversion cannot
-vouch for is parsed pair by pair, which finds the first bad index for
+vouch for is checked pair by pair, which finds the first bad index for
 the error message.  A save groups the entries by their (re, im) bits
 with one ``np.lexsort``, spells each distinct entry once, and writes the
 head, the entries and the tail in turn, without building the whole text.
@@ -68,9 +68,9 @@ def _pairs_as_array(entries: list) -> np.ndarray | None:
     return flat.view(complex)
 
 
-def _pairs_one_by_one(entries: list) -> np.ndarray:
-    """Per-pair parse; raises at the first entry that is not a finite [re, im] pair."""
-    flat = np.empty(len(entries), dtype=complex)
+def _raise_at_first_bad_pair(entries: list) -> None:
+    """Raises at the first entry that is not a finite [re, im] pair: every
+    list that :func:`_pairs_as_array` refuses holds one."""
     for idx, pair in enumerate(entries):
         if (
             not isinstance(pair, list)
@@ -88,8 +88,6 @@ def _pairs_one_by_one(entries: list) -> np.ndarray:
             ) from exc
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise StateFileError(f"field 'matrix'[{idx}] holds a value that is not finite")
-        flat[idx] = z
-    return flat
 
 
 def load_raw(source) -> StateFile:
@@ -128,7 +126,7 @@ def load_raw(source) -> StateFile:
         )
     flat = _pairs_as_array(entries)
     if flat is None:
-        flat = _pairs_one_by_one(entries)
+        _raise_at_first_bad_pair(entries)
     label = doc.get("label")
     if label is not None and not isinstance(label, str):
         raise StateFileError("field 'label' must be a string")

@@ -62,16 +62,6 @@ class CheckResult:
     passed: bool
 
 
-def _worst(*values) -> float:
-    """The largest of ``values``, or NaN if any of them is NaN.
-
-    Built-in ``max`` drops a NaN that is not its first argument, so a NaN
-    residual would read as a pass.
-    """
-    values = [float(v) for v in values]
-    return math.nan if any(math.isnan(v) for v in values) else max(values)
-
-
 def _hs_inners(xs, ys) -> np.ndarray:
     # linalg.hs_inner of each pair, Tr(x^dagger y), as one stacked
     # (1, D^2) @ (D^2, 1) product of the conjugate: the bits of np.vdot
@@ -376,11 +366,11 @@ def run_suite(
 ) -> list[CheckResult]:
     """Run every check; deterministic given (dmax, samples, seed).
 
-    Each result's worst residual is that of ``_worst(0.0, *residuals)``, in
-    one reduction: NaN is kept and a zero worst reads 0.0.  A check that
-    raises is reported as failed with a NaN residual and its declared tol
-    under each of its names in ``_CHECKS``, so the names and their order do
-    not depend on how a check ended.
+    Each result's worst residual is the largest of 0.0 and its residuals,
+    in one reduction: a NaN residual makes it NaN, and a worst of -0.0
+    reads 0.0.  A check that raises is reported as failed with a NaN
+    residual and its declared tol under each of its names in ``_CHECKS``,
+    so the names and their order do not depend on how a check ended.
     """
     if dmax < 1:
         raise ValueError(f"dmax must be >= 1, got {dmax}")

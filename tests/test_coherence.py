@@ -322,16 +322,36 @@ def _state_of_rank(d, rank, rng):
 def test_assistance_scores_equal_per_sample_loop(monkeypatch, d, rank):
     r = d if rank == "full" else min(int(rank), d)
     rho = _state_of_rank(d, r, np.random.default_rng(100 * d + r))
-    # 40 member entries per block splits every run of more than a few
-    # samples, and leaves single samples larger than a block alone
+    # 40 member entries per block leaves one cycle or a few in each block,
+    # so the larger counts span many blocks and most end mid-cycle
     for block in (40, coherence._ASSIST_BLOCK_ENTRIES):
         monkeypatch.setattr(coherence, "_ASSIST_BLOCK_ENTRIES", block)
         for measure in coherence.MEASURES:
-            for samples in (1, 7, 300):
+            for samples in (1, 2, 3, 7, 300, 1001):
                 got = coherence._assistance_scores(rho, measure, samples, seed=d)
                 want = _assistance_scores_per_sample(rho, measure, samples, seed=d)
                 assert got.shape == (samples,)
                 np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("samples", [1, 5, 7, 13])
+def test_assistance_scores_exactly_the_samples_asked_for(monkeypatch, samples):
+    # a rank-1 d=4 state cycles through 6 ensemble sizes, so every count
+    # here ends mid-cycle; no decomposition past the last is scored
+    term = coherence._pure_l1_terms
+    rows = []
+
+    def counting(w_cols):
+        rows.append(len(w_cols))
+        return term(w_cols)
+
+    monkeypatch.setattr(coherence, "_pure_l1_terms", counting)
+    rho = _state_of_rank(4, 1, np.random.default_rng(4))
+    for block in (40, coherence._ASSIST_BLOCK_ENTRIES):
+        monkeypatch.setattr(coherence, "_ASSIST_BLOCK_ENTRIES", block)
+        rows.clear()
+        coherence._assistance_scores(rho, "l1", samples, seed=1)
+        assert sum(rows) == samples
 
 
 def _nan_on_second_call(term):
@@ -385,13 +405,13 @@ def test_assistance_sample_count_guard():
 
 
 @pytest.mark.parametrize(
-    "summary, error",
-    [(None, NonRealSumError), (twirl.TwirlSummary(3, np.nan, np.nan), ParamOutOfRangeError)],
+    "off_diag, error",
+    [(None, NonRealSumError), (np.float64(np.nan), ParamOutOfRangeError)],
     ids=["nan-state", "nan-weight"],
 )
-def test_rel_ent_lower_bound_rejects_nan(monkeypatch, summary, error):
+def test_rel_ent_lower_bound_rejects_nan(monkeypatch, off_diag, error):
     rho = states.DensityMatrix(np.array([[0.5, np.nan], [np.nan, 0.5]], complex), (2,))
-    if summary is not None:
-        monkeypatch.setattr(twirl, "twirl_params", lambda _: summary)
+    if off_diag is not None:
+        monkeypatch.setattr(twirl, "off_diagonal_means", lambda _: off_diag)
     with pytest.raises(error):
         coherence.rel_ent_lower_bound(rho)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,13 @@ def _bell_rows_per_point(grid):
     return rows
 
 
+def _worst(*values) -> float:
+    # the largest of values, or NaN if any of them is NaN: built-in max
+    # drops a NaN that is not its first argument
+    values = [float(v) for v in values]
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
+
+
 def _bell_geometry_per_point():
     # the per-point walk of the verify check, kept as its oracle
     axis = np.linspace(-1.0, 1.0, verify.BELL_GRID)
@@ -55,7 +64,7 @@ def _bell_geometry_per_point():
                     disagreements += 1
                 image = twirl.twirl_one_sided(rho.mat, (2, 2), linalg.SIDE_A)
                 expect = states.bell_diagonal_state(t1, 0.0, 0.0).mat
-                worst_image = verify._worst(
+                worst_image = _worst(
                     worst_image, linalg.max_abs_diff(image, expect)
                 )
     return float(disagreements), worst_image
