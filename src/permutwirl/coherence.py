@@ -17,6 +17,7 @@ import numpy as np
 
 from . import linalg, twirl
 from .errors import (
+    DimensionTooLargeError,
     DimMismatchError,
     NotPositiveError,
     ParamOutOfRangeError,
@@ -39,11 +40,10 @@ ASSIST_RANK_FLOOR = 1e-12
 # Ensemble sizes used by the assistance sampler extend past the matrix
 # dimension to explore decompositions of larger cardinality.
 EXTRA_ENSEMBLE_SIZES = 2
-# The sampler draws and scores whole cycles of samples, one per ensemble
-# size, in blocks of at most this many entries of their ensemble members
-# (1 MiB of complex; the normals drawn for them take no more) or one cycle,
-# so its stacks do not grow with the sample count.
-_ASSIST_BLOCK_ENTRIES = 1 << 16
+# Largest ``samples`` of the assistance sampler, whose scores are held at
+# once as one float array (76 MiB at the limit, 119 MiB peak RSS for
+# ``coherence --assist`` on a d=3 state).
+MAX_ASSIST_SAMPLES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -241,10 +241,10 @@ def _assistance_scores(
     the imaginary one.  So a cycle of L samples is one row of a
     ``(cycles, sum 2 m r)`` draw, which leaves the stream as one draw per
     sample would, and each size owns a fixed column slice of the row.  The
-    cycles are drawn in blocks of at most ``_ASSIST_BLOCK_ENTRIES`` member
-    entries or one cycle; within a block, the samples of each size are
-    orthonormalised and scored as one stack, and the last block scores
-    only the samples asked for.
+    cycles are drawn in blocks of at most ``linalg.BLOCK_ENTRIES`` member
+    entries (the normals drawn for them take no more) or one cycle; within
+    a block, the samples of each size are orthonormalised and scored as
+    one stack, and the last block scores only the samples asked for.
     """
     rng = np.random.default_rng(seed)
     w, v = linalg.hermitian_eigen(rho.mat)
@@ -256,7 +256,7 @@ def _assistance_scores(
     term = _pure_l1_terms if measure == MEASURE_L1 else _pure_rel_ent_terms
     cols = np.cumsum([0, *(2 * rank * sizes)])  # size j: cols[j] .. cols[j + 1] - 1
     cycles = -(-samples // len(sizes))
-    per_block = max(1, _ASSIST_BLOCK_ENTRIES // (rho.d * int(sizes.sum())))
+    per_block = max(1, linalg.BLOCK_ENTRIES // (rho.d * int(sizes.sum())))
     scores = np.empty(samples)
     for c in range(0, cycles, per_block):
         normals = rng.standard_normal((min(per_block, cycles - c), int(cols[-1])))
@@ -284,11 +284,21 @@ def assistance_estimate(
     samples, drawn and scored as stacks in bounded blocks of whole cycles
     with the bits of one sample at a time (see ``_assistance_scores``).
     Deterministic given ``seed``.
+
+    Raises:
+        SampleCountError: if ``samples`` < 1.
+        DimensionTooLargeError: if ``samples`` > MAX_ASSIST_SAMPLES (checked
+            before any eigensolve or draw).
     """
     _require_monopartite(rho)
     measure = _check_measure(measure)
     if samples < 1:
         raise SampleCountError(f"samples must be >= 1, got {samples}")
+    if samples > MAX_ASSIST_SAMPLES:
+        raise DimensionTooLargeError(
+            f"samples {samples} exceeds the limit of {MAX_ASSIST_SAMPLES}: the "
+            "scores of all samples are held at once"
+        )
     scores = _assistance_scores(rho, measure, samples, seed)
     # np.max keeps a NaN score wherever it falls; built-in max drops it
     best = float(np.max(scores))

@@ -50,7 +50,8 @@ class InvalidBellParamsError(PermutwirlError):
 
 
 class NonRealSumError(PermutwirlError):
-    """Off-diagonal sum is not real: a nonvanishing imaginary part or NaN."""
+    """Off-diagonal sum is not a finite real: a nonvanishing imaginary part,
+    or a real part that is NaN or infinite."""
 
 
 class ParamOutOfRangeError(PermutwirlError):

@@ -22,6 +22,12 @@ from .errors import (
 DEFAULT_TOL = 1e-10
 EIGEN_TOL = 1e-12
 
+# Every stacked loop (the brute-force oracle, the assistance sampler and the
+# qubit sweep) works in blocks of at most this many complex entries (1 MiB),
+# or one item when an item is larger, so its temporaries do not grow with
+# the stack.  No output bit depends on it.
+BLOCK_ENTRIES = 1 << 16
+
 SIDE_A = "A"
 SIDE_B = "B"
 

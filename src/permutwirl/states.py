@@ -35,11 +35,6 @@ MAX_ENUM_DIM = 10
 # so this margin does not mask real violations.
 VALIDATION_TOL = 1e-10
 
-# Matrices of at least this side are accepted as positive by a Cholesky
-# screen when it succeeds, before any eigenvalue call.  Below it the
-# screen saves under 30 us per matrix, and costs that much on a failure.
-POSITIVITY_SCREEN_MIN_SIDE = 32
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
@@ -151,13 +146,12 @@ def _cholesky_proves_positive(stack: np.ndarray, adj: np.ndarray, tol: float) ->
     The factor of a = h + (tol/2) I, with h the Hermitian part, is exact
     for a + E, and |E| is at most about (D + 1) eps tr(a) (Higham, Accuracy
     and Stability of Numerical Algorithms, Thm 10.3), in practice about
-    D eps |a|.  The screen is tried only where 4 D eps max(|a|_F, tr a) is
-    below tol/4, so a success puts every min eigenvalue above -3 tol/4,
-    and a large non-positive matrix goes to the eigenvalues.
+    D eps |a|.  The proof holds at every side D, so the screen is tried on
+    every stack, but only where 4 D eps max(|a|_F, tr a) is below tol/4:
+    a success then puts every min eigenvalue above -3 tol/4, and a large
+    non-positive matrix goes to the eigenvalues.
     """
     d = stack.shape[-1]
-    if d < POSITIVITY_SCREEN_MIN_SIDE:
-        return False
     a = 0.5 * (stack + adj)
     diag = np.arange(d)
     a[:, diag, diag] += tol / 2

@@ -25,9 +25,6 @@ BELL_VALID_FLOOR = -1e-12
 # Largest ``steps`` for the qubit sweep, whose rows are all held at once
 # as one float array (90 MiB peak RSS at the limit).
 MAX_QUBIT_STEPS = 1_000_000
-# The sweep's states are built, twirled and measured in blocks of this many
-# points, so that only the rows grow with ``steps``.
-_QUBIT_BLOCK = 1 << 14
 
 # Largest ``grid`` for the Bell lattice, which is held as arrays: grid^3
 # points are allocated at once.
@@ -39,8 +36,9 @@ def qubit_sweep_rows(r2: float, r3: float, steps: int) -> np.ndarray:
 
     r1 runs over [0, sqrt(1 - r2^2 - r3^2)] in ``steps`` points, keeping
     the Bloch vector inside the ball, as the rows of a float ``(steps, 5)``
-    array.  Each block of ``_QUBIT_BLOCK`` states is one stack, twirled
-    and measured in one call per column, with the bits of one per point.
+    array.  Each block of ``linalg.BLOCK_ENTRIES // 4`` states (four entries
+    each) is one stack, twirled and measured in one call per column, with
+    the bits of one per point; only the rows grow with ``steps``.
 
     Raises:
         ParamOutOfRangeError: if r2 or r3 is not finite, r2^2 + r3^2 > 1,
@@ -64,8 +62,9 @@ def qubit_sweep_rows(r2: float, r3: float, steps: int) -> np.ndarray:
         )
     r1 = np.linspace(0.0, np.sqrt(max(0.0, 1.0 - r2 * r2 - r3 * r3)), steps)
     rows = np.empty((steps, len(QUBIT_SWEEP_COLUMNS)))
-    for lo in range(0, steps, _QUBIT_BLOCK):
-        r1_block = r1[lo : lo + _QUBIT_BLOCK]
+    block = linalg.BLOCK_ENTRIES // 4
+    for lo in range(0, steps, block):
+        r1_block = r1[lo : lo + block]
         rho = states.qubit_stack_from_bloch(
             np.column_stack(
                 [r1_block, np.full(len(r1_block), r2), np.full(len(r1_block), r3)]
@@ -79,7 +78,7 @@ def qubit_sweep_rows(r2: float, r3: float, steps: int) -> np.ndarray:
             coherence.rel_ent_coherences(rho),
             coherence.rel_ent_coherences(star),
         )
-        rows[lo : lo + _QUBIT_BLOCK] = np.column_stack(columns)
+        rows[lo : lo + block] = np.column_stack(columns)
     return rows
 
 

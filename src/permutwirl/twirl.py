@@ -57,10 +57,6 @@ MAX_BRUTE_ENTRIES = 1 << 26
 # _GATHER_ENTRIES entries of one matrix; the chunks fix the order of addition.
 _CHUNK = 5000
 _GATHER_ENTRIES = 1 << 24
-# A stack is averaged in slabs of at most _BATCH_ENTRIES entries (1 MiB of
-# complex), or one matrix when a matrix is larger; a chunk gathers a slab in
-# blocks of terms of at most _BATCH_ENTRIES entries, or one term.
-_BATCH_ENTRIES = 1 << 16
 
 # Default residual bound of the Choi state's separable decomposition.
 CERTIFICATE_TOL = 1e-12
@@ -132,13 +128,13 @@ def _bruteforce(m: np.ndarray, dims: tuple[int, ...], groups: tuple):
     is that of P x P^dagger over the permutation matrices.  Elements run first
     group major, in chunks of at most ``_CHUNK`` maps and ``_GATHER_ENTRIES``
     entries of one matrix.  The stack is averaged in slabs of at most
-    ``_BATCH_ENTRIES`` entries (at least one matrix), each held entries-major,
-    ``(D^2, k)``, so a term gathers whole rows of the slab's k values, in
-    blocks of at most ``_BATCH_ENTRIES`` entries (at least one term).  Each
-    chunk sums its terms in order, one reduction per block with the running
-    sum as its first row, and the chunk sums are added in order: the bits
-    depend on the chunks only, not on the slabs or blocks, so each matrix has
-    the bits of one call on it alone.
+    ``linalg.BLOCK_ENTRIES`` entries (at least one matrix), each held
+    entries-major, ``(D^2, k)``, so a term gathers whole rows of the slab's k
+    values, in blocks of at most ``linalg.BLOCK_ENTRIES`` entries (at least
+    one term).  Each chunk sums its terms in order, one reduction per block
+    with the running sum as its first row, and the chunk sums are added in
+    order: the bits depend on the chunks only, not on the slabs or blocks, so
+    each matrix has the bits of one call on it alone.
     """
     side = m.shape[-1]
     entries = side * side
@@ -156,12 +152,12 @@ def _bruteforce(m: np.ndarray, dims: tuple[int, ...], groups: tuple):
     step = min(_CHUNK, max(1, _GATHER_ENTRIES // entries))
     flat = m.reshape(-1, entries)
     out = np.empty(flat.shape, dtype=complex)
-    per_slab = max(1, _BATCH_ENTRIES // entries)
+    per_slab = max(1, linalg.BLOCK_ENTRIES // entries)
     for lo in range(0, len(flat), per_slab):
         # row e holds entry e of every matrix of the slab (a copy keeps an
         # ndarray subclass)
         cols = flat[lo : lo + per_slab].T.copy()
-        block = min(step, n, max(1, _BATCH_ENTRIES // cols.size))
+        block = min(step, n, max(1, linalg.BLOCK_ENTRIES // cols.size))
         # row 0 carries the chunk's running sum into each block's reduction
         buf = np.empty((block + 1, *cols.shape), dtype=complex)
         total = np.zeros(cols.shape, dtype=complex)
@@ -250,8 +246,8 @@ def off_diagonal_means(x, tol: float = linalg.DEFAULT_TOL) -> np.ndarray:
     be real.
 
     Raises:
-        NonRealSumError: if a sum's imaginary part exceeds ``tol``, or a
-            sum is NaN.
+        NonRealSumError: if a sum's imaginary part exceeds ``tol``, or its
+            real part is not finite (NaN or infinite).
     """
     m = np.asarray(x, dtype=complex)
     d = linalg.require_square(m)
@@ -264,8 +260,9 @@ def off_diagonal_means(x, tol: float = linalg.DEFAULT_TOL) -> np.ndarray:
             f"off-diagonal sum has imaginary part {off_sum.imag[non_real][0]:.3e}; "
             "input is not Hermitian"
         )
-    if np.isnan(off_sum.real).any():
-        raise NonRealSumError("off-diagonal sum is NaN")
+    not_finite = ~np.isfinite(off_sum.real)
+    if not_finite.any():
+        raise NonRealSumError(f"off-diagonal sum is {off_sum.real[not_finite][0]}")
     return off_sum.real / (d * (d - 1))
 
 

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from permutwirl import cli, linalg, statefile, states, sweeps, verify
+from permutwirl import cli, coherence, linalg, statefile, states, sweeps, verify
 
 
 def _write_state(tmp_path, name, rho):
@@ -596,11 +596,13 @@ def test_verify_catches_an_oracle_wrong_past_its_first_row(monkeypatch):
 
 def test_verify_refuses_a_density_that_is_not_positive_past_row_0(capsys, monkeypatch):
     # the density validation's eigenvalues turn negative on row 1 of each
-    # stack, never on row 0: a validation of row 0 alone would pass
+    # stack, never on row 0: a validation of row 0 alone would pass.  The
+    # screen proves nothing, so the eigenvalues decide every stack.
     import permutwirl.linalg as linalg_module
 
     passing = [r.name for r in verify.run_suite(dmax=2, samples=2, seed=1)]
     original = linalg_module.hermitian_eigvals
+    monkeypatch.setattr(states, "_cholesky_proves_positive", lambda *_: False)
 
     def negative_on_row_1(a, *args, **kwargs):
         w = original(a, *args, **kwargs)
@@ -626,6 +628,16 @@ def test_verify_oversized_samples_exit_code(capsys):
     assert code == cli.EXIT_DIMENSION
     assert out == ""
     assert str(samples) in err and str(verify.MAX_SAMPLES) in err
+
+
+def test_coherence_oversized_assist_exit_code(tmp_path, capsys):
+    path = _write_state(tmp_path, "d3.json", states.random_density(3, np.random.default_rng(3)))
+    samples = coherence.MAX_ASSIST_SAMPLES + 1
+    code, out, err = _run(capsys, ["coherence", path, "--assist", str(samples), "7"])
+    assert code == cli.EXIT_DIMENSION
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(samples) in err and str(coherence.MAX_ASSIST_SAMPLES) in err
 
 
 def test_sweep_qubit_oversized_steps_exit_code(capsys):

@@ -3,6 +3,7 @@ import pytest
 
 from permutwirl import coherence, linalg, states, twirl
 from permutwirl.errors import (
+    DimensionTooLargeError,
     DimMismatchError,
     NonRealSumError,
     NotPositiveError,
@@ -324,8 +325,8 @@ def test_assistance_scores_equal_per_sample_loop(monkeypatch, d, rank):
     rho = _state_of_rank(d, r, np.random.default_rng(100 * d + r))
     # 40 member entries per block leaves one cycle or a few in each block,
     # so the larger counts span many blocks and most end mid-cycle
-    for block in (40, coherence._ASSIST_BLOCK_ENTRIES):
-        monkeypatch.setattr(coherence, "_ASSIST_BLOCK_ENTRIES", block)
+    for block in (40, linalg.BLOCK_ENTRIES):
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", block)
         for measure in coherence.MEASURES:
             for samples in (1, 2, 3, 7, 300, 1001):
                 got = coherence._assistance_scores(rho, measure, samples, seed=d)
@@ -347,8 +348,8 @@ def test_assistance_scores_exactly_the_samples_asked_for(monkeypatch, samples):
 
     monkeypatch.setattr(coherence, "_pure_l1_terms", counting)
     rho = _state_of_rank(4, 1, np.random.default_rng(4))
-    for block in (40, coherence._ASSIST_BLOCK_ENTRIES):
-        monkeypatch.setattr(coherence, "_ASSIST_BLOCK_ENTRIES", block)
+    for block in (40, linalg.BLOCK_ENTRIES):
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", block)
         rows.clear()
         coherence._assistance_scores(rho, "l1", samples, seed=1)
         assert sum(rows) == samples
@@ -398,10 +399,19 @@ def test_assistance_upper_bounded_by_twirl_statistically():
         assert e_rho.value <= e_star.value + 0.05
 
 
-def test_assistance_sample_count_guard():
+def test_assistance_sample_count_guard(monkeypatch):
     rho = states.validate_density(np.eye(2) / 2)
     with pytest.raises(SampleCountError):
         coherence.assistance_estimate(rho, "l1", 0, seed=1)
+
+    # an oversized count is refused before any eigensolve or draw
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampled past the limit")
+
+    monkeypatch.setattr(coherence, "_assistance_scores", no_work)
+    monkeypatch.setattr(linalg, "hermitian_eigen", no_work)
+    with pytest.raises(DimensionTooLargeError, match=str(coherence.MAX_ASSIST_SAMPLES)):
+        coherence.assistance_estimate(rho, "l1", coherence.MAX_ASSIST_SAMPLES + 1, seed=1)
 
 
 @pytest.mark.parametrize(

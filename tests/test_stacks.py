@@ -205,7 +205,7 @@ def test_bruteforce_stack_rows(oracle, side, n, small, monkeypatch):
         # at most 64 entries per chunk and 128 per gather: the terms split
         # into many chunks and, for most cases, each chunk into many blocks
         monkeypatch.setattr(twirl, "_GATHER_ENTRIES", 64)
-        monkeypatch.setattr(twirl, "_BATCH_ENTRIES", 128)
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 128)
     rng = np.random.default_rng(70 + side + n)
     xs = rng.standard_normal((n, side, side)) + 1j * rng.standard_normal((n, side, side))
     want = oracle(xs)
@@ -213,7 +213,7 @@ def test_bruteforce_stack_rows(oracle, side, n, small, monkeypatch):
     # one-matrix slabs with one-term blocks, and one block of the whole stack
     # per chunk, sum in the same order
     for batch in (1, 1 << 40):
-        monkeypatch.setattr(twirl, "_BATCH_ENTRIES", batch)
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", batch)
         assert_same_bits(oracle(xs), want)
 
 

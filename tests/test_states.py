@@ -272,6 +272,8 @@ def _nan_trace(monkeypatch):
 
 
 def _nan_eigenvalues(monkeypatch):
+    # the screen would accept the positive MIXED before any eigenvalue call
+    monkeypatch.setattr(states, "_cholesky_proves_positive", lambda *_: False)
     monkeypatch.setattr(linalg, "hermitian_eigvals", lambda m, **_: np.full(np.shape(m)[:-1], np.nan))
 
 
@@ -314,9 +316,9 @@ def test_guards_reject_nan(monkeypatch, patch, fn, args, error):
 
 # ------------------------------------------------------------ positivity screen
 #
-# From states.POSITIVITY_SCREEN_MIN_SIDE up, a Cholesky screen may accept a
-# density before any eigenvalue call.  Every decision and message must still
-# be the one the eigenvalues alone give.
+# At every side, a Cholesky screen may accept a density before any
+# eigenvalue call.  Every decision and message must still be the one the
+# eigenvalues alone give.
 
 TOL = states.VALIDATION_TOL
 # min eigenvalues placed around -TOL; the eigenvalues refuse the first,
@@ -354,7 +356,7 @@ def _refusal(fn, arg):
     return None
 
 
-@pytest.mark.parametrize("d", [32, 64, 256])
+@pytest.mark.parametrize("d", [2, 3, 8, 16, 32, 64, 256])
 def test_positivity_decisions_equal_the_eigenvalues_at_the_boundary(d):
     rhos = [_density_with_min_eigenvalue(d, lam, seed=d + k) for k, lam in enumerate(PLACEMENTS)]
     want = [_eigenvalue_refusal(rho[None]) for rho in rhos]
@@ -378,7 +380,7 @@ def test_cholesky_screen_proves_no_min_eigenvalue_below_minus_half_tol(lam_min, 
     assert states._cholesky_proves_positive(rho, rho.conj().swapaxes(-1, -2), TOL) is proved
 
 
-def test_positive_densities_from_the_screen_floor_up_need_no_eigenvalues(monkeypatch):
+def test_positive_densities_of_every_side_need_no_eigenvalues(monkeypatch):
     sides = []
     original = linalg.hermitian_eigvals
 
@@ -387,10 +389,9 @@ def test_positive_densities_from_the_screen_floor_up_need_no_eigenvalues(monkeyp
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(linalg, "hermitian_eigvals", counted)
-    floor = states.POSITIVITY_SCREEN_MIN_SIDE
-    for d in (floor - 1, floor, 64):
+    for d in (2, 3, 31, 32, 64):
         states.validate_density(_density_with_min_eigenvalue(d, 1e-3, seed=d))
-    assert sides == [floor - 1]
+    assert sides == []
 
 
 def test_large_non_positive_density_skips_the_screen(monkeypatch):

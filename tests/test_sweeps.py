@@ -137,7 +137,7 @@ def _qubit_rows_per_point(r2, r3, steps):
 @pytest.mark.parametrize("r2, r3", [(0.1, 0.1), (0.3, 0.4)])
 def test_qubit_sweep_rows_equal_per_point_walk(monkeypatch, steps, block, r2, r3):
     if block is not None:  # blocks of 7 points: 200 rows split unevenly
-        monkeypatch.setattr(sweeps, "_QUBIT_BLOCK", block)
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 4 * block)
     rows = sweeps.qubit_sweep_rows(r2, r3, steps)
     assert rows.dtype == np.float64
     assert rows.shape == (steps, len(sweeps.QUBIT_SWEEP_COLUMNS))

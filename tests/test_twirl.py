@@ -186,7 +186,7 @@ def test_bruteforce_stack_guard_and_gather_bound(monkeypatch):
             for x in (np.zeros((side, side)), np.zeros((2, side, side))):
                 with pytest.raises(outcome):
                     oracle(x, *args)
-    # one gather over a stack of 64 at d = 6 holds at most _BATCH_ENTRIES
+    # one gather over a stack of 64 at d = 6 holds at most linalg.BLOCK_ENTRIES
     gathered = []
 
     class Spy(np.ndarray):
@@ -199,7 +199,7 @@ def test_bruteforce_stack_guard_and_gather_bound(monkeypatch):
     rng = np.random.default_rng(41)
     xs = rng.standard_normal((64, 6, 6)) + 1j * rng.standard_normal((64, 6, 6))
     out = twirl._bruteforce(xs.view(Spy), (6,), (0,))
-    assert max(gathered) <= twirl._BATCH_ENTRIES and len(gathered) > 1
+    assert max(gathered) <= linalg.BLOCK_ENTRIES and len(gathered) > 1
     assert sum(gathered) == 720 * 36 * 64
     assert linalg.max_abs_diff(out, twirl.twirl_closed_form(xs)) <= 1e-12
 
@@ -775,8 +775,22 @@ def _params_of(entries):
             lambda: twirl.reconstruct_output_state(twirl.TwirlSummary(3, np.nan, np.nan)),
             ParamOutOfRangeError,
         ),
+        (lambda: _params_of([[0.5, np.inf], [np.inf, 0.5]]), NonRealSumError),
+        (lambda: _params_of([[0.5, -np.inf], [-np.inf, 0.5]]), NonRealSumError),
+        # an infinite sum past row 0 of a stack
+        (
+            lambda: twirl.off_diagonal_means(np.array([np.eye(2) / 2, [[0.5, np.inf], [np.inf, 0.5]]])),
+            NonRealSumError,
+        ),
     ],
-    ids=["params-imaginary-part", "params-real-part", "reconstruct-off-diag"],
+    ids=[
+        "params-imaginary-part",
+        "params-real-part",
+        "reconstruct-off-diag",
+        "params-plus-inf",
+        "params-minus-inf",
+        "means-inf-past-row-0",
+    ],
 )
 def test_guards_reject_nan(call, error):
     with pytest.raises(error):
