@@ -54,52 +54,41 @@ def _complex_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _load_input(path: str, raw: bool) -> statefile.StateFile:
-    if raw:
-        return statefile.load_raw(path)
-    return statefile.load_density(path)
-
-
 def _cmd_twirl(args) -> int:
-    loaded = _load_input(args.input, args.raw)
+    load = statefile.load_raw if args.raw else statefile.load_density
+    loaded = load(args.input)
     mat, dims = loaded.mat, loaded.dims
     side = args.side
-    if side in ("A", "B", "both") and len(dims) != 2:
+    if side != "none" and len(dims) != 2:
         raise PermutwirlError(
             f"--side {side} needs a bipartite state file, got dims {list(dims)}"
         )
 
+    brute = args.method == "brute"
     # Finite entries near the float limit can overflow in the sums.  The
     # check below refuses such a result, so numpy's warnings are noise.
     with np.errstate(over="ignore", invalid="ignore"):
         if side == "none":
-            flat_d = mat.shape[0]
-            if args.method == "brute":
-                out = twirl.twirl_bruteforce(mat)
-            else:
-                out = twirl.twirl_closed_form(mat)
+            out = twirl.twirl_bruteforce(mat) if brute else twirl.twirl_closed_form(mat)
             if args.raw:
                 summary_doc = {"dims": list(dims), "raw": True}
             else:
-                summary = twirl.twirl_params(states.DensityMatrix(mat, (flat_d,)))
+                summary = twirl.twirl_params(states.DensityMatrix(mat, (mat.shape[0],)))
                 summary_doc = {
                     "dim": summary.dim,
                     "off_diag": summary.off_diag,
                     "weight": summary.weight,
                 }
-        elif side in ("A", "B"):
-            if args.method == "brute":
-                out = twirl.twirl_one_sided_bruteforce(mat, dims, side)
-            else:
-                out = twirl.twirl_one_sided(mat, dims, side)
-            coeffs = twirl.bipartite_coefficients(mat, dims)
-            summary_doc = _coeff_doc(coeffs)
-        else:  # both
-            if args.method == "brute":
+        else:
+            # the coefficients of every bipartite summary are the two-sided
+            # twirl's; the output is the kernel or oracle that --side and
+            # --method name
+            out, coeffs = twirl.twirl_two_sided(mat, dims)
+            if side != "both":
+                one_sided = twirl.twirl_one_sided_bruteforce if brute else twirl.twirl_one_sided
+                out = one_sided(mat, dims, side)
+            elif brute:
                 out = twirl.twirl_two_sided_bruteforce(mat, dims)
-                coeffs = twirl.bipartite_coefficients(mat, dims)
-            else:
-                out, coeffs = twirl.twirl_two_sided(mat, dims)
             summary_doc = _coeff_doc(coeffs)
 
     # Check the matrix here and the summary in _print_json, before any

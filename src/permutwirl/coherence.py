@@ -199,17 +199,10 @@ def coherence_value(rho: DensityMatrix, measure: str) -> float:
     return rel_ent_coherence(rho)
 
 
-def coherence_lower_bound(rho: DensityMatrix, measure: str) -> float:
-    measure = _check_measure(measure)
-    if measure == MEASURE_L1:
-        return l1_lower_bound(rho)
-    return rel_ent_lower_bound(rho)
-
-
 def coherence_report(rho: DensityMatrix, measure: str) -> CoherenceReport:
     """Measure value, its twirl lower bound, and the (nonnegative) gap."""
     value = coherence_value(rho, measure)
-    bound = coherence_lower_bound(rho, measure)
+    bound = (l1_lower_bound if measure == MEASURE_L1 else rel_ent_lower_bound)(rho)
     return CoherenceReport(
         measure=measure, value=value, lower_bound=bound, gap=value - bound
     )

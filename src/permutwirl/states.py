@@ -5,7 +5,10 @@ Constructors return either plain arrays (operators) or validated
 explicit ``numpy.random.Generator``.
 """
 
+from __future__ import annotations
+
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +49,6 @@ class DensityMatrix:
     @property
     def d(self) -> int:
         return self.mat.shape[0]
-
-    @property
-    def is_bipartite(self) -> bool:
-        return len(self.dims) == 2
 
 
 def _normalize_dims(d: int, dims) -> tuple[int, ...]:
@@ -431,5 +430,5 @@ def _ginibre_stack(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
 def random_bloch(rng: np.random.Generator) -> np.ndarray:
     """Uniform point in the unit ball (direction from normals, radius cube root)."""
     v = rng.standard_normal(3)
-    v /= np.linalg.norm(v)
-    return v * rng.uniform(0.0, 1.0) ** (1.0 / 3.0)
+    v /= math.sqrt(v.dot(v))
+    return v * rng.random() ** (1.0 / 3.0)

@@ -243,7 +243,9 @@ def off_diagonal_means(x, tol: float = linalg.DEFAULT_TOL) -> np.ndarray:
 
     The mean of the off-diagonal entries, sum_{i != j} x_ij / (d (d - 1)),
     one per matrix (0-d for one matrix).  Hermiticity forces each sum to
-    be real.
+    be real.  A 1 x 1 matrix has no off-diagonal entries: its sum, the
+    entry minus itself, is 0.0 when the entry is finite and NaN when it
+    is not, so it is refused as at every other size.
 
     Raises:
         NonRealSumError: if a sum's imaginary part exceeds ``tol``, or its
@@ -251,8 +253,6 @@ def off_diagonal_means(x, tol: float = linalg.DEFAULT_TOL) -> np.ndarray:
     """
     m = np.asarray(x, dtype=complex)
     d = linalg.require_square(m)
-    if d == 1:
-        return np.zeros(m.shape[:-2])
     off_sum = _trace_and_off_sum(m)[1]
     non_real = ~(np.abs(off_sum.imag) <= tol)  # NaN included
     if non_real.any():
@@ -263,7 +263,7 @@ def off_diagonal_means(x, tol: float = linalg.DEFAULT_TOL) -> np.ndarray:
     not_finite = ~np.isfinite(off_sum.real)
     if not_finite.any():
         raise NonRealSumError(f"off-diagonal sum is {off_sum.real[not_finite][0]}")
-    return off_sum.real / (d * (d - 1))
+    return off_sum.real / max(d * (d - 1), 1)
 
 
 def twirl_params(rho: DensityMatrix, tol: float = linalg.DEFAULT_TOL) -> TwirlSummary:
@@ -296,17 +296,17 @@ def output_state_stack(d: int, off_diag, tol: float = linalg.DEFAULT_TOL) -> np.
     ``off_diag``: the :func:`reconstruct_output_state` matrix of each entry,
     an ``(n, d, d)`` stack for ``n`` entries.
 
+    At d = 1 every finite entry gives [[1]], which has no off-diagonal.
+
     Raises:
-        ParamOutOfRangeError: if ``d`` < 1, or an entry lies outside
-            [-1/(d (d - 1)), 1/d] by more than ``tol``.
+        ParamOutOfRangeError: if ``d`` < 1, or an entry is not finite, or
+            (at d >= 2) lies outside [-1/(d (d - 1)), 1/d] by more than ``tol``.
     """
     if d < 1:
         raise ParamOutOfRangeError(f"dimension must be >= 1, got {d}")
     a = np.asarray(off_diag, dtype=float)
-    if d == 1:
-        return np.ones((*a.shape, 1, 1), dtype=complex)
-    lo = -1.0 / (d * (d - 1))
-    hi = 1.0 / d
+    big = np.finfo(float).max
+    lo, hi = (-1.0 / (d * (d - 1)), 1.0 / d) if d > 1 else (-big, big)
     outside = ~((lo - tol <= a) & (a <= hi + tol))  # NaN included
     if outside.any():
         raise ParamOutOfRangeError(
@@ -358,19 +358,6 @@ def _orbit_mean(m: np.ndarray, dims: tuple[int, ...], groups: tuple):
     return out, sums.reshape(*m.shape[:-2], -1), means.reshape(*m.shape[:-2], -1)
 
 
-def _two_sided(m: np.ndarray, d_a: int, d_b: int):
-    # Orbits 0-3 pair with I x I, I x (E_B - I), (E_A - I) x I and
-    # (E_A - I) x (E_B - I): their sums are the overlaps, their means the
-    # coefficients.  For a stack each coefficient is an array, one entry
-    # per matrix.
-    out, sums, means = _orbit_mean(m, (d_a, d_b), (0, 1))
-    per_orbit = np.concatenate([means, sums[..., [2, 1, 3]]], -1).T
-    coeffs = BipartiteTwirlCoefficients(
-        (d_a, d_b), *(complex(c) if c.ndim == 0 else c for c in per_orbit)
-    )
-    return out, coeffs
-
-
 def twirl_one_sided(x, dims, side: str) -> np.ndarray:
     """Closed-form twirl of one factor of a bipartite operator.
 
@@ -412,11 +399,10 @@ def bipartite_coefficients(x, dims) -> BipartiteTwirlCoefficients:
     orthogonal operators I x I, I x (E_B - I), (E_A - I) x I and
     (E_A - I) x (E_B - I); the twirl fixes each of them, so projecting
     the input and projecting the output agree.  A factor of dimension 1
-    contributes zero off-diagonal coefficients.
+    contributes zero off-diagonal coefficients.  The one-matrix row of
+    :func:`twirl_two_sided`.
     """
-    m = linalg.as_complex_matrix(x)
-    d_a, d_b = linalg.split_dims(m, dims)
-    return _two_sided(m, d_a, d_b)[1]
+    return twirl_two_sided(linalg.as_complex_matrix(x), dims)[1]
 
 
 def coefficients_to_matrix(coeffs: BipartiteTwirlCoefficients) -> np.ndarray:
@@ -453,7 +439,15 @@ def twirl_two_sided(x, dims) -> tuple[np.ndarray, BipartiteTwirlCoefficients]:
     """
     m = linalg.as_complex_matrix(x, stack=True)
     d_a, d_b = linalg.split_dims(m, dims)
-    return _two_sided(m, d_a, d_b)
+    # Orbits 0-3 pair with I x I, I x (E_B - I), (E_A - I) x I and
+    # (E_A - I) x (E_B - I): their sums are the overlaps, their means the
+    # coefficients.
+    out, sums, means = _orbit_mean(m, (d_a, d_b), (0, 1))
+    per_orbit = np.concatenate([means, sums[..., [2, 1, 3]]], -1).T
+    coeffs = BipartiteTwirlCoefficients(
+        (d_a, d_b), *(complex(c) if c.ndim == 0 else c for c in per_orbit)
+    )
+    return out, coeffs
 
 
 def choi_matrix(d: int) -> DensityMatrix:

@@ -1,13 +1,17 @@
 import csv
+import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from permutwirl import cli, coherence, linalg, statefile, states, sweeps, verify
+from permutwirl import cli, coherence, linalg, statefile, states, sweeps, twirl, verify
 
 
 def _write_state(tmp_path, name, rho):
@@ -85,6 +89,76 @@ def test_twirl_raw_mode_accepts_operators(tmp_path, capsys):
     assert json.loads(out)["raw"] is True
     result = statefile.load_raw(out_path)
     np.testing.assert_allclose(result.mat, np.zeros((2, 2)), atol=1e-15)
+
+
+# the output each --side and --method pair writes, from the twirl functions
+_TWIRL_KERNELS = {
+    ("none", "closed"): lambda m, dims: twirl.twirl_closed_form(m),
+    ("none", "brute"): lambda m, dims: twirl.twirl_bruteforce(m),
+    ("A", "closed"): lambda m, dims: twirl.twirl_one_sided(m, dims, "A"),
+    ("A", "brute"): lambda m, dims: twirl.twirl_one_sided_bruteforce(m, dims, "A"),
+    ("B", "closed"): lambda m, dims: twirl.twirl_one_sided(m, dims, "B"),
+    ("B", "brute"): lambda m, dims: twirl.twirl_one_sided_bruteforce(m, dims, "B"),
+    ("both", "closed"): lambda m, dims: twirl.twirl_two_sided(m, dims)[0],
+    ("both", "brute"): twirl.twirl_two_sided_bruteforce,
+}
+
+
+@pytest.mark.parametrize("raw", [False, True], ids=["density", "raw-operator"])
+@pytest.mark.parametrize("side, method", list(_TWIRL_KERNELS))
+def test_twirl_summary_and_output_of_each_side_and_method(tmp_path, capsys, side, method, raw):
+    rng = np.random.default_rng(83)
+    dims = (2, 3)
+    if raw:  # neither Hermitian nor of unit trace
+        x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    else:
+        x = states.random_density(6, rng).mat
+    path, out_path = str(tmp_path / "in.json"), str(tmp_path / "out.json")
+    statefile.save_state(path, x, dims)
+    mat = statefile.load_raw(path).mat
+    argv = ["twirl", path, "--side", side, "--method", method, "--out", out_path]
+    code, out, err = _run(capsys, argv + ["--raw"] * raw)
+    assert (code, err) == (0, "")
+    summary = json.loads(out)
+    if side != "none":
+        coeffs = twirl.twirl_two_sided(mat, dims)[1]
+        assert summary.pop("dims") == list(coeffs.dims)
+        assert summary == {
+            f.name: [getattr(coeffs, f.name).real, getattr(coeffs, f.name).imag]
+            for f in dataclasses.fields(coeffs)
+            if f.name != "dims"
+        }
+    elif raw:
+        assert summary == {"dims": list(dims), "raw": True}
+    else:
+        params = twirl.twirl_params(states.DensityMatrix(mat, (6,)))
+        assert summary == {"dim": 6, "off_diag": params.off_diag, "weight": params.weight}
+    written = statefile.load_raw(out_path)
+    assert written.dims == dims
+    want = _TWIRL_KERNELS[side, method](mat, dims)
+    np.testing.assert_array_equal(written.mat.view(np.uint64), want.view(np.uint64))
+
+
+def test_numpy_random_loads_only_with_a_draw(tmp_path):
+    path = str(tmp_path / "in.json")
+    statefile.save_state(path, np.eye(6) / 6, (2, 3))
+    script = f"""
+import contextlib, io, sys
+from permutwirl import cli
+seen = ["numpy.random" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["twirl", {path!r}, "--side", "both", "--out", {str(tmp_path / "out.json")!r}])]
+    seen.append("numpy.random" in sys.modules)
+    codes.append(cli.main(["verify", "--dmax", "2", "--samples", "2"]))
+    seen.append("numpy.random" in sys.modules)
+print(codes, seen)
+"""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path_env = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path_env}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[0, 0] [False, False, True]\n"
 
 
 def test_twirl_parse_error_exit_code(tmp_path, capsys):

@@ -257,6 +257,20 @@ def test_random_bloch_stays_in_ball():
         assert np.linalg.norm(states.random_bloch(rng)) <= 1.0 + 1e-12
 
 
+def _random_bloch_by_norm(rng):
+    v = rng.standard_normal(3)
+    v /= np.linalg.norm(v)
+    return v * rng.uniform(0.0, 1.0) ** (1.0 / 3.0)
+
+
+def test_random_bloch_has_the_bits_of_the_norm_route():
+    rng, oracle_rng = np.random.default_rng(26), np.random.default_rng(26)
+    got = np.array([states.random_bloch(rng) for _ in range(5000)])
+    want = np.array([_random_bloch_by_norm(oracle_rng) for _ in range(5000)])
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 def _nan_bell_eigenvalues(monkeypatch):
     monkeypatch.setattr(states, "bell_eigenvalues", lambda *t: np.full(4, np.nan))
 

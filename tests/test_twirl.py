@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from permutwirl import linalg, states, twirl
+from permutwirl import coherence, linalg, states, twirl
 from permutwirl.errors import (
     DimensionTooLargeError,
     DimMismatchError,
@@ -763,7 +763,8 @@ def test_one_sided_rejects_bad_stacks():
 
 
 def _params_of(entries):
-    return twirl.twirl_params(states.DensityMatrix(np.array(entries, complex), (2,)))
+    m = np.array(entries, complex)
+    return twirl.twirl_params(states.DensityMatrix(m, (len(m),)))
 
 
 @pytest.mark.parametrize(
@@ -782,6 +783,12 @@ def _params_of(entries):
             lambda: twirl.off_diagonal_means(np.array([np.eye(2) / 2, [[0.5, np.inf], [np.inf, 0.5]]])),
             NonRealSumError,
         ),
+        # a non-finite 1 x 1 entry is refused, as at every other size
+        (lambda: _params_of([[np.nan]]), NonRealSumError),
+        (lambda: twirl.off_diagonal_means([[np.inf]]), NonRealSumError),
+        (lambda: coherence.l1_lower_bounds([[[np.nan]]]), NonRealSumError),
+        (lambda: coherence.rel_ent_lower_bounds([[[np.nan]]]), NonRealSumError),
+        (lambda: twirl.output_state_stack(1, np.nan), ParamOutOfRangeError),
     ],
     ids=[
         "params-imaginary-part",
@@ -790,8 +797,28 @@ def _params_of(entries):
         "params-plus-inf",
         "params-minus-inf",
         "means-inf-past-row-0",
+        "params-1x1-nan",
+        "means-1x1-inf",
+        "l1-bounds-1x1-nan",
+        "rel-ent-bounds-1x1-nan",
+        "output-state-1x1-nan",
     ],
 )
 def test_guards_reject_nan(call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize(
+    "entry", [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.25 - 0.25j, complex(1e308, -1e308)]
+)
+def test_one_by_one_finite_entries_give_zero_off_diagonal(entry):
+    # the off-diagonal sum of a 1 x 1 matrix is its entry minus itself,
+    # +0.0 for every finite entry
+    m = np.full((2, 1, 1), entry, dtype=complex)
+    np.testing.assert_array_equal(twirl.off_diagonal_means(m).view(np.uint64), [0, 0])
+    assert float(twirl.off_diagonal_means(m[0])) == 0.0
+    np.testing.assert_array_equal(coherence.l1_lower_bounds(m), [0.0, 0.0])
+    np.testing.assert_array_equal(coherence.rel_ent_lower_bounds(m), [0.0, 0.0])
+    out = twirl.output_state_stack(1, np.full(2, complex(entry).real))
+    np.testing.assert_array_equal(out, np.ones((2, 1, 1)))
