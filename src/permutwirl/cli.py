@@ -27,16 +27,6 @@ EXIT_VERIFY_FAILED = 3
 CSV_FLOAT_DIGITS = 12
 
 
-def _default_seed() -> int:
-    env = os.environ.get("PERMUTWIRL_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise PermutwirlError(f"PERMUTWIRL_SEED must be an integer, got {env!r}") from exc
-    return verify.DEFAULT_SEED
-
-
 def _print_json(doc) -> None:
     try:
         text = json.dumps(doc, allow_nan=False)
@@ -185,11 +175,18 @@ def _cmd_sweep_bell(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = verify.run_suite(dmax=args.dmax, samples=args.samples, seed=args.seed)
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("PERMUTWIRL_SEED", str(verify.DEFAULT_SEED))
+        try:
+            seed = int(env)
+        except ValueError as exc:
+            raise PermutwirlError(f"PERMUTWIRL_SEED must be an integer, got {env!r}") from exc
+    results = verify.run_suite(dmax=args.dmax, samples=args.samples, seed=seed)
     doc = {
         "dmax": args.dmax,
         "samples": args.samples,
-        "seed": args.seed,
+        "seed": seed,
         "passed": all(r.passed for r in results),
         "checks": [
             {
@@ -277,8 +274,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "seed", "absent") is None:
-            args.seed = _default_seed()
         return args.func(args)
     except DimensionTooLargeError as exc:
         sys.stderr.write(f"error: {exc}\n")

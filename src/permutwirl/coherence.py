@@ -180,9 +180,7 @@ def rel_ent_lower_bounds(mats, tol: float = linalg.DEFAULT_TOL) -> np.ndarray:
     m = np.asarray(mats, dtype=complex)
     d = m.shape[-1]
     w = d * twirl.off_diagonal_means(m)
-    if d == 1:
-        return np.zeros_like(w)
-    lo = -1.0 / (d - 1)
+    lo = -1.0 / max(d - 1, 1)
     outside = ~((lo - tol <= w) & (w <= 1.0 + tol))  # NaN included
     if outside.any():
         raise ParamOutOfRangeError(f"weight {w[outside][0]:.12g} outside [{lo:.12g}, 1]")
@@ -192,17 +190,12 @@ def rel_ent_lower_bounds(mats, tol: float = linalg.DEFAULT_TOL) -> np.ndarray:
     return (1.0 - 1.0 / d) * _xlogx(u) + (1.0 / d) * _xlogx(v)
 
 
-def coherence_value(rho: DensityMatrix, measure: str) -> float:
-    measure = _check_measure(measure)
-    if measure == MEASURE_L1:
-        return l1_coherence(rho)
-    return rel_ent_coherence(rho)
-
-
 def coherence_report(rho: DensityMatrix, measure: str) -> CoherenceReport:
     """Measure value, its twirl lower bound, and the (nonnegative) gap."""
-    value = coherence_value(rho, measure)
-    bound = (l1_lower_bound if measure == MEASURE_L1 else rel_ent_lower_bound)(rho)
+    if _check_measure(measure) == MEASURE_L1:
+        value, bound = l1_coherence(rho), l1_lower_bound(rho)
+    else:
+        value, bound = rel_ent_coherence(rho), rel_ent_lower_bound(rho)
     return CoherenceReport(
         measure=measure, value=value, lower_bound=bound, gap=value - bound
     )

@@ -322,16 +322,16 @@ def maximally_coherent_mixed_state(
     """One-parameter family (1-p) I/d + p * uniform-superposition projector.
 
     Valid for p in [-1/(d-1), 1]; diagonal entries are 1/d and every
-    off-diagonal entry is p/d.
+    off-diagonal entry is p/d.  At d = 1 every finite p gives [[1]], which
+    has no off-diagonal.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     p = float(p)
-    if d == 1:
-        return DensityMatrix(np.ones((1, 1), dtype=complex), (1,))
-    lo = -1.0 / (d - 1)
-    if not (lo - tol <= p <= 1.0 + tol):
-        raise WeightOutOfRangeError(f"weight {p:.12g} outside [{lo:.12g}, 1]")
+    big = np.finfo(float).max
+    lo, hi = (-1.0 / (d - 1), 1.0) if d > 1 else (-big, big)
+    if not (lo - tol <= p <= hi + tol):  # NaN included
+        raise WeightOutOfRangeError(f"weight {p:.12g} outside [{lo:.12g}, {hi:.12g}]")
     mat = np.full((d, d), p / d, dtype=complex)
     np.fill_diagonal(mat, 1.0 / d)
     return DensityMatrix(mat, (d,))

@@ -25,7 +25,8 @@ MAX_BRUTE_ENTRIES permutations times matrix entries.  Each oracle takes
 a stack of matrices as well, and enumerates the group once for the
 whole stack: the stack is held entries-major, so a permutation gathers
 whole rows of the stack, and the permutations are added in one fixed
-order, so a stacked call has the bits of one call per matrix.
+order, in chunks of 5000, whatever the side or stack: the bits depend on
+the group alone, and a stacked call has the bits of one call per matrix.
 
 All twirl operations accept arbitrary square complex matrices; the maps
 are linear on the full matrix algebra.  Density-specific helpers
@@ -53,10 +54,9 @@ from .states import DensityMatrix
 # states.MAX_ENUM_DIM is refused before its factorial is computed.
 MAX_BRUTE_ENTRIES = 1 << 26
 
-# Permutations are summed in chunks of at most _CHUNK maps and
-# _GATHER_ENTRIES entries of one matrix; the chunks fix the order of addition.
+# Permutations are summed in chunks of _CHUNK maps (the last one shorter) at
+# every side; the chunks alone fix the order of addition.
 _CHUNK = 5000
-_GATHER_ENTRIES = 1 << 24
 
 # Default residual bound of the Choi state's separable decomposition.
 CERTIFICATE_TOL = 1e-12
@@ -126,15 +126,15 @@ def _bruteforce(m: np.ndarray, dims: tuple[int, ...], groups: tuple):
     Each group element re-indexes a matrix as ``m[g, g]`` by its composite index
     map ``g``; the elements form a full (inverse-closed) set, so their average
     is that of P x P^dagger over the permutation matrices.  Elements run first
-    group major, in chunks of at most ``_CHUNK`` maps and ``_GATHER_ENTRIES``
-    entries of one matrix.  The stack is averaged in slabs of at most
-    ``linalg.BLOCK_ENTRIES`` entries (at least one matrix), each held
-    entries-major, ``(D^2, k)``, so a term gathers whole rows of the slab's k
-    values, in blocks of at most ``linalg.BLOCK_ENTRIES`` entries (at least
-    one term).  Each chunk sums its terms in order, one reduction per block
-    with the running sum as its first row, and the chunk sums are added in
-    order: the bits depend on the chunks only, not on the slabs or blocks, so
-    each matrix has the bits of one call on it alone.
+    group major, in chunks of ``_CHUNK`` maps.  The stack is averaged in slabs
+    of at most ``linalg.BLOCK_ENTRIES`` entries (at least one matrix), each
+    held entries-major, ``(D^2, k)``, so a term gathers whole rows of the
+    slab's k values, in blocks of at most ``linalg.BLOCK_ENTRIES`` entries (at
+    least one term).  Each chunk sums its terms in order from 0, one reduction
+    per block with the running sum as its first row, and the chunk sums are
+    added in order: the bits depend on the group and ``_CHUNK`` only, not on
+    the side, slabs or blocks, so each matrix has the bits of one call on it
+    alone.
     """
     side = m.shape[-1]
     entries = side * side
@@ -149,7 +149,6 @@ def _bruteforce(m: np.ndarray, dims: tuple[int, ...], groups: tuple):
         )
     tables = {g: _perm_index_array(d) for g, d in sizes.items()}
     n = math.prod(len(t) for t in tables.values())
-    step = min(_CHUNK, max(1, _GATHER_ENTRIES // entries))
     flat = m.reshape(-1, entries)
     out = np.empty(flat.shape, dtype=complex)
     per_slab = max(1, linalg.BLOCK_ENTRIES // entries)
@@ -157,11 +156,11 @@ def _bruteforce(m: np.ndarray, dims: tuple[int, ...], groups: tuple):
         # row e holds entry e of every matrix of the slab (a copy keeps an
         # ndarray subclass)
         cols = flat[lo : lo + per_slab].T.copy()
-        block = min(step, n, max(1, linalg.BLOCK_ENTRIES // cols.size))
+        block = min(_CHUNK, n, max(1, linalg.BLOCK_ENTRIES // cols.size))
         # row 0 carries the chunk's running sum into each block's reduction
         buf = np.empty((block + 1, *cols.shape), dtype=complex)
         total = np.zeros(cols.shape, dtype=complex)
-        for maps in _chunk_maps(dims, groups, tables, step):
+        for maps in _chunk_maps(dims, groups, tables):
             # 0 + t0 + t1 + ... has the bits of t0 + t1 + ... once added to total
             chunk_sum = np.zeros_like(total)
             for first in range(0, len(maps), block):
@@ -176,13 +175,13 @@ def _bruteforce(m: np.ndarray, dims: tuple[int, ...], groups: tuple):
     return out.reshape(m.shape)
 
 
-def _chunk_maps(dims: tuple[int, ...], groups: tuple, tables: dict, step: int):
+def _chunk_maps(dims: tuple[int, ...], groups: tuple, tables: dict):
     # Composite index map of each group element, first group major, in chunks
-    # of at most step maps, each chunk's maps built on their own
+    # of _CHUNK maps, each chunk's maps built on their own
     shape = [len(t) for t in tables.values()]
     n = math.prod(shape)
-    for start in range(0, n, step):
-        terms = np.unravel_index(np.arange(start, min(start + step, n)), shape)
+    for start in range(0, n, _CHUNK):
+        terms = np.unravel_index(np.arange(start, min(start + _CHUNK, n)), shape)
         rows = {g: t.take(i, 0) for (g, t), i in zip(tables.items(), terms)}
         maps, *rest = [
             rows[g] if g in rows else np.arange(d)[None] for d, g in zip(dims, groups)
@@ -253,7 +252,10 @@ def off_diagonal_means(x, tol: float = linalg.DEFAULT_TOL) -> np.ndarray:
     """
     m = np.asarray(x, dtype=complex)
     d = linalg.require_square(m)
-    off_sum = _trace_and_off_sum(m)[1]
+    # every sum that is not finite is refused below, so numpy's warnings on
+    # the way to it are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        off_sum = _trace_and_off_sum(m)[1]
     non_real = ~(np.abs(off_sum.imag) <= tol)  # NaN included
     if non_real.any():
         raise NonRealSumError(

@@ -202,9 +202,10 @@ ORACLE_CASES = _oracle_cases()
 )
 def test_bruteforce_stack_rows(oracle, side, n, small, monkeypatch):
     if small:
-        # at most 64 entries per chunk and 128 per gather: the terms split
-        # into many chunks and, for most cases, each chunk into many blocks
-        monkeypatch.setattr(twirl, "_GATHER_ENTRIES", 64)
+        # 5 terms per chunk and at most 128 entries per gather: the terms
+        # split into many chunks and, for most cases, each chunk into many
+        # blocks
+        monkeypatch.setattr(twirl, "_CHUNK", 5)
         monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 128)
     rng = np.random.default_rng(70 + side + n)
     xs = rng.standard_normal((n, side, side)) + 1j * rng.standard_normal((n, side, side))

@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permutwirl import linalg, states
+from permutwirl import linalg, states, sweeps, twirl, verify
 from permutwirl.errors import (
     BlochOutsideBallError,
+    CertificateError,
     DimensionTooLargeError,
+    DimMismatchError,
     InvalidBellParamsError,
     NotHermitianError,
     NotPositiveError,
+    ParamOutOfRangeError,
     PermutwirlError,
     TraceNotOneError,
     WeightOutOfRangeError,
@@ -299,6 +302,9 @@ MIXED = np.eye(2) / 2
     [
         (None, states.qubit_from_bloch, ((np.nan, 0, 0),), BlochOutsideBallError),
         (None, states.maximally_coherent_mixed_state, (3, np.nan), WeightOutOfRangeError),
+        (None, states.maximally_coherent_mixed_state, (1, np.nan), WeightOutOfRangeError),
+        (None, states.maximally_coherent_mixed_state, (1, np.inf), WeightOutOfRangeError),
+        (None, states.maximally_coherent_mixed_state, (1, -np.inf), WeightOutOfRangeError),
         (None, states.validate_bell_params, (np.nan, 0, 0), InvalidBellParamsError),
         (
             _nan_bell_eigenvalues,
@@ -313,6 +319,9 @@ MIXED = np.eye(2) / 2
     ids=[
         "bloch-norm",
         "coherent-mixed-weight",
+        "coherent-mixed-weight-1x1-nan",
+        "coherent-mixed-weight-1x1-inf",
+        "coherent-mixed-weight-1x1-neg-inf",
         "bell-abs-t",
         "bell-eigenvalue",
         "density-hermiticity",
@@ -326,6 +335,73 @@ def test_guards_reject_nan(monkeypatch, patch, fn, args, error):
         patch(monkeypatch)
     with pytest.raises(error):
         fn(*args)
+
+
+MIXED3 = np.eye(3) / 3
+
+
+def _perturbed_choi(monkeypatch):
+    choi = twirl.choi_matrix
+    monkeypatch.setattr(
+        twirl, "choi_matrix", lambda d: states.DensityMatrix(choi(d).mat + 1e-9, (d, d))
+    )
+
+
+@pytest.mark.parametrize(
+    "patch, fn, args, error",
+    [
+        (None, linalg.split_dims, (np.eye(4), (0, 4)), DimMismatchError),
+        (None, states.validate_density, (MIXED, (0, 2)), DimMismatchError),
+        (None, states.validate_density, (MIXED, (3,)), DimMismatchError),
+        (None, states.validate_density_stack, (MIXED,), DimMismatchError),
+        (None, states.sanitize_density, (-np.eye(2),), NotPositiveError),
+        (None, states.qubit_stack_from_bloch, ([0, 0, 0],), ValueError),
+        (None, states.bloch_of_qubit, (states.DensityMatrix(MIXED3, (3,)),), DimMismatchError),
+        (None, states.bloch_of_qubit_stack, (MIXED3[None],), DimMismatchError),
+        (
+            None,
+            states.conjugate_stack_by_permutations,
+            (np.zeros((2, 3, 3)), [[0, 1, 2]]),
+            DimMismatchError,
+        ),
+        (None, states.enumerate_permutations, (0,), ValueError),
+        (None, states.all_ones_projector, (0,), ValueError),
+        (None, states.maximally_coherent_mixed_state, (0, 0.5), ValueError),
+        (None, states.maximally_entangled_state, (0,), ValueError),
+        (None, twirl.output_state_stack, (0, 0.0), ParamOutOfRangeError),
+        (None, twirl.choi_matrix, (1,), ParamOutOfRangeError),
+        (_perturbed_choi, twirl.entanglement_breaking_certificate, (3,), CertificateError),
+        (None, sweeps.qubit_sweep_rows, (0.1, 0.1, 0), ParamOutOfRangeError),
+        (None, verify.run_suite, (0,), ValueError),
+    ],
+    ids=[
+        "split-dims-non-positive",
+        "dims-non-positive",
+        "dims-product",
+        "density-stack-ndim",
+        "sanitize-no-weight",
+        "bloch-stack-shape",
+        "bloch-of-qutrit",
+        "bloch-stack-of-qutrits",
+        "conjugate-stack-shapes",
+        "enumerate-d0",
+        "all-ones-d0",
+        "coherent-mixed-d0",
+        "entangled-d0",
+        "output-stack-d0",
+        "choi-d1",
+        "certificate-residual",
+        "qubit-sweep-steps",
+        "verify-dmax",
+    ],
+)
+def test_refusals_raise_their_error_class(monkeypatch, patch, fn, args, error):
+    # each refusal raises exactly its documented class
+    if patch is not None:
+        patch(monkeypatch)
+    with pytest.raises(error) as caught:
+        fn(*args)
+    assert caught.type is error
 
 
 # ------------------------------------------------------------ positivity screen

@@ -143,7 +143,6 @@ def test_bruteforce_dimension_guard(monkeypatch):
 
 
 def test_gather_is_bounded_by_entries(monkeypatch):
-    monkeypatch.setattr(twirl, "_GATHER_ENTRIES", 200)
     gathered = []
 
     class Spy(np.ndarray):
@@ -154,12 +153,23 @@ def test_gather_is_bounded_by_entries(monkeypatch):
             gathered.append(out.size)
             return out
 
-    x = np.arange(25, dtype=complex).reshape(5, 5).view(Spy)
-    twirl._bruteforce(x, (5,), (0,))
-    assert max(gathered) <= 200 and sum(gathered) == 120 * 25
+    # at most 200 entries per gather: 8 terms at d = 5
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "BLOCK_ENTRIES", 200)
+        x = np.arange(25, dtype=complex).reshape(5, 5).view(Spy)
+        twirl._bruteforce(x, (5,), (0,))
+    assert max(gathered) <= 200 and len(gathered) > 1 and sum(gathered) == 120 * 25
+    # one gather over a stack of 64 at d = 6 holds at most linalg.BLOCK_ENTRIES
+    gathered.clear()
+    rng = np.random.default_rng(41)
+    xs = rng.standard_normal((64, 6, 6)) + 1j * rng.standard_normal((64, 6, 6))
+    out = twirl._bruteforce(xs.view(Spy), (6,), (0,))
+    assert max(gathered) <= linalg.BLOCK_ENTRIES and len(gathered) > 1
+    assert sum(gathered) == 720 * 36 * 64
+    assert linalg.max_abs_diff(out, twirl.twirl_closed_form(xs)) <= 1e-12
 
 
-def test_bruteforce_stack_guard_and_gather_bound(monkeypatch):
+def test_bruteforce_stack_guard(monkeypatch):
     class TableBuilt(Exception):
         pass
 
@@ -180,35 +190,18 @@ def test_bruteforce_stack_guard_and_gather_bound(monkeypatch):
         (twirl.collective_twirl_bruteforce, 49, (7,), accepted),
         (twirl.collective_twirl_bruteforce, 64, (8,), refused),
     ]
-    with monkeypatch.context() as patch:
-        patch.setattr(twirl, "_perm_index_array", no_table)
-        for oracle, side, args, outcome in calls:
-            for x in (np.zeros((side, side)), np.zeros((2, side, side))):
-                with pytest.raises(outcome):
-                    oracle(x, *args)
-    # one gather over a stack of 64 at d = 6 holds at most linalg.BLOCK_ENTRIES
-    gathered = []
-
-    class Spy(np.ndarray):
-        # gathers from the oracle's entries-major copy, as above
-        def take(self, *args, **kwargs):
-            out = np.asarray(super().take(*args, **kwargs))
-            gathered.append(out.size)
-            return out
-
-    rng = np.random.default_rng(41)
-    xs = rng.standard_normal((64, 6, 6)) + 1j * rng.standard_normal((64, 6, 6))
-    out = twirl._bruteforce(xs.view(Spy), (6,), (0,))
-    assert max(gathered) <= linalg.BLOCK_ENTRIES and len(gathered) > 1
-    assert sum(gathered) == 720 * 36 * 64
-    assert linalg.max_abs_diff(out, twirl.twirl_closed_form(xs)) <= 1e-12
+    monkeypatch.setattr(twirl, "_perm_index_array", no_table)
+    for oracle, side, args, outcome in calls:
+        for x in (np.zeros((side, side)), np.zeros((2, side, side))):
+            with pytest.raises(outcome):
+                oracle(x, *args)
 
 
 def test_bruteforce_maps_are_built_per_chunk(monkeypatch):
-    # 4 maps per gather at D = 70 (8 at D = 49): the whole (terms, D) map
-    # array outweighs every gather, so the peak stays below its size only
-    # if each chunk's maps are built on their own
-    monkeypatch.setattr(twirl, "_GATHER_ENTRIES", 4 * 70 * 70)
+    # 4 maps per chunk: the whole (terms, D) map array outweighs every
+    # gather, so the peak stays below its size only if each chunk's maps are
+    # built on their own
+    monkeypatch.setattr(twirl, "_CHUNK", 4)
     rng = np.random.default_rng(39)
     calls = [
         (lambda x: twirl.twirl_one_sided_bruteforce(x, (7, 10), "A"), 70, 5040),
@@ -228,8 +221,9 @@ def test_bruteforce_maps_are_built_per_chunk(monkeypatch):
 
 
 def test_bruteforce_oracles_across_many_chunks(monkeypatch):
-    # 200 entries per gather: 8 maps at D = 5, 2 at D = 9 and 1 at D = 12
-    monkeypatch.setattr(twirl, "_GATHER_ENTRIES", 200)
+    # 5 maps per chunk: 24 chunks at d = 5, and a short last chunk in each
+    # of the others
+    monkeypatch.setattr(twirl, "_CHUNK", 5)
     rng = np.random.default_rng(38)
     x5, x9, x12 = (
         rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in (5, 9, 12)
@@ -249,6 +243,32 @@ def test_bruteforce_oracles_across_many_chunks(monkeypatch):
     pairs = [np.kron(p, p) for p in perms]
     literal = sum(big @ x9 @ big.T for big in pairs) / len(pairs)
     assert linalg.max_abs_diff(twirl.collective_twirl_bruteforce(x9, 3), literal) <= 1e-12
+
+
+def _chunked_literal(xs, maps):
+    # sum_g xs[..., g, g] / n, in chunks of twirl._CHUNK terms: each chunk
+    # summed from 0 in order, the chunk sums added in order
+    total = np.zeros(xs.shape, dtype=complex)
+    for start in range(0, len(maps), twirl._CHUNK):
+        chunk_sum = np.zeros(xs.shape, dtype=complex)
+        for g in maps[start : start + twirl._CHUNK]:
+            chunk_sum = chunk_sum + xs[..., g[:, None], g[None, :]]
+        total = total + chunk_sum
+    return total / len(maps)
+
+
+def test_bruteforce_bits_are_a_literal_chunked_sum():
+    # 5040 terms in chunks of 5000 and 40 at every side: a (7, 9) side-A
+    # input at D = 63 and a stack of three at d = 7
+    rng = np.random.default_rng(42)
+    perms = twirl._perm_index_array(7)
+    x = rng.standard_normal((63, 63)) + 1j * rng.standard_normal((63, 63))
+    maps = (perms[:, :, None] * 9 + np.arange(9)).reshape(len(perms), 63)
+    got = twirl.twirl_one_sided_bruteforce(x, (7, 9), "A")
+    np.testing.assert_array_equal(got.view(np.uint64), _chunked_literal(x, maps).view(np.uint64))
+    xs = rng.standard_normal((3, 7, 7)) + 1j * rng.standard_normal((3, 7, 7))
+    got = twirl.twirl_bruteforce(xs)
+    np.testing.assert_array_equal(got.view(np.uint64), _chunked_literal(xs, perms).view(np.uint64))
 
 
 def test_closed_form_qubit_image():
