@@ -41,7 +41,7 @@ def _require_bipartite(rho: DensityMatrix) -> tuple[int, int]:
 
 
 def is_ppt(rho: DensityMatrix, tol: float = PPT_TOL, side: str = "A") -> PptReport:
-    """Partial-transpose the named side, eigendecompose, report.
+    """Partial-transpose the named side, take its eigenvalues, report.
 
     The verdict is independent of the side: the two partial transposes
     are full transposes of each other, hence isospectral.
@@ -61,11 +61,11 @@ def min_pt_eigenvalues(mats, dims, side: str = "A") -> np.ndarray:
     """Minimum partial-transpose eigenvalue of each matrix of a stack.
 
     The stacked ``is_ppt(rho).min_eig_pt`` for ``mats`` of shape
-    ``(n, D, D)``: one eigensolver call for the whole stack, with the same
-    bits as one call per matrix.
+    ``(n, D, D)``: one ``linalg.hermitian_eigvals`` call for the whole
+    stack, without eigenvectors, with the same bits as one call per matrix.
     """
     pt = linalg.partial_transpose(mats, dims, side)
-    return linalg.hermitian_eigen(pt)[0][..., 0]
+    return linalg.hermitian_eigvals(pt)[..., 0]
 
 
 def separable_verdict(rho: DensityMatrix, tol: float = PPT_TOL) -> Verdict:

@@ -94,7 +94,8 @@ def hermitian_eigen(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     ``a == V @ diag(w) @ V.conj().T`` within ``d * EIGEN_TOL``.
 
     Eigenvectors inside a degenerate cluster are arbitrary up to unitary
-    mixing; compare spectral projectors, not raw columns.
+    mixing; compare spectral projectors, not raw columns.  For eigenvalues
+    alone, use :func:`hermitian_eigvals`, which computes no eigenvectors.
 
     Raises:
         NotHermitianError: if ``max|a - a^dagger|`` exceeds ``tol``.

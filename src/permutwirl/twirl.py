@@ -35,7 +35,6 @@ validate separately.
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -113,9 +112,18 @@ class EntanglementBreakingCertificate:
 
 
 def _perm_index_array(d: int) -> np.ndarray:
-    count = math.factorial(d)
-    perms = chain.from_iterable(states.enumerate_permutations(d))
-    return np.fromiter(perms, np.intp, d * count).reshape(count, d)
+    # The d! x d table of states.enumerate_permutations(d), in its
+    # lexicographic order, built one size at a time: for each first element
+    # f in turn, the rows of the smaller table relabelled to skip f.
+    states.enumerate_permutations(d)  # its refusals, before any table
+    table = np.zeros((1, 0), dtype=np.intp)
+    for k in range(1, d + 1):
+        first = np.arange(k)[:, None, None]
+        grown = np.empty((k, len(table), k), dtype=np.intp)
+        grown[..., 0] = first[..., 0]
+        np.add(table, table >= first, out=grown[..., 1:])
+        table = grown.reshape(-1, k)
+    return table
 
 
 def _bruteforce(m: np.ndarray, dims: tuple[int, ...], groups: tuple):

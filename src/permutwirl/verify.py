@@ -140,7 +140,7 @@ def check_trace_and_positivity(dmax, samples, rng):
     for _, mats in _density_stacks(dmax, samples, rng):
         out = twirl.twirl_closed_form(mats)
         trace_gap = np.trace(out, axis1=-2, axis2=-1) - 1.0
-        w, _ = linalg.hermitian_eigen(out)
+        w = linalg.hermitian_eigvals(out)
         # np.hypot, not np.abs: it keeps the bits of abs() of one complex
         rows = np.column_stack([np.hypot(trace_gap.real, trace_gap.imag), -w[:, 0]])
         yield from rows.ravel()
@@ -164,7 +164,7 @@ def check_output_state_eigenvalues(dmax, samples, rng):
     for d, mats in _density_stacks(dmax, samples, rng):
         off_diag = twirl.off_diagonal_means(mats)
         weight = d * off_diag
-        w, _ = linalg.hermitian_eigen(twirl.output_state_stack(d, off_diag))
+        w = linalg.hermitian_eigvals(twirl.output_state_stack(d, off_diag))
         rest = (1 - weight) / d
         expect = np.sort(
             np.column_stack([weight + rest] + [rest] * (d - 1)), axis=-1
@@ -178,7 +178,7 @@ def check_parameter_bounds(dmax, samples, rng):
     for d, mats in _density_stacks(dmax, samples, rng):
         denom = d * (d - 1)
         a = twirl.off_diagonal_means(mats)
-        w, _ = linalg.hermitian_eigen(mats)
+        w = linalg.hermitian_eigvals(mats)
         lo_chain = (d * w[:, 0] - 1.0) / denom
         hi_chain = (d * w[:, -1] - 1.0) / denom
         rows = np.column_stack(
@@ -264,7 +264,7 @@ def check_two_sided_bruteforce(dmax, samples, rng):
 def check_two_qubit_eigenvalue_formula(dmax, samples, rng):
     mats = states.random_density_stack(4, BIPARTITE_SAMPLES, rng)
     out, cf = twirl.twirl_two_sided(mats, (2, 2))
-    w, _ = linalg.hermitian_eigen(out)
+    w = linalg.hermitian_eigvals(out)
     c0, c1, c2, c3 = cf.c0.real, cf.c1.real, cf.c2.real, cf.c3.real
     expect = np.sort(
         np.column_stack(

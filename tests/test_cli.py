@@ -530,13 +530,13 @@ def test_verify_detects_a_faulty_stacked_eigensolver(capsys, monkeypatch):
     # that solve one stack per (check, d) must fail
     import permutwirl.linalg as linalg_module
 
-    original = linalg_module.hermitian_eigen
+    original = linalg_module.hermitian_eigvals
 
     def shifted_on_stacks(a, *args, **kwargs):
-        w, v = original(a, *args, **kwargs)
-        return (w - 1.0, v) if np.ndim(a) == 3 else (w, v)
+        w = original(a, *args, **kwargs)
+        return w - 1.0 if np.ndim(a) == 3 else w
 
-    monkeypatch.setattr(linalg_module, "hermitian_eigen", shifted_on_stacks)
+    monkeypatch.setattr(linalg_module, "hermitian_eigvals", shifted_on_stacks)
     assert {
         "trace_and_positivity_preserved",
         "output_state_eigenvalues",
@@ -671,21 +671,25 @@ def test_verify_catches_an_oracle_wrong_past_its_first_row(monkeypatch):
 def test_verify_refuses_a_density_that_is_not_positive_past_row_0(capsys, monkeypatch):
     # the density validation's eigenvalues turn negative on row 1 of each
     # stack, never on row 0: a validation of row 0 alone would pass.  The
-    # screen proves nothing, so the eigenvalues decide every stack.
+    # screen proves nothing, so the eigenvalues decide every stack.  Only
+    # the validation passes tol=, so the checks' own eigenvalues are kept.
     import permutwirl.linalg as linalg_module
 
     passing = [r.name for r in verify.run_suite(dmax=2, samples=2, seed=1)]
     original = linalg_module.hermitian_eigvals
     monkeypatch.setattr(states, "_cholesky_proves_positive", lambda *_: False)
+    shifted = []
 
     def negative_on_row_1(a, *args, **kwargs):
         w = original(a, *args, **kwargs)
-        if w.ndim == 2 and len(w) > 1:
+        if "tol" in kwargs and w.ndim == 2 and len(w) > 1:
             w[1] -= 1.0
+            shifted.append(len(w))
         return w
 
     monkeypatch.setattr(linalg_module, "hermitian_eigvals", negative_on_row_1)
     results = {r.name: r for r in verify.run_suite(dmax=2, samples=2, seed=1)}
+    assert shifted
     tight = results["l1_bound_tight_for_nonneg_real"]
     assert np.isnan(tight.max_residual)
     assert tight.passed is False

@@ -10,7 +10,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from permutwirl import coherence, entanglement, linalg, states, twirl, verify
+from permutwirl import coherence, entanglement, linalg, states, sweeps, twirl, verify
 from permutwirl.errors import (
     NotHermitianError,
     NotPositiveError,
@@ -373,3 +373,98 @@ def test_stacked_checks_equal_per_matrix_loops(check, per_matrix, dmax, samples,
     assert got.shape == want.shape
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
     assert rng_stack.bit_generator.state == rng_loop.bit_generator.state
+
+
+def test_spectrum_only_routes_compute_no_eigenvectors(monkeypatch):
+    # every route that reads eigenvalues alone completes while the
+    # eigenvector solver refuses to run
+    def no_eigenvectors(*_, **__):
+        raise AssertionError("hermitian_eigen called")
+
+    monkeypatch.setattr(linalg, "hermitian_eigen", no_eigenvectors)
+    results = verify.run_suite(6, 10, 1)
+    assert len(results) == 27
+    assert [r.name for r in results if not r.passed] == []
+    rng = np.random.default_rng(61)
+    rho = states.random_density(4, rng)
+    coherence.coherence_report(rho, "relent")
+    coherence.von_neumann_entropy(rho)
+    entanglement.is_ppt(states.random_density(4, rng, dims=(2, 2)))
+    sweeps.bell_sweep_rows(5)
+    sweeps.qubit_sweep_rows(0.1, 0.1, 50)
+
+
+def _rank_deficient_densities(d, rank, n, rng):
+    # n states g g^dagger / Tr of the given rank, exactly Hermitian (so
+    # symmetrising them changes no bit), with the nonzero spectrum of each:
+    # that of its rank x rank Gram matrix g^dagger g / Tr, in closed form
+    g = rng.standard_normal((n, d, rank)) + 1j * rng.standard_normal((n, d, rank))
+    mats = g @ g.conj().swapaxes(-1, -2)
+    mats = 0.5 * (mats + mats.conj().swapaxes(-1, -2))
+    trace = np.trace(mats, axis1=-2, axis2=-1).real
+    gram = g.conj().swapaxes(-1, -2) @ g / trace[:, None, None]
+    if rank == 1:
+        spectrum = np.ones((n, 1))
+    else:
+        a, b, c = gram[:, 0, 0].real, gram[:, 0, 1], gram[:, 1, 1].real
+        root = np.sqrt((a - c) ** 2 + 4 * np.abs(b) ** 2)
+        spectrum = np.column_stack([(a + c - root) / 2, (a + c + root) / 2])
+    return mats / trace[:, None, None], spectrum
+
+
+def _entropy_reference(p):
+    p = np.clip(p, 0.0, None)
+    return -np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0).sum(axis=-1)
+
+
+def _rel_ent_reference(mats, spectrum):
+    diag = np.diagonal(mats, axis1=-2, axis2=-1).real
+    return _entropy_reference(diag) - _entropy_reference(spectrum)
+
+
+def _assert_rel_ent_rows(mats, d):
+    got = coherence.rel_ent_coherences(mats)
+    rows = [coherence.rel_ent_coherence(states.DensityMatrix(m, (d,))) for m in mats]
+    assert_same_bits(got, np.array(rows))
+    return got
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_rel_ent_coherences_match_an_eigh_reference(d):
+    mats = states.random_density_stack(d, 30, np.random.default_rng(70 + d))
+    want = _rel_ent_reference(mats, np.linalg.eigh(mats)[0])
+    np.testing.assert_allclose(_assert_rel_ent_rows(mats, d), want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("d", range(2, 9))
+def test_rel_ent_coherences_of_rank_deficient_states(d, rank):
+    # A zero eigenvalue comes out of any solver as roundoff delta, and
+    # x ln x moves by about delta |ln delta| there, so two solvers agree on
+    # such states to about 2e-14 only.  Each state is held to its exact
+    # value, no farther from it (within 1e-14) than an eigh reference is.
+    mats, spectrum = _rank_deficient_densities(d, rank, 30, np.random.default_rng(90 + d))
+    exact = _rel_ent_reference(mats, spectrum)
+    got_err = np.abs(_assert_rel_ent_rows(mats, d) - exact)
+    eigh_err = np.abs(_rel_ent_reference(mats, np.linalg.eigh(mats)[0]) - exact)
+    assert (got_err <= eigh_err + 1e-14).all()
+    assert got_err.max() < 1e-13
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_min_pt_eigenvalues_match_an_eigh_reference(dims):
+    d_a, d_b = dims
+    rng = np.random.default_rng(80 + d_a * d_b)
+    mats = np.concatenate(
+        [
+            states.random_density_stack(d_a * d_b, 30, rng),
+            _rank_deficient_densities(d_a * d_b, 1, 30, rng)[0],
+        ]
+    )
+    t = mats.reshape(len(mats), d_a, d_b, d_a, d_b)
+    for side, axes in (("A", (0, 3, 2, 1, 4)), ("B", (0, 1, 4, 3, 2))):
+        pt = t.transpose(axes).reshape(mats.shape)
+        got = entanglement.min_pt_eigenvalues(mats, dims, side)
+        np.testing.assert_allclose(got, np.linalg.eigh(pt)[0][:, 0], rtol=0, atol=1e-14)
+        reports = [entanglement.is_ppt(states.DensityMatrix(m, dims), side=side) for m in mats]
+        assert_same_bits(got, np.array([r.min_eig_pt for r in reports]))
