@@ -161,7 +161,7 @@ def l1_lower_bounds(mats) -> np.ndarray:
     return d * (d - 1) * np.abs(twirl.off_diagonal_means(m))
 
 
-def rel_ent_lower_bound(rho: DensityMatrix, tol: float = linalg.DEFAULT_TOL) -> float:
+def rel_ent_lower_bound(rho: DensityMatrix) -> float:
     """Closed form for the relative entropy of coherence of the twirled
     state, one row of :func:`rel_ent_lower_bounds`.
 
@@ -173,15 +173,15 @@ def rel_ent_lower_bound(rho: DensityMatrix, tol: float = linalg.DEFAULT_TOL) -> 
     the measure on the reconstructed output state directly.
     """
     _require_monopartite(rho)
-    return float(rel_ent_lower_bounds(rho.mat, tol))
+    return float(rel_ent_lower_bounds(rho.mat))
 
 
-def rel_ent_lower_bounds(mats, tol: float = linalg.DEFAULT_TOL) -> np.ndarray:
+def rel_ent_lower_bounds(mats) -> np.ndarray:
     """:func:`rel_ent_lower_bound` of each matrix of a stack ``(n, d, d)``."""
     m = np.asarray(mats, dtype=complex)
     d = m.shape[-1]
     w = d * twirl.off_diagonal_means(m)
-    lo = -1.0 / max(d - 1, 1)
+    lo, tol = -1.0 / max(d - 1, 1), linalg.DEFAULT_TOL
     outside = ~((lo - tol <= w) & (w <= 1.0 + tol))  # NaN included
     if outside.any():
         raise ParamOutOfRangeError(f"weight {w[outside][0]:.12g} outside [{lo:.12g}, 1]")

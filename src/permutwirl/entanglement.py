@@ -46,6 +46,7 @@ def is_ppt(rho: DensityMatrix, tol: float = PPT_TOL, side: str = "A") -> PptRepo
     The verdict is independent of the side: the two partial transposes
     are full transposes of each other, hence isospectral.
     """
+    linalg._check_tol(tol)
     dims = _require_bipartite(rho)
     min_eig = float(min_pt_eigenvalues(rho.mat, dims, side))
     return PptReport(
@@ -68,15 +69,15 @@ def min_pt_eigenvalues(mats, dims, side: str = "A") -> np.ndarray:
     return linalg.hermitian_eigvals(pt)[..., 0]
 
 
-def separable_verdict(rho: DensityMatrix, tol: float = PPT_TOL) -> Verdict:
-    """Peres-Horodecki verdict.
+def separable_verdict(rho: DensityMatrix) -> Verdict:
+    """Peres-Horodecki verdict, from :func:`is_ppt` at ``PPT_TOL``.
 
     PPT is necessary for separability and sufficient only in 2x2 and 2x3
     systems, so for d_A * d_B <= 6 PPT decides separability; in larger
     systems a PPT state stays undecided.
     """
     d_a, d_b = _require_bipartite(rho)
-    report = is_ppt(rho, tol=tol)
+    report = is_ppt(rho)
     if not report.is_ppt:
         return Verdict.ENTANGLED
     if d_a * d_b <= 6:
@@ -96,5 +97,6 @@ def bell_octahedron_members(triples, tol: float = PPT_TOL) -> np.ndarray:
     ``triples`` is an ``(n, 3)`` array.  The triples are not validated;
     :func:`bell_octahedron_member` validates one triple and tests it here.
     """
+    linalg._check_tol(tol)
     a = np.abs(np.asarray(triples, dtype=float))
     return a[:, 0] + a[:, 1] + a[:, 2] <= 1.0 + tol

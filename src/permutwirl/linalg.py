@@ -17,8 +17,8 @@ from .errors import (
     NotHermitianError,
 )
 
-# Default entrywise comparison tolerance; eigensolver residuals are held
-# to the tighter EIGEN_TOL (reconstruction bound is d * EIGEN_TOL).
+# The one validation tolerance, for every guard; EIGEN_TOL gives the
+# eigensolver reconstruction bound, d * EIGEN_TOL, that the tests check.
 DEFAULT_TOL = 1e-10
 EIGEN_TOL = 1e-12
 
@@ -85,7 +85,7 @@ def hs_inner(x, y) -> complex:
     return complex(np.vdot(xm, ym))
 
 
-def hermitian_eigen(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigen(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack
     ``(n, D, D)`` in one solver call with the same bits as one call per matrix.
 
@@ -98,45 +98,45 @@ def hermitian_eigen(a, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray
     alone, use :func:`hermitian_eigvals`, which computes no eigenvectors.
 
     Raises:
-        NotHermitianError: if ``max|a - a^dagger|`` exceeds ``tol``.
+        NotHermitianError: if ``max|a - a^dagger|`` exceeds ``DEFAULT_TOL``.
         ConvergenceError: if the underlying solver does not converge.
     """
     m = as_complex_matrix(a, stack=True)
     require_square(m)
     try:
-        w, v = np.linalg.eigh(_symmetrised(m, tol))
+        w, v = np.linalg.eigh(_symmetrised(m))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise ConvergenceError(str(exc)) from exc
     return w, v
 
 
-def hermitian_eigvals(a, tol: float = DEFAULT_TOL) -> np.ndarray:
+def hermitian_eigvals(a) -> np.ndarray:
     """Ascending eigenvalues of each Hermitian matrix in a stack ``(n, D, D)``.
 
     One solver call for the whole stack, with the Hermiticity guard and
     the symmetrisation of :func:`hermitian_eigen`.
 
     Raises:
-        NotHermitianError: if any ``max|a - a^dagger|`` exceeds ``tol``.
+        NotHermitianError: if any ``max|a - a^dagger|`` exceeds ``DEFAULT_TOL``.
         ConvergenceError: if the underlying solver does not converge.
     """
     m = as_complex_matrix(a, stack=True)
     require_square(m)
     try:
-        return np.linalg.eigvalsh(_symmetrised(m, tol))
+        return np.linalg.eigvalsh(_symmetrised(m))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise ConvergenceError(str(exc)) from exc
 
 
-def _symmetrised(m: np.ndarray, tol: float) -> np.ndarray:
+def _symmetrised(m: np.ndarray) -> np.ndarray:
     # The Hermitian part of m (of each matrix, for a stack), after checking
-    # that m is Hermitian within tol.  Symmetrize so roundoff in the input
-    # cannot leak into the solver.
+    # that m is Hermitian within DEFAULT_TOL.  Symmetrize so roundoff in the
+    # input cannot leak into the solver.
     adj = m.conj().swapaxes(-1, -2)
     dev = max_abs_diff(m, adj)
-    if dev > tol:
+    if dev > DEFAULT_TOL:
         raise NotHermitianError(
-            f"matrix is not Hermitian within tol={tol:g} (deviation {dev:.3e})"
+            f"matrix is not Hermitian within tol={DEFAULT_TOL:g} (deviation {dev:.3e})"
         )
     return 0.5 * (m + adj)
 
@@ -153,6 +153,11 @@ def split_dims(x: np.ndarray, dims) -> tuple[int, int]:
             f"matrix side {d} does not equal product of dims {d_a}x{d_b}"
         )
     return d_a, d_b
+
+
+def _check_tol(tol: float) -> None:
+    if not 0.0 <= tol < np.inf:  # NaN included
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
 def _check_side(side: str) -> str:

@@ -133,10 +133,10 @@ def load_raw(source) -> StateFile:
     return StateFile(mat=flat.reshape(d, d), dims=dims, label=label)
 
 
-def load_density(source, tol: float = states.VALIDATION_TOL) -> StateFile:
-    """Parse and validate as a density matrix."""
+def load_density(source) -> StateFile:
+    """Parse and validate as a density matrix (:func:`states.validate_density`)."""
     raw = load_raw(source)
-    validated = states.validate_density(raw.mat, dims=raw.dims, tol=tol)
+    validated = states.validate_density(raw.mat, dims=raw.dims)
     return StateFile(mat=validated.mat, dims=validated.dims, label=raw.label)
 
 

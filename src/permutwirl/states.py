@@ -33,11 +33,6 @@ PAULIS = (SIGMA_1, SIGMA_2, SIGMA_3)
 # Guard against runaway factorial enumeration.
 MAX_ENUM_DIM = 10
 
-# Validation defaults: Hermiticity/trace at 1e-10, positivity allows
-# min eigenvalue down to -1e-10.  Eigensolver round trips sit near 1e-13,
-# so this margin does not mask real violations.
-VALIDATION_TOL = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
@@ -65,12 +60,12 @@ def _normalize_dims(d: int, dims) -> tuple[int, ...]:
     return out
 
 
-def validate_density(m, dims=None, tol: float = VALIDATION_TOL) -> DensityMatrix:
+def validate_density(m, dims=None) -> DensityMatrix:
     """Check Hermiticity, unit trace and positivity; return the state.
 
-    Never repairs the input.  Use :func:`sanitize_density` to clamp tiny
-    negative eigenvalues explicitly.  One row of
-    :func:`validate_density_stack`, with messages that name no index.
+    Each check allows ``linalg.DEFAULT_TOL``.  Never repairs the input.  Use
+    :func:`sanitize_density` to clamp tiny negative eigenvalues explicitly.
+    One row of :func:`validate_density_stack`, with messages that name no index.
 
     Raises:
         NotHermitianError, TraceNotOneError, NotPositiveError
@@ -78,11 +73,11 @@ def validate_density(m, dims=None, tol: float = VALIDATION_TOL) -> DensityMatrix
     mat = linalg.as_complex_matrix(m)
     d = linalg.require_square(mat)
     dims = _normalize_dims(d, dims)
-    _check_densities(mat[None], tol, where=lambda i: "")
+    _check_densities(mat[None], where=lambda i: "")
     return DensityMatrix(mat, dims)
 
 
-def validate_density_stack(mats, tol: float = VALIDATION_TOL) -> np.ndarray:
+def validate_density_stack(mats) -> np.ndarray:
     """Check each matrix of an ``(n, D, D)`` stack as :func:`validate_density`
     does; return the stack as complex128.
 
@@ -102,15 +97,16 @@ def validate_density_stack(mats, tol: float = VALIDATION_TOL) -> np.ndarray:
     if stack.ndim != 3:
         raise DimMismatchError(f"expected an (n, D, D) stack, got ndim={stack.ndim}")
     linalg.require_square(stack)
-    _check_densities(stack, tol, where=lambda i: f"matrix {i}: ")
+    _check_densities(stack, where=lambda i: f"matrix {i}: ")
     return stack
 
 
-def _check_densities(stack: np.ndarray, tol: float, where) -> None:
+def _check_densities(stack: np.ndarray, where) -> None:
     # Refuse the first matrix of the stack that fails a check, with
     # where(index) ahead of the message.  `not (x <= tol)` refuses NaN too.
     # Positivity is accepted by _cholesky_proves_positive when it can;
     # otherwise the eigenvalues decide, and they alone refuse.
+    tol = linalg.DEFAULT_TOL
     adj = stack.conj().swapaxes(-1, -2)
     dev = linalg.max_abs_diffs(stack, adj)
     bad = np.flatnonzero(~(dev <= tol))
@@ -128,7 +124,7 @@ def _check_densities(stack: np.ndarray, tol: float, where) -> None:
         )
     if _cholesky_proves_positive(stack, adj, tol):
         return
-    min_eig = linalg.hermitian_eigvals(stack, tol=tol)[:, 0]
+    min_eig = linalg.hermitian_eigvals(stack)[:, 0]
     bad = np.flatnonzero(~(min_eig >= -tol))
     if bad.size:
         i = bad[0]
@@ -167,8 +163,8 @@ def _cholesky_proves_positive(stack: np.ndarray, adj: np.ndarray, tol: float) ->
     return True
 
 
-def sanitize_density(m, dims=None, tol: float = VALIDATION_TOL) -> DensityMatrix:
-    """Clamp negative eigenvalues to zero, renormalize, then validate.
+def sanitize_density(m, dims=None) -> DensityMatrix:
+    """Clamp negative eigenvalues to zero, renormalize, then :func:`validate_density`.
 
     Opt-in repair for states that failed positivity or trace checks by
     numerical noise; silent use would hide bugs, so no other constructor
@@ -177,22 +173,22 @@ def sanitize_density(m, dims=None, tol: float = VALIDATION_TOL) -> DensityMatrix
     mat = linalg.as_complex_matrix(m)
     d = linalg.require_square(mat)
     dims = _normalize_dims(d, dims)
-    w, v = linalg.hermitian_eigen(mat, tol=tol)
+    w, v = linalg.hermitian_eigen(mat)
     w = np.clip(w.real, 0.0, None)
     total = float(w.sum())
     if total <= 0.0:
         raise NotPositiveError("matrix has no positive spectral weight")
     w /= total
     repaired = (v * w) @ v.conj().T
-    return DensityMatrix(repaired, dims)
+    return validate_density(repaired, dims)
 
 
-def qubit_from_bloch(r, tol: float = VALIDATION_TOL) -> DensityMatrix:
+def qubit_from_bloch(r) -> DensityMatrix:
     """Qubit state 1/2 (I + r . sigma) for a Bloch vector inside the ball."""
-    return DensityMatrix(qubit_stack_from_bloch([r], tol)[0], (2,))
+    return DensityMatrix(qubit_stack_from_bloch([r])[0], (2,))
 
 
-def qubit_stack_from_bloch(vectors, tol: float = VALIDATION_TOL) -> np.ndarray:
+def qubit_stack_from_bloch(vectors) -> np.ndarray:
     """The qubit states 1/2 (I + r . sigma), one per row r of ``vectors``.
 
     ``vectors`` is an ``(n, 3)`` array; the result is an ``(n, 2, 2)`` stack.
@@ -205,7 +201,7 @@ def qubit_stack_from_bloch(vectors, tol: float = VALIDATION_TOL) -> np.ndarray:
         raise ValueError(f"expected Bloch vectors of shape (n, 3), got {v.shape}")
     r1, r2, r3 = v.T
     norm = np.sqrt(r1 * r1 + r2 * r2 + r3 * r3)
-    outside = ~(norm <= 1.0 + tol)  # NaN included
+    outside = ~(norm <= 1.0 + linalg.DEFAULT_TOL)  # NaN included
     if outside.any():
         raise BlochOutsideBallError(f"|r| = {norm[outside][0]:.12g} exceeds 1")
     mat = np.empty((len(v), 2, 2), dtype=complex)
@@ -316,19 +312,17 @@ def maximally_coherent_state(d: int) -> DensityMatrix:
     return DensityMatrix(all_ones_projector(d) / d, (d,))
 
 
-def maximally_coherent_mixed_state(
-    d: int, p: float, tol: float = VALIDATION_TOL
-) -> DensityMatrix:
+def maximally_coherent_mixed_state(d: int, p: float) -> DensityMatrix:
     """One-parameter family (1-p) I/d + p * uniform-superposition projector.
 
-    Valid for p in [-1/(d-1), 1]; diagonal entries are 1/d and every
-    off-diagonal entry is p/d.  At d = 1 every finite p gives [[1]], which
-    has no off-diagonal.
+    Valid for p in [-1/(d-1), 1] within ``linalg.DEFAULT_TOL``; diagonal entries
+    are 1/d and every off-diagonal entry is p/d.  At d = 1 every finite p
+    gives [[1]], which has no off-diagonal.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     p = float(p)
-    big = np.finfo(float).max
+    big, tol = np.finfo(float).max, linalg.DEFAULT_TOL
     lo, hi = (-1.0 / (d - 1), 1.0) if d > 1 else (-big, big)
     if not (lo - tol <= p <= hi + tol):  # NaN included
         raise WeightOutOfRangeError(f"weight {p:.12g} outside [{lo:.12g}, {hi:.12g}]")
@@ -353,24 +347,24 @@ def bell_eigenvalues(t1: float, t2: float, t3: float) -> np.ndarray:
     )
 
 
-def validate_bell_params(t1, t2, t3, tol: float = VALIDATION_TOL) -> None:
+def validate_bell_params(t1, t2, t3) -> None:
     for i, t in enumerate((t1, t2, t3), start=1):
-        if not abs(t) <= 1.0 + tol:
+        if not abs(t) <= 1.0 + linalg.DEFAULT_TOL:
             raise InvalidBellParamsError(f"|t{i}| = {abs(t):.12g} exceeds 1")
     for lam, label in zip(
         bell_eigenvalues(t1, t2, t3),
         ("1-t1-t2-t3", "1-t1+t2+t3", "1+t1-t2+t3", "1+t1+t2-t3"),
     ):
-        if not lam >= -tol:
+        if not lam >= -linalg.DEFAULT_TOL:
             raise InvalidBellParamsError(
                 f"constraint {label} >= 0 violated (value {4 * lam:.12g})"
             )
 
 
-def bell_diagonal_state(t1, t2, t3, tol: float = VALIDATION_TOL) -> DensityMatrix:
+def bell_diagonal_state(t1, t2, t3) -> DensityMatrix:
     """Two-qubit state 1/4 (I + sum_i t_i sigma_i x sigma_i)."""
     t1, t2, t3 = float(t1), float(t2), float(t3)
-    validate_bell_params(t1, t2, t3, tol=tol)
+    validate_bell_params(t1, t2, t3)
     return DensityMatrix(bell_diagonal_stack([[t1, t2, t3]])[0], (2, 2))
 
 

@@ -245,7 +245,7 @@ def twirl_closed_form(x) -> np.ndarray:
     return _fill(m.shape, off_sum / (d * (d - 1)), tr / d)
 
 
-def off_diagonal_means(x, tol: float = linalg.DEFAULT_TOL) -> np.ndarray:
+def off_diagonal_means(x) -> np.ndarray:
     """``twirl_params(rho).off_diag`` of each matrix of a stack ``(n, d, d)``.
 
     The mean of the off-diagonal entries, sum_{i != j} x_ij / (d (d - 1)),
@@ -255,8 +255,8 @@ def off_diagonal_means(x, tol: float = linalg.DEFAULT_TOL) -> np.ndarray:
     is not, so it is refused as at every other size.
 
     Raises:
-        NonRealSumError: if a sum's imaginary part exceeds ``tol``, or its
-            real part is not finite (NaN or infinite).
+        NonRealSumError: if a sum's imaginary part exceeds ``linalg.DEFAULT_TOL``,
+            or its real part is not finite (NaN or infinite).
     """
     m = np.asarray(x, dtype=complex)
     d = linalg.require_square(m)
@@ -264,7 +264,7 @@ def off_diagonal_means(x, tol: float = linalg.DEFAULT_TOL) -> np.ndarray:
     # the way to it are noise
     with np.errstate(over="ignore", invalid="ignore"):
         off_sum = _trace_and_off_sum(m)[1]
-    non_real = ~(np.abs(off_sum.imag) <= tol)  # NaN included
+    non_real = ~(np.abs(off_sum.imag) <= linalg.DEFAULT_TOL)  # NaN included
     if non_real.any():
         raise NonRealSumError(
             f"off-diagonal sum has imaginary part {off_sum.imag[non_real][0]:.3e}; "
@@ -276,7 +276,7 @@ def off_diagonal_means(x, tol: float = linalg.DEFAULT_TOL) -> np.ndarray:
     return off_sum.real / max(d * (d - 1), 1)
 
 
-def twirl_params(rho: DensityMatrix, tol: float = linalg.DEFAULT_TOL) -> TwirlSummary:
+def twirl_params(rho: DensityMatrix) -> TwirlSummary:
     """Scalars characterizing the twirl of a monopartite state.
 
     ``off_diag`` is the mean of the off-diagonal entries (see
@@ -284,24 +284,22 @@ def twirl_params(rho: DensityMatrix, tol: float = linalg.DEFAULT_TOL) -> TwirlSu
     """
     if len(rho.dims) != 1:
         raise DimMismatchError(f"expected a monopartite state, got dims {rho.dims}")
-    a = float(off_diagonal_means(rho.mat, tol))
+    a = float(off_diagonal_means(rho.mat))
     return TwirlSummary(dim=rho.d, off_diag=a, weight=rho.d * a)
 
 
-def reconstruct_output_state(
-    summary: TwirlSummary, tol: float = linalg.DEFAULT_TOL
-) -> DensityMatrix:
+def reconstruct_output_state(summary: TwirlSummary) -> DensityMatrix:
     """Rebuild the twirled state from its scalar summary.
 
     Equal to the one-parameter maximally-coherent-mixed family at weight
     ``summary.weight``, and to the twirl of any state producing that
     summary.
     """
-    mat = output_state_stack(summary.dim, summary.off_diag, tol)
+    mat = output_state_stack(summary.dim, summary.off_diag)
     return DensityMatrix(mat, (summary.dim,))
 
 
-def output_state_stack(d: int, off_diag, tol: float = linalg.DEFAULT_TOL) -> np.ndarray:
+def output_state_stack(d: int, off_diag) -> np.ndarray:
     """The twirled states of dimension ``d`` with common off-diagonal entries
     ``off_diag``: the :func:`reconstruct_output_state` matrix of each entry,
     an ``(n, d, d)`` stack for ``n`` entries.
@@ -309,13 +307,13 @@ def output_state_stack(d: int, off_diag, tol: float = linalg.DEFAULT_TOL) -> np.
     At d = 1 every finite entry gives [[1]], which has no off-diagonal.
 
     Raises:
-        ParamOutOfRangeError: if ``d`` < 1, or an entry is not finite, or
-            (at d >= 2) lies outside [-1/(d (d - 1)), 1/d] by more than ``tol``.
+        ParamOutOfRangeError: if ``d`` < 1, or an entry is not finite, or (at
+            d >= 2) lies over ``linalg.DEFAULT_TOL`` outside [-1/(d (d - 1)), 1/d].
     """
     if d < 1:
         raise ParamOutOfRangeError(f"dimension must be >= 1, got {d}")
     a = np.asarray(off_diag, dtype=float)
-    big = np.finfo(float).max
+    big, tol = np.finfo(float).max, linalg.DEFAULT_TOL
     lo, hi = (-1.0 / (d * (d - 1)), 1.0 / d) if d > 1 else (-big, big)
     outside = ~((lo - tol <= a) & (a <= hi + tol))  # NaN included
     if outside.any():
@@ -487,6 +485,7 @@ def entanglement_breaking_certificate(
     Raises:
         CertificateError: residual exceeds ``tol`` (an implementation bug).
     """
+    linalg._check_tol(tol)
     choi = choi_matrix(d).mat
     phi = states.maximally_coherent_state(d).mat
     rest = (np.eye(d) - phi) / (d - 1)

@@ -672,21 +672,32 @@ def test_verify_refuses_a_density_that_is_not_positive_past_row_0(capsys, monkey
     # the density validation's eigenvalues turn negative on row 1 of each
     # stack, never on row 0: a validation of row 0 alone would pass.  The
     # screen proves nothing, so the eigenvalues decide every stack.  Only
-    # the validation passes tol=, so the checks' own eigenvalues are kept.
+    # calls made while states._check_densities runs are shifted, so the
+    # checks' own eigenvalues are kept.
     import permutwirl.linalg as linalg_module
 
     passing = [r.name for r in verify.run_suite(dmax=2, samples=2, seed=1)]
     original = linalg_module.hermitian_eigvals
+    original_check = states._check_densities
     monkeypatch.setattr(states, "_cholesky_proves_positive", lambda *_: False)
+    validating = []
     shifted = []
+
+    def flagged_check(*args, **kwargs):
+        validating.append(True)
+        try:
+            return original_check(*args, **kwargs)
+        finally:
+            validating.pop()
 
     def negative_on_row_1(a, *args, **kwargs):
         w = original(a, *args, **kwargs)
-        if "tol" in kwargs and w.ndim == 2 and len(w) > 1:
+        if validating and w.ndim == 2 and len(w) > 1:
             w[1] -= 1.0
             shifted.append(len(w))
         return w
 
+    monkeypatch.setattr(states, "_check_densities", flagged_check)
     monkeypatch.setattr(linalg_module, "hermitian_eigvals", negative_on_row_1)
     results = {r.name: r for r in verify.run_suite(dmax=2, samples=2, seed=1)}
     assert shifted

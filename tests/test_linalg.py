@@ -1,7 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from permutwirl import linalg, states
+from permutwirl import coherence, entanglement, linalg, statefile, states, twirl
 from permutwirl.errors import DimMismatchError, NonSquareError, NotHermitianError
 
 
@@ -162,3 +164,43 @@ def test_hermitian_eigvals_rejects_non_hermitian_member():
         linalg.hermitian_eigvals(stack)
     with pytest.raises(NonSquareError):
         linalg.hermitian_eigvals(np.zeros((2, 3, 4)))
+
+
+def test_only_four_public_functions_take_a_tol():
+    # every other guard reads linalg.DEFAULT_TOL
+    with_tol = {
+        name
+        for module in (linalg, states, statefile, twirl, coherence, entanglement)
+        for name, obj in vars(module).items()
+        if not name.startswith("_")
+        and inspect.isfunction(obj)
+        and obj.__module__ == module.__name__
+        and "tol" in inspect.signature(obj).parameters
+    }
+    assert with_tol == {
+        "is_ppt",
+        "bell_octahedron_member",
+        "bell_octahedron_members",
+        "entanglement_breaking_certificate",
+    }
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0], ids=str)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tol: entanglement.is_ppt(states.bell_diagonal_state(-1, -1, -1), tol=tol),
+        lambda tol: entanglement.bell_octahedron_member(0.25, 0.25, 0.25, tol=tol),
+        lambda tol: entanglement.bell_octahedron_members([[1, 1, 1]], tol=tol),
+        lambda tol: twirl.entanglement_breaking_certificate(3, tol=tol),
+    ],
+    ids=["is_ppt", "bell_octahedron_member", "bell_octahedron_members", "certificate"],
+)
+def test_a_tol_that_is_not_finite_and_nonnegative_is_refused(call, tol):
+    with pytest.raises(ValueError, match=f"tol must be a finite number >= 0, got {tol!r}"):
+        call(tol)
+
+
+def test_a_zero_tol_is_accepted():
+    assert entanglement.is_ppt(states.maximally_entangled_state(2), tol=0.0).tol == 0.0
+    assert entanglement.bell_octahedron_member(0.5, 0.25, 0.25, tol=0.0)

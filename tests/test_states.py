@@ -67,6 +67,26 @@ def test_validate_density_never_repairs_but_sanitize_does():
     assert abs(np.trace(repaired.mat) - 1) <= 1e-12
 
 
+def test_sanitize_density_validates_its_repair(monkeypatch):
+    mat = np.diag([1.001, -0.001]).astype(complex)
+    checked = []
+    original = states._check_densities
+
+    def spy(stack, *args, **kwargs):
+        checked.append(stack.shape)
+        return original(stack, *args, **kwargs)
+
+    monkeypatch.setattr(states, "_check_densities", spy)
+    repaired = states.sanitize_density(mat)
+    assert checked == [(1, 2, 2)]
+    # the repair spelled out: validating it changes no bit
+    w, v = linalg.hermitian_eigen(mat)
+    w = np.clip(w, 0.0, None)
+    w /= w.sum()
+    want = (v * w) @ v.conj().T
+    assert (repaired.mat.view(np.uint64) == want.view(np.uint64)).all()
+
+
 def test_qubit_from_bloch_center_and_pole():
     np.testing.assert_allclose(states.qubit_from_bloch((0, 0, 0)).mat, np.eye(2) / 2)
     np.testing.assert_allclose(
@@ -410,7 +430,7 @@ def test_refusals_raise_their_error_class(monkeypatch, patch, fn, args, error):
 # eigenvalue call.  Every decision and message must still be the one the
 # eigenvalues alone give.
 
-TOL = states.VALIDATION_TOL
+TOL = linalg.DEFAULT_TOL
 # min eigenvalues placed around -TOL; the eigenvalues refuse the first,
 # may go either way on the second, and refuse only the last of the rest
 PLACEMENTS = [-1.001 * TOL, -TOL, -0.999 * TOL, -TOL / 2, 0.0, 1e-12, -1e-9]
@@ -430,7 +450,7 @@ def _density_with_min_eigenvalue(d, lam_min, seed):
 def _eigenvalue_refusal(stack, where=lambda i: ""):
     """(error class, message) of the positivity check by eigenvalues alone,
     or None when it accepts every matrix of the stack."""
-    min_eig = linalg.hermitian_eigvals(stack, tol=TOL)[:, 0]
+    min_eig = linalg.hermitian_eigvals(stack)[:, 0]
     bad = np.flatnonzero(~(min_eig >= -TOL))
     if not bad.size:
         return None
