@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, twirl
+from . import linalg, states, twirl
 from .errors import (
     DimensionTooLargeError,
     DimMismatchError,
     NotPositiveError,
-    ParamOutOfRangeError,
     SampleCountError,
 )
 from .states import DensityMatrix
@@ -28,10 +27,6 @@ from .states import DensityMatrix
 MEASURE_L1 = "l1"
 MEASURE_REL_ENT = "relent"
 MEASURES = (MEASURE_L1, MEASURE_REL_ENT)
-
-# Eigenvalues in (ENTROPY_EIG_FLOOR, 0] count as exact zeros for entropy
-# purposes; anything more negative is treated as a genuine error.
-ENTROPY_EIG_FLOOR = -1e-12
 
 # The assistance sampler keeps the eigenvalues above ASSIST_RANK_FLOOR:
 # their number is the rank that sizes each sampled decomposition.
@@ -89,12 +84,13 @@ def _xlogx(v: np.ndarray) -> np.ndarray:
 
 
 def _entropy_of_probs(p: np.ndarray) -> np.ndarray:
-    # Entropy of each probability vector along the last axis of p.
+    # Entropy of each probability vector along the last axis of p; entries
+    # in [-DEFAULT_TOL, 0] count as zeros, as validation accepts them.
     p = np.asarray(p, dtype=float)
-    bad = p[~(p >= ENTROPY_EIG_FLOOR)]  # NaN included
+    bad = p[~(p >= -linalg.DEFAULT_TOL)]  # NaN included
     if bad.size:
         raise NotPositiveError(
-            f"probability {bad.min():.3e} below {ENTROPY_EIG_FLOOR:g}",
+            f"probability {bad.min():.3e} below -{linalg.DEFAULT_TOL:g}",
             min_eigenvalue=float(bad.min()),
         )
     return -_xlogx(np.clip(p, 0.0, None)).sum(axis=-1)
@@ -170,7 +166,9 @@ def rel_ent_lower_bound(rho: DensityMatrix) -> float:
         (1 - 1/d) (1 - w) ln(1 - w) + (1/d) ((d - 1) w + 1) ln((d - 1) w + 1),
 
     evaluated with 0 ln 0 = 0 at the endpoints.  Agrees with computing
-    the measure on the reconstructed output state directly.
+    the measure on the reconstructed output state directly.  1 - w and
+    (d - 1) w + 1 are d times the eigenvalues of that state; one below
+    ``-linalg.DEFAULT_TOL`` raises WeightOutOfRangeError.
     """
     _require_monopartite(rho)
     return float(rel_ent_lower_bounds(rho.mat))
@@ -180,11 +178,7 @@ def rel_ent_lower_bounds(mats) -> np.ndarray:
     """:func:`rel_ent_lower_bound` of each matrix of a stack ``(n, d, d)``."""
     m = np.asarray(mats, dtype=complex)
     d = m.shape[-1]
-    w = d * twirl.off_diagonal_means(m)
-    lo, tol = -1.0 / max(d - 1, 1), linalg.DEFAULT_TOL
-    outside = ~((lo - tol <= w) & (w <= 1.0 + tol))  # NaN included
-    if outside.any():
-        raise ParamOutOfRangeError(f"weight {w[outside][0]:.12g} outside [{lo:.12g}, 1]")
+    w = d * states._family_off_diag(d, twirl.off_diagonal_means(m))
     # Clamp endpoint noise so the log arguments stay nonnegative.
     u = np.maximum(0.0, 1.0 - w)
     v = np.maximum(0.0, (d - 1) * w + 1.0)

@@ -41,10 +41,6 @@ class DimensionTooLargeError(PermutwirlError):
     """Dimension exceeds a factorial-enumeration guard."""
 
 
-class WeightOutOfRangeError(PermutwirlError):
-    """Mixing weight is outside its admissible interval."""
-
-
 class InvalidBellParamsError(PermutwirlError):
     """Correlation triple violates a state-positivity constraint."""
 
@@ -56,6 +52,10 @@ class NonRealSumError(PermutwirlError):
 
 class ParamOutOfRangeError(PermutwirlError):
     """Scalar channel parameter is outside its admissible interval."""
+
+
+class WeightOutOfRangeError(ParamOutOfRangeError):
+    """Member of the twirl's output family that is not a state."""
 
 
 class CertificateError(PermutwirlError):

@@ -101,13 +101,7 @@ def hermitian_eigen(a) -> tuple[np.ndarray, np.ndarray]:
         NotHermitianError: if ``max|a - a^dagger|`` exceeds ``DEFAULT_TOL``.
         ConvergenceError: if the underlying solver does not converge.
     """
-    m = as_complex_matrix(a, stack=True)
-    require_square(m)
-    try:
-        w, v = np.linalg.eigh(_symmetrised(m))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise ConvergenceError(str(exc)) from exc
-    return w, v
+    return _hermitian_solve(np.linalg.eigh, a)
 
 
 def hermitian_eigvals(a) -> np.ndarray:
@@ -120,25 +114,27 @@ def hermitian_eigvals(a) -> np.ndarray:
         NotHermitianError: if any ``max|a - a^dagger|`` exceeds ``DEFAULT_TOL``.
         ConvergenceError: if the underlying solver does not converge.
     """
+    return _hermitian_solve(np.linalg.eigvalsh, a)
+
+
+def _hermitian_solve(solver, a):
+    # solver on the Hermitian part of a (of each matrix, for a stack), after
+    # checking that a is Hermitian within DEFAULT_TOL: roundoff in the input
+    # cannot leak into the solver, and adj is freed before the solver runs.
     m = as_complex_matrix(a, stack=True)
     require_square(m)
-    try:
-        return np.linalg.eigvalsh(_symmetrised(m))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise ConvergenceError(str(exc)) from exc
-
-
-def _symmetrised(m: np.ndarray) -> np.ndarray:
-    # The Hermitian part of m (of each matrix, for a stack), after checking
-    # that m is Hermitian within DEFAULT_TOL.  Symmetrize so roundoff in the
-    # input cannot leak into the solver.
     adj = m.conj().swapaxes(-1, -2)
     dev = max_abs_diff(m, adj)
     if dev > DEFAULT_TOL:
         raise NotHermitianError(
             f"matrix is not Hermitian within tol={DEFAULT_TOL:g} (deviation {dev:.3e})"
         )
-    return 0.5 * (m + adj)
+    m = 0.5 * (m + adj)
+    del adj
+    try:
+        return solver(m)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
+        raise ConvergenceError(str(exc)) from exc
 
 
 def split_dims(x: np.ndarray, dims) -> tuple[int, int]:

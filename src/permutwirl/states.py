@@ -315,20 +315,44 @@ def maximally_coherent_state(d: int) -> DensityMatrix:
 def maximally_coherent_mixed_state(d: int, p: float) -> DensityMatrix:
     """One-parameter family (1-p) I/d + p * uniform-superposition projector.
 
-    Valid for p in [-1/(d-1), 1] within ``linalg.DEFAULT_TOL``; diagonal entries
-    are 1/d and every off-diagonal entry is p/d.  At d = 1 every finite p
-    gives [[1]], which has no off-diagonal.
+    Diagonal entries are 1/d and every off-diagonal entry is p/d.  Valid
+    when the eigenvalues (1 + (d - 1) p)/d and, at d >= 2, (1 - p)/d are
+    at least ``-linalg.DEFAULT_TOL``, as :func:`validate_density` requires.
+    At d = 1 every finite p gives [[1]], which has no off-diagonal.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    p = float(p)
-    big, tol = np.finfo(float).max, linalg.DEFAULT_TOL
-    lo, hi = (-1.0 / (d - 1), 1.0) if d > 1 else (-big, big)
-    if not (lo - tol <= p <= hi + tol):  # NaN included
-        raise WeightOutOfRangeError(f"weight {p:.12g} outside [{lo:.12g}, {hi:.12g}]")
-    mat = np.full((d, d), p / d, dtype=complex)
-    np.fill_diagonal(mat, 1.0 / d)
-    return DensityMatrix(mat, (d,))
+    a = _family_off_diag(d, float(p) / d)
+    return DensityMatrix(_fill((d, d), a, 1.0 / d), (d,))
+
+
+def _family_off_diag(d: int, off_diag) -> np.ndarray:
+    """``off_diag`` as a float array, each entry a checked to give a state of
+    diagonal 1/d: its eigenvalues 1/d + (d - 1) a and (at d >= 2) 1/d - a are
+    at least ``-linalg.DEFAULT_TOL``, as :func:`validate_density` requires.
+
+    Raises:
+        WeightOutOfRangeError: if an entry fails, NaN and infinities included.
+    """
+    a = np.asarray(off_diag, dtype=float)
+    with np.errstate(invalid="ignore"):  # 0 * inf at d = 1 is NaN, refused
+        lowest = np.minimum(1.0 / d + (d - 1) * a, 1.0 / d - a if d > 1 else 1.0)
+    bad = ~(lowest >= -linalg.DEFAULT_TOL)  # NaN included
+    if bad.any():
+        raise WeightOutOfRangeError(
+            f"off-diagonal {a[bad][0]:.12g} gives eigenvalue {lowest[bad][0]:.6e} "
+            f"below -{linalg.DEFAULT_TOL:g}"
+        )
+    return a
+
+
+def _fill(shape, off_diag, diag) -> np.ndarray:
+    # Matrices with constant off-diagonal and constant diagonal entries
+    out = np.empty(shape, dtype=complex)
+    out[...] = np.asarray(off_diag)[..., None, None]
+    idx = np.arange(shape[-1])
+    out[..., idx, idx] = np.asarray(diag)[..., None]
+    return out
 
 
 def maximally_entangled_state(d: int) -> DensityMatrix:

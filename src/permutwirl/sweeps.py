@@ -18,10 +18,6 @@ BELL_SWEEP_COLUMNS = (
     "t1_image",
 )
 
-# A lattice point whose smallest Bell eigenvalue lies below this floor is
-# not a state and is left out.
-BELL_VALID_FLOOR = -1e-12
-
 # Largest ``steps`` for the qubit sweep, whose rows are all held at once
 # as one float array (90 MiB peak RSS at the limit).
 MAX_QUBIT_STEPS = 1_000_000
@@ -87,7 +83,8 @@ def bell_lattice(grid: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the correlation triples as an ``(n, 3)`` array, t1 major and
     t3 minor, and their states as an ``(n, 4, 4)`` stack.  A point is
-    kept when its smallest Bell eigenvalue is at least BELL_VALID_FLOOR.
+    kept when its smallest Bell eigenvalue is at least
+    ``-linalg.DEFAULT_TOL``, as in ``states.validate_bell_params``.
 
     Raises:
         ParamOutOfRangeError: if ``grid`` < 2.
@@ -104,7 +101,7 @@ def bell_lattice(grid: int) -> tuple[np.ndarray, np.ndarray]:
     axis = np.linspace(-1.0, 1.0, grid)
     t = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     lowest = states.bell_eigenvalues(t[:, 0], t[:, 1], t[:, 2]).min(axis=0)
-    t = t[lowest >= BELL_VALID_FLOOR]
+    t = t[lowest >= -linalg.DEFAULT_TOL]
     return t, states.bell_diagonal_stack(t)
 
 

@@ -219,15 +219,6 @@ def _trace_and_off_sum(m: np.ndarray):
     return tr, m.sum(axis=(-2, -1)) - tr
 
 
-def _fill(shape, off_diag, diag) -> np.ndarray:
-    # Matrices with constant off-diagonal and constant diagonal entries
-    out = np.empty(shape, dtype=complex)
-    out[...] = np.asarray(off_diag)[..., None, None]
-    idx = np.arange(shape[-1])
-    out[..., idx, idx] = np.asarray(diag)[..., None]
-    return out
-
-
 def twirl_closed_form(x) -> np.ndarray:
     """O(d^2) evaluation of the twirl.
 
@@ -242,7 +233,7 @@ def twirl_closed_form(x) -> np.ndarray:
     if d == 1:
         return m.copy()
     tr, off_sum = _trace_and_off_sum(m)
-    return _fill(m.shape, off_sum / (d * (d - 1)), tr / d)
+    return states._fill(m.shape, off_sum / (d * (d - 1)), tr / d)
 
 
 def off_diagonal_means(x) -> np.ndarray:
@@ -255,8 +246,9 @@ def off_diagonal_means(x) -> np.ndarray:
     is not, so it is refused as at every other size.
 
     Raises:
-        NonRealSumError: if a sum's imaginary part exceeds ``linalg.DEFAULT_TOL``,
-            or its real part is not finite (NaN or infinite).
+        NonRealSumError: if a sum's imaginary part exceeds d (d - 1) / 2 times
+            ``linalg.DEFAULT_TOL``, the most its entry pairs, each Hermitian
+            within that tolerance, add up to; or its real part is not finite.
     """
     m = np.asarray(x, dtype=complex)
     d = linalg.require_square(m)
@@ -264,7 +256,7 @@ def off_diagonal_means(x) -> np.ndarray:
     # the way to it are noise
     with np.errstate(over="ignore", invalid="ignore"):
         off_sum = _trace_and_off_sum(m)[1]
-    non_real = ~(np.abs(off_sum.imag) <= linalg.DEFAULT_TOL)  # NaN included
+    non_real = ~(np.abs(off_sum.imag) <= d * (d - 1) / 2 * linalg.DEFAULT_TOL)  # NaN included
     if non_real.any():
         raise NonRealSumError(
             f"off-diagonal sum has imaginary part {off_sum.imag[non_real][0]:.3e}; "
@@ -307,20 +299,14 @@ def output_state_stack(d: int, off_diag) -> np.ndarray:
     At d = 1 every finite entry gives [[1]], which has no off-diagonal.
 
     Raises:
-        ParamOutOfRangeError: if ``d`` < 1, or an entry is not finite, or (at
-            d >= 2) lies over ``linalg.DEFAULT_TOL`` outside [-1/(d (d - 1)), 1/d].
+        ParamOutOfRangeError: if ``d`` < 1; its subclass WeightOutOfRangeError
+            if an entry a is not finite or an eigenvalue, 1/d + (d - 1) a or
+            (at d >= 2) 1/d - a, is below ``-linalg.DEFAULT_TOL``.
     """
     if d < 1:
         raise ParamOutOfRangeError(f"dimension must be >= 1, got {d}")
-    a = np.asarray(off_diag, dtype=float)
-    big, tol = np.finfo(float).max, linalg.DEFAULT_TOL
-    lo, hi = (-1.0 / (d * (d - 1)), 1.0 / d) if d > 1 else (-big, big)
-    outside = ~((lo - tol <= a) & (a <= hi + tol))  # NaN included
-    if outside.any():
-        raise ParamOutOfRangeError(
-            f"off-diagonal {a[outside][0]:.12g} outside [{lo:.12g}, {hi:.12g}]"
-        )
-    return _fill((*a.shape, d, d), a, 1.0 / d)
+    a = states._family_off_diag(d, off_diag)
+    return states._fill((*a.shape, d, d), a, 1.0 / d)
 
 
 def _orbit_labels(dims: tuple[int, ...], groups: tuple):

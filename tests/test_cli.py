@@ -394,12 +394,12 @@ def test_sweep_qubit_nan_flag_exit_code(capsys, flag):
 
 
 def test_sweep_qubit_deterministic(tmp_path, capsys):
-    a = str(tmp_path / "a.csv")
-    b = str(tmp_path / "b.csv")
-    assert cli.main(["sweep-qubit", "--steps", "20", "--out", a]) == 0
-    assert cli.main(["sweep-qubit", "--steps", "20", "--out", b]) == 0
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    assert cli.main(["sweep-qubit", "--steps", "20", "--out", str(a)]) == 0
+    assert cli.main(["sweep-qubit", "--steps", "20", "--out", str(b)]) == 0
     capsys.readouterr()
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_sweep_bell_rows(capsys):

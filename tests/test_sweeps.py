@@ -1,10 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from permutwirl import coherence, entanglement, linalg, states, sweeps, twirl, verify
-from permutwirl.errors import DimensionTooLargeError, ParamOutOfRangeError
+from permutwirl.errors import (
+    DimensionTooLargeError,
+    InvalidBellParamsError,
+    ParamOutOfRangeError,
+)
 
 
 def _bell_rows_per_point(grid):
@@ -91,6 +96,21 @@ def test_bell_lattice_grid_guards():
         sweeps.bell_lattice(1)
     with pytest.raises(DimensionTooLargeError, match=str((sweeps.MAX_BELL_GRID + 1) ** 3)):
         sweeps.bell_lattice(sweeps.MAX_BELL_GRID + 1)
+
+
+@pytest.mark.parametrize("grid", range(2, 12))
+def test_bell_lattice_keeps_the_points_validation_accepts(grid):
+    axis = np.linspace(-1.0, 1.0, grid)
+    accepted = []
+    for t in itertools.product(axis, repeat=3):
+        try:
+            states.validate_bell_params(*t)
+        except InvalidBellParamsError:
+            continue
+        accepted.append(list(t))
+    t, rho = sweeps.bell_lattice(grid)
+    assert t.tolist() == accepted
+    assert len(rho) == len(accepted)
 
 
 @pytest.mark.parametrize("r2, r3", [(np.nan, 0.1), (0.1, np.nan), (np.nan, np.nan)])

@@ -361,6 +361,80 @@ def test_twirl_params_rejects_non_real_sum():
         twirl.twirl_params(states.DensityMatrix(mat, (2,)))
 
 
+# ------------------------------------------------- validation at the edge
+#
+# Every consumer of a state must accept what validate_density accepts:
+# eigenvalues down to -DEFAULT_TOL, and each entry pair Hermitian within it.
+
+TOL = linalg.DEFAULT_TOL
+
+
+def _edge_density(d, lam_min, placement):
+    """A trace-one density whose smallest eigenvalue, lam_min, sits on the
+    uniform superposition psi+ ("psi+"), on every vector orthogonal to it
+    ("psi+ top", psi+ taking the rest), or on a random vector ("random")."""
+    rng = np.random.default_rng(d)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    if placement != "random":
+        g[:, 0] = 1.0
+    q, _ = np.linalg.qr(g)
+    if placement == "psi+ top":
+        lam = np.concatenate([[1 - (d - 1) * lam_min], np.full(d - 1, lam_min)])
+    else:
+        lam = np.concatenate([[lam_min], np.full(d - 1, (1 - lam_min) / (d - 1))])
+    rho = (q * lam) @ q.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+def _pairwise_non_hermitian(d, dev):
+    """I/d with each entry above the diagonal moved by i dev: every pair
+    deviates from Hermitian by dev, and the off-diagonal sum has imaginary
+    part d (d - 1) / 2 * dev."""
+    return np.eye(d, dtype=complex) / d + 1j * dev * np.triu(np.ones((d, d)), 1)
+
+
+EDGE_CASES = [
+    (d, lam, placement)
+    for d in (2, 3, 5)
+    for lam in (-0.9 * TOL, -0.5 * TOL)
+    for placement in ("psi+", "psi+ top", "random")
+]
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [_edge_density(*case) for case in EDGE_CASES]
+    + [_pairwise_non_hermitian(d, 0.9 * TOL) for d in (3, 5)],
+    ids=[f"d{d}-{lam / TOL:g}tol-{where}" for d, lam, where in EDGE_CASES]
+    + ["d3-pairwise", "d5-pairwise"],
+)
+def test_every_consumer_accepts_what_validation_accepts(mat):
+    rho = states.validate_density(mat)
+    d = rho.d
+    for measure in coherence.MEASURES:
+        coherence.coherence_report(rho, measure)
+    summary = twirl.twirl_params(rho)
+    star = twirl.reconstruct_output_state(summary)
+    family = states.maximally_coherent_mixed_state(d, summary.weight)
+    assert linalg.max_abs_diff(star.mat, family.mat) <= 1e-15
+    states.validate_density(star.mat)
+    bound = coherence.rel_ent_lower_bounds(mat[None])
+    assert np.isfinite(bound).all() and bound[0] == coherence.rel_ent_lower_bound(rho)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_off_diagonal_sum_may_hold_every_pairs_tolerance(d):
+    bound = d * (d - 1) / 2 * TOL
+    mat = _pairwise_non_hermitian(d, 0.9 * TOL)
+    assert abs(mat.sum().imag) > TOL
+    states.validate_density(mat)
+    assert twirl.off_diagonal_means(mat) == pytest.approx(0.0, abs=1e-15)
+    past = np.eye(d, dtype=complex) / d
+    past[0, 1] = 1.01j * bound
+    with pytest.raises(NonRealSumError):
+        twirl.off_diagonal_means(past)
+
+
 def test_twirl_params_requires_monopartite():
     rho = states.maximally_entangled_state(2)
     with pytest.raises(DimMismatchError):
