@@ -18,7 +18,6 @@ import numpy as np
 from . import linalg, states, twirl
 from .errors import (
     DimensionTooLargeError,
-    DimMismatchError,
     NotPositiveError,
     SampleCountError,
 )
@@ -64,11 +63,6 @@ class AssistanceEstimate:
     seed: int
 
 
-def _require_monopartite(rho: DensityMatrix) -> None:
-    if len(rho.dims) != 1:
-        raise DimMismatchError(f"expected a monopartite state, got dims {rho.dims}")
-
-
 def _check_measure(measure: str) -> str:
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
@@ -104,19 +98,19 @@ def _entropies(m: np.ndarray) -> np.ndarray:
 
 def dephase(rho: DensityMatrix) -> DensityMatrix:
     """Keep only the diagonal; idempotent."""
-    _require_monopartite(rho)
+    linalg._check_dims(rho.dims, rho.d, 1)
     return DensityMatrix(np.diag(np.diag(rho.mat)), rho.dims)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-Tr(rho ln rho) in nats, with 0 ln 0 = 0."""
-    _require_monopartite(rho)
+    linalg._check_dims(rho.dims, rho.d, 1)
     return float(_entropies(rho.mat))
 
 
 def l1_coherence(rho: DensityMatrix) -> float:
     """Sum of the magnitudes of all off-diagonal entries."""
-    _require_monopartite(rho)
+    linalg._check_dims(rho.dims, rho.d, 1)
     return float(l1_coherences(rho.mat))
 
 
@@ -128,7 +122,7 @@ def l1_coherences(mats) -> np.ndarray:
 
 def rel_ent_coherence(rho: DensityMatrix) -> float:
     """Entropy of the dephased state minus entropy of the state (nats)."""
-    _require_monopartite(rho)
+    linalg._check_dims(rho.dims, rho.d, 1)
     return float(rel_ent_coherences(rho.mat))
 
 
@@ -146,7 +140,7 @@ def l1_lower_bound(rho: DensityMatrix) -> float:
 
     Tight whenever all off-diagonal entries are real with a uniform sign.
     """
-    _require_monopartite(rho)
+    linalg._check_dims(rho.dims, rho.d, 1)
     return float(l1_lower_bounds(rho.mat))
 
 
@@ -170,7 +164,7 @@ def rel_ent_lower_bound(rho: DensityMatrix) -> float:
     (d - 1) w + 1 are d times the eigenvalues of that state; one below
     ``-linalg.DEFAULT_TOL`` raises WeightOutOfRangeError.
     """
-    _require_monopartite(rho)
+    linalg._check_dims(rho.dims, rho.d, 1)
     return float(rel_ent_lower_bounds(rho.mat))
 
 
@@ -186,7 +180,16 @@ def rel_ent_lower_bounds(mats) -> np.ndarray:
 
 
 def coherence_report(rho: DensityMatrix, measure: str) -> CoherenceReport:
-    """Measure value, its twirl lower bound, and the (nonnegative) gap."""
+    """Measure value, its twirl lower bound, and the gap value - bound.
+
+    On a state, 0 <= bound <= value <= ln d (relent) or d - 1 (l1).  On an
+    input that validation accepts only within ``linalg.DEFAULT_TOL`` = tol
+    (an eigenvalue in [-tol, 0), a trace off 1, entry pairs off Hermitian)
+    nothing is clamped: a value or bound may leave that range by up to
+    2 d^2 tol, and the relent gap may be negative by up to d^2 ln(1/tol) tol
+    (about 23 d^2 tol; entropies move as x ln x near a zero eigenvalue).
+    The l1 gap is >= 0 up to rounding.
+    """
     if _check_measure(measure) == MEASURE_L1:
         value, bound = l1_coherence(rho), l1_lower_bound(rho)
     else:
@@ -271,7 +274,7 @@ def assistance_estimate(
         DimensionTooLargeError: if ``samples`` > MAX_ASSIST_SAMPLES (checked
             before any eigensolve or draw).
     """
-    _require_monopartite(rho)
+    linalg._check_dims(rho.dims, rho.d, 1)
     measure = _check_measure(measure)
     if samples < 1:
         raise SampleCountError(f"samples must be >= 1, got {samples}")

@@ -6,7 +6,6 @@ from enum import Enum
 import numpy as np
 
 from . import linalg, states
-from .errors import DimMismatchError
 from .states import DensityMatrix
 
 PPT_TOL = 1e-10
@@ -34,12 +33,6 @@ class PptReport:
     tol: float
 
 
-def _require_bipartite(rho: DensityMatrix) -> tuple[int, int]:
-    if len(rho.dims) != 2:
-        raise DimMismatchError(f"expected a bipartite state, got dims {rho.dims}")
-    return rho.dims[0], rho.dims[1]
-
-
 def is_ppt(rho: DensityMatrix, tol: float = PPT_TOL, side: str = "A") -> PptReport:
     """Partial-transpose the named side, take its eigenvalues, report.
 
@@ -47,8 +40,7 @@ def is_ppt(rho: DensityMatrix, tol: float = PPT_TOL, side: str = "A") -> PptRepo
     are full transposes of each other, hence isospectral.
     """
     linalg._check_tol(tol)
-    dims = _require_bipartite(rho)
-    min_eig = float(min_pt_eigenvalues(rho.mat, dims, side))
+    min_eig = float(min_pt_eigenvalues(rho.mat, rho.dims, side))  # checks the dims
     return PptReport(
         min_eig_pt=min_eig,
         is_ppt=min_eig >= -tol,
@@ -76,11 +68,10 @@ def separable_verdict(rho: DensityMatrix) -> Verdict:
     systems, so for d_A * d_B <= 6 PPT decides separability; in larger
     systems a PPT state stays undecided.
     """
-    d_a, d_b = _require_bipartite(rho)
-    report = is_ppt(rho)
+    report = is_ppt(rho)  # which refuses dims that are not two factors
     if not report.is_ppt:
         return Verdict.ENTANGLED
-    if d_a * d_b <= 6:
+    if rho.d <= 6:
         return Verdict.SEPARABLE
     return Verdict.UNDECIDED
 

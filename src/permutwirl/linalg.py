@@ -8,6 +8,8 @@ Bipartite operators use the row-major composite index ``i_A * d_B + i_B``,
 the same convention as ``numpy.kron``.
 """
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -138,17 +140,30 @@ def _hermitian_solve(solver, a):
 
 
 def split_dims(x: np.ndarray, dims) -> tuple[int, int]:
-    """Validate that ``x`` (or each matrix of a stack) is square with side
-    ``dims[0] * dims[1]``."""
-    d_a, d_b = int(dims[0]), int(dims[1])
-    if d_a < 1 or d_b < 1:
-        raise DimMismatchError(f"subsystem dimensions must be positive, got {dims}")
-    d = require_square(x)
-    if d != d_a * d_b:
+    """``(d_A, d_B)`` from ``dims`` checked by :func:`_check_dims` as two
+    factors whose product is the side of ``x`` (or of each matrix of a
+    stack); an ``x`` that is not square raises NonSquareError."""
+    return _check_dims(dims, require_square(x), 2)
+
+
+def _check_dims(dims, side: int | None, count: int | None = None) -> tuple[int, ...]:
+    """The one subsystem-dimension rule: ``dims`` as a tuple of ints when
+    they are a nonempty sequence of positive integers (a bool or a float is
+    refused, never truncated), of ``count`` factors and with product ``side``
+    (each when given); else DimMismatchError, naming what fails."""
+    out = tuple(dims) if np.iterable(dims) else ()
+    if not out or not all(
+        isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 1 for k in out
+    ):
         raise DimMismatchError(
-            f"matrix side {d} does not equal product of dims {d_a}x{d_b}"
+            f"dims must be a nonempty sequence of positive integers, got {dims!r}"
         )
-    return d_a, d_b
+    out = tuple(map(int, out))
+    if count is not None and len(out) != count:
+        raise DimMismatchError(f"expected {count} factor(s), got dims {out}")
+    if side is not None and math.prod(out) != side:
+        raise DimMismatchError(f"product of dims {out} does not equal matrix side {side}")
+    return out
 
 
 def _check_tol(tol: float) -> None:

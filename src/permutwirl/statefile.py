@@ -5,9 +5,11 @@ Schema::
     {"dims": [2, 2], "matrix": [[re, im], ...], "label": "optional"}
 
 with the matrix flattened row-major, one [re, im] pair per entry.  Each
-part is a finite JSON number, integer or float.  A load rejects NaN,
-Infinity, -Infinity and integers too large for a float; a save refuses a
-matrix holding NaN or an infinity.  Floats are written exactly as ``json.dumps`` writes them (``repr``), so
+part is a finite JSON number, integer or float.  Both directions check
+dims by ``linalg._check_dims``.  A load rejects NaN, Infinity, -Infinity
+and integers too large for a float; before it writes, a save refuses a
+matrix holding NaN or an infinity, and dims or a shape that a load would
+refuse.  Floats are written exactly as ``json.dumps`` writes them (``repr``), so
 save followed by load is bit-exact.  The path '-' means stdin/stdout.
 
 Both directions work on whole arrays.  A load checks the types of every
@@ -27,8 +29,8 @@ from itertools import chain
 
 import numpy as np
 
-from . import states
-from .errors import StateFileError
+from . import linalg, states
+from .errors import DimMismatchError, NonSquareError, StateFileError
 
 
 @dataclass(frozen=True)
@@ -104,20 +106,13 @@ def load_raw(source) -> StateFile:
     for field in ("dims", "matrix"):
         if field not in doc:
             raise StateFileError(f"missing field '{field}'")
-    dims_raw = doc["dims"]
-    if (
-        not isinstance(dims_raw, list)
-        or not dims_raw
-        or not all(
-            isinstance(k, int) and not isinstance(k, bool) and k >= 1
-            for k in dims_raw
-        )
-    ):
-        raise StateFileError("field 'dims' must be a nonempty list of positive integers")
-    dims = tuple(dims_raw)
-    d = 1
-    for k in dims:
-        d *= k
+    try:  # the matrix field, not yet read, is sized from the dims
+        dims = linalg._check_dims(doc["dims"], None)
+    except DimMismatchError:
+        raise StateFileError(
+            "field 'dims' must be a nonempty list of positive integers"
+        ) from None
+    d = math.prod(dims)
     entries = doc["matrix"]
     if not isinstance(entries, list) or len(entries) != d * d:
         raise StateFileError(
@@ -169,12 +164,18 @@ def save_state(target, mat: np.ndarray, dims, label: str | None = None) -> None:
     """Write a state file; floats keep round-trip precision.
 
     The text is the one ``json.dumps`` gives for the schema document.
-    Raises StateFileError, before writing anything, if ``mat`` holds NaN
-    or an infinity.
+    Before it opens ``target``, it refuses what a load would refuse:
+    NonSquareError unless ``mat`` is a square matrix, DimMismatchError for
+    ``dims`` that ``linalg._check_dims`` refuses against its side, and
+    StateFileError if it holds NaN or an infinity.
     """
+    mat = np.asarray(mat, dtype=complex)
+    if mat.ndim != 2:
+        raise NonSquareError(f"expected a square matrix, got shape {mat.shape}")
+    dims = linalg._check_dims(dims, linalg.require_square(mat))
     parts = (
-        '{"dims": ' + json.dumps([int(k) for k in dims]) + ', "matrix": [',
-        _matrix_entries_json(np.asarray(mat, dtype=complex)),
+        '{"dims": ' + json.dumps(list(dims)) + ', "matrix": [',
+        _matrix_entries_json(mat),
         "]" + ("" if label is None else ', "label": ' + json.dumps(label)) + "}\n",
     )
     if target == "-" or hasattr(target, "write"):

@@ -46,33 +46,20 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
-def _normalize_dims(d: int, dims) -> tuple[int, ...]:
-    if dims is None:
-        return (d,)
-    out = tuple(int(k) for k in dims)
-    if any(k < 1 for k in out):
-        raise DimMismatchError(f"dimensions must be positive, got {dims}")
-    prod = 1
-    for k in out:
-        prod *= k
-    if prod != d:
-        raise DimMismatchError(f"product of dims {out} does not equal matrix side {d}")
-    return out
-
-
 def validate_density(m, dims=None) -> DensityMatrix:
     """Check Hermiticity, unit trace and positivity; return the state.
 
     Each check allows ``linalg.DEFAULT_TOL``.  Never repairs the input.  Use
     :func:`sanitize_density` to clamp tiny negative eigenvalues explicitly.
     One row of :func:`validate_density_stack`, with messages that name no index.
+    ``dims`` (default ``(D,)``) are checked first, by ``linalg._check_dims``.
 
     Raises:
-        NotHermitianError, TraceNotOneError, NotPositiveError
+        DimMismatchError, NotHermitianError, TraceNotOneError, NotPositiveError
     """
     mat = linalg.as_complex_matrix(m)
     d = linalg.require_square(mat)
-    dims = _normalize_dims(d, dims)
+    dims = linalg._check_dims((d,) if dims is None else dims, d)
     _check_densities(mat[None], where=lambda i: "")
     return DensityMatrix(mat, dims)
 
@@ -172,7 +159,7 @@ def sanitize_density(m, dims=None) -> DensityMatrix:
     """
     mat = linalg.as_complex_matrix(m)
     d = linalg.require_square(mat)
-    dims = _normalize_dims(d, dims)
+    dims = linalg._check_dims((d,) if dims is None else dims, d)
     w, v = linalg.hermitian_eigen(mat)
     w = np.clip(w.real, 0.0, None)
     total = float(w.sum())
@@ -215,8 +202,7 @@ def qubit_stack_from_bloch(vectors) -> np.ndarray:
 def bloch_of_qubit(rho: DensityMatrix) -> np.ndarray:
     """Bloch vector (Tr rho sigma_k for k = 1..3) of a qubit state; one row
     of :func:`bloch_of_qubit_stack`."""
-    if rho.dims != (2,):
-        raise DimMismatchError(f"expected a single qubit, got dims {rho.dims}")
+    linalg._check_dims(rho.dims, 2, 1)
     return bloch_of_qubit_stack(rho.mat[None])[0]
 
 
@@ -407,9 +393,10 @@ def bell_diagonal_stack(triples) -> np.ndarray:
 
 
 def random_density(d: int, rng: np.random.Generator, dims=None) -> DensityMatrix:
-    """Full-rank random state G G^dagger / Tr, G with iid complex normals."""
-    mat = random_density_stack(d, 1, rng)[0]
-    return DensityMatrix(mat, _normalize_dims(d, dims))
+    """Full-rank random state G G^dagger / Tr, G with iid complex normals;
+    ``dims`` (default ``(d,)``) pass ``linalg._check_dims`` before the draw."""
+    dims = linalg._check_dims((d,) if dims is None else dims, d)
+    return DensityMatrix(random_density_stack(d, 1, rng)[0], dims)
 
 
 def random_density_stack(d: int, n: int, rng: np.random.Generator) -> np.ndarray:

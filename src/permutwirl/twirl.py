@@ -42,7 +42,6 @@ from . import linalg, states
 from .errors import (
     CertificateError,
     DimensionTooLargeError,
-    DimMismatchError,
     NonRealSumError,
     ParamOutOfRangeError,
 )
@@ -274,8 +273,7 @@ def twirl_params(rho: DensityMatrix) -> TwirlSummary:
     ``off_diag`` is the mean of the off-diagonal entries (see
     :func:`off_diagonal_means`).  ``weight = dim * off_diag``.
     """
-    if len(rho.dims) != 1:
-        raise DimMismatchError(f"expected a monopartite state, got dims {rho.dims}")
+    linalg._check_dims(rho.dims, rho.d, 1)
     a = float(off_diagonal_means(rho.mat))
     return TwirlSummary(dim=rho.d, off_diag=a, weight=rho.d * a)
 
@@ -492,9 +490,7 @@ def _collective_matrix(x, d: int) -> np.ndarray:
     m = linalg.as_complex_matrix(x, stack=True)
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    side = linalg.require_square(m)
-    if side != d * d:
-        raise DimMismatchError(f"matrix side {side} does not equal d^2 = {d * d}")
+    linalg._check_dims((d, d), linalg.require_square(m))
     return m
 
 

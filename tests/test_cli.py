@@ -80,6 +80,28 @@ def test_twirl_side_requires_bipartite_file(tmp_path, capsys):
     assert "bipartite" in err
 
 
+@pytest.mark.parametrize("dims", [(4,), (2, 2, 2)])
+@pytest.mark.parametrize("side", ["A", "B", "both"])
+def test_twirl_side_refuses_a_file_that_is_not_two_factors(tmp_path, capsys, dims, side):
+    # the CLI's own factor-count check, ahead of the library's dims rule
+    rho = states.random_density(math.prod(dims), np.random.default_rng(5), dims=dims)
+    code, out, err = _run(capsys, ["twirl", _write_state(tmp_path, "s.json", rho), "--side", side])
+    assert code == cli.EXIT_INVALID
+    assert out == ""
+    assert _one_error_line(err), err
+    assert f"--side {side}" in err
+
+
+def test_twirl_side_none_keeps_three_factor_dims(tmp_path, capsys):
+    rho = states.random_density(8, np.random.default_rng(5), dims=(2, 2, 2))
+    out_path = tmp_path / "out.json"
+    argv = ["twirl", _write_state(tmp_path, "s.json", rho), "--side", "none", "--out", str(out_path)]
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["dim"] == 8
+    assert statefile.load_density(out_path).dims == (2, 2, 2)
+
+
 def test_twirl_raw_mode_accepts_operators(tmp_path, capsys):
     path = str(tmp_path / "sigma3.json")
     statefile.save_state(path, states.SIGMA_3, (2,))

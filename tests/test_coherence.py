@@ -209,6 +209,39 @@ def test_gap_nonnegative_on_random_states(measure):
             assert coherence.coherence_report(rho, measure).gap >= -1e-10
 
 
+def _edge_qubit(lam_plus):
+    # eigenvalue lam_plus on psi+ = (|0> + |1>)/sqrt 2, 1 - lam_plus on psi-
+    plus, minus = np.array([1.0, 1.0]) / np.sqrt(2), np.array([1.0, -1.0]) / np.sqrt(2)
+    return states.validate_density(
+        lam_plus * np.outer(plus, plus) + (1 - lam_plus) * np.outer(minus, minus)
+    )
+
+
+@pytest.mark.parametrize("lam_plus", [-0.9e-10, 1 + 0.9e-10])
+def test_edge_slack_of_an_accepted_state(lam_plus):
+    # outputs are not clamped: on this accepted state each leaves its range,
+    # by less than the slack that coherence_report documents
+    tol, d = linalg.DEFAULT_TOL, 2
+    rho = _edge_qubit(lam_plus)
+    relent = coherence.coherence_report(rho, "relent")
+    l1 = coherence.coherence_report(rho, "l1")
+    assert 0 < relent.value - LN2 <= 2 * d * d * tol
+    assert 0 < relent.lower_bound - LN2 <= 2 * d * d * tol
+    assert -d * d * np.log(1 / tol) * tol <= relent.gap < 0
+    assert 0 < l1.value - (d - 1) <= 2 * d * d * tol
+    assert 0 < l1.lower_bound - (d - 1) <= 2 * d * d * tol
+    assert l1.gap >= 0
+
+
+def test_edge_slack_figures():
+    relent = coherence.coherence_report(_edge_qubit(-0.9e-10), "relent")
+    l1 = coherence.coherence_report(_edge_qubit(-0.9e-10), "l1")
+    assert relent.value == pytest.approx(0.6931471806499452, rel=0, abs=1e-15)
+    assert relent.lower_bound == pytest.approx(0.6931471807123285, rel=0, abs=1e-15)
+    assert relent.gap == pytest.approx(-6.24e-11, rel=1e-3)
+    assert l1.value == pytest.approx(1.00000000018, rel=0, abs=1e-15)
+
+
 @pytest.mark.parametrize("measure", coherence.MEASURES)
 def test_measures_invariant_under_permutations(measure):
     rng = np.random.default_rng(55)

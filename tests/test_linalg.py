@@ -204,3 +204,73 @@ def test_a_tol_that_is_not_finite_and_nonnegative_is_refused(call, tol):
 def test_a_zero_tol_is_accepted():
     assert entanglement.is_ppt(states.maximally_entangled_state(2), tol=0.0).tol == 0.0
     assert entanglement.bell_octahedron_member(0.5, 0.25, 0.25, tol=0.0)
+
+
+# ------------------------------------------------------------ the dims rule
+#
+# Every function that takes subsystem dimensions refuses, with
+# DimMismatchError, the dims that a state-file load refuses: not a nonempty
+# sequence of positive integers (a bool or a float is never truncated), the
+# wrong number of factors, or a product other than the matrix side.
+
+MIXED4 = np.eye(4) / 4
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (twirl.twirl_one_sided, (MIXED4, (2, 2, 5), "A")),
+        (twirl.twirl_one_sided, (MIXED4, (4,), "A")),
+        (twirl.twirl_two_sided, (MIXED4, (2.9, 2))),
+        (linalg.partial_trace, (MIXED4, (4, True), "B")),
+        (states.validate_density, (MIXED4, (True, 4))),
+        (states.validate_density, (MIXED4, (2.0, 2))),
+        (states.validate_density, (MIXED4, 4)),
+        (states.validate_density, (MIXED4, ())),
+        (states.sanitize_density, (MIXED4, (4.0,))),
+        (states.random_density, (0, np.random.default_rng(1))),
+        (states.random_density, (4, np.random.default_rng(1), (2, 2.0))),
+        (twirl.collective_twirl, (MIXED4, 2.0)),
+        (entanglement.is_ppt, (states.DensityMatrix(MIXED4, (2, 2, 1)),)),
+        (twirl.twirl_params, (states.DensityMatrix(MIXED4, (2, 2)),)),
+        (coherence.l1_coherence, (states.DensityMatrix(MIXED4, (2, 2)),)),
+        (coherence.l1_coherence, (states.DensityMatrix(MIXED4, (3,)),)),
+    ],
+    ids=[
+        "one-sided-three-factors",
+        "one-sided-one-factor",
+        "two-sided-float",
+        "partial-trace-bool",
+        "validate-bool",
+        "validate-float",
+        "validate-not-a-sequence",
+        "validate-empty",
+        "sanitize-float",
+        "random-d0",
+        "random-float",
+        "collective-float-d",
+        "ppt-three-factors",
+        "twirl-params-two-factors",
+        "l1-two-factors",
+        "l1-product",
+    ],
+)
+def test_dims_rule_refuses(fn, args):
+    with pytest.raises(DimMismatchError) as caught:
+        fn(*args)
+    assert caught.type is DimMismatchError
+
+
+def test_dims_rule_reads_numpy_integers_as_ints():
+    dims = states.validate_density(MIXED4, np.array([2, 2])).dims
+    assert dims == (2, 2) and all(type(k) is int for k in dims)
+    assert linalg.split_dims(MIXED4, (np.int64(4), 1)) == (4, 1)
+
+
+def test_random_density_refusal_leaves_the_generator():
+    rng = np.random.default_rng(3)
+    with pytest.raises(DimMismatchError):
+        states.random_density(4, rng, dims=(2, 3))
+    np.testing.assert_array_equal(
+        states.random_density(4, rng).mat, states.random_density(4, np.random.default_rng(3)).mat
+    )

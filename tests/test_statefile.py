@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permutwirl import statefile, states
-from permutwirl.errors import StateFileError, TraceNotOneError
+from permutwirl.errors import DimMismatchError, NonSquareError, StateFileError, TraceNotOneError
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -130,6 +130,32 @@ def test_save_refuses_non_finite(tmp_path):
         with pytest.raises(StateFileError, match="not finite"):
             statefile.save_state(path, mat, (2,))
         assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "mat, dims, error",
+    [
+        (np.eye(4) / 4, (3,), DimMismatchError),
+        (np.eye(4) / 4, (0, 4), DimMismatchError),
+        (np.eye(4) / 4, (2.0, 2), DimMismatchError),
+        (np.eye(4) / 4, (True, 4), DimMismatchError),
+        (np.eye(4) / 4, [], DimMismatchError),
+        (np.ones((2, 3)) / 2, (2,), NonSquareError),
+        (np.eye(2)[None] / 2, (2,), NonSquareError),
+        (np.full(4, 0.25), (2,), NonSquareError),
+    ],
+    ids=["product", "zero", "float", "bool", "empty", "2x3", "stack", "vector"],
+)
+def test_save_refuses_what_a_load_refuses_before_writing(tmp_path, mat, dims, error):
+    path = tmp_path / "out.json"
+    path.write_text("kept")
+    with pytest.raises(error):
+        statefile.save_state(path, mat, dims)
+    assert path.read_text() == "kept"
+    buf = io.StringIO()
+    with pytest.raises(error):
+        statefile.save_state(buf, mat, dims)
+    assert buf.getvalue() == ""
 
 
 def test_non_object_top_level(tmp_path):
