@@ -40,7 +40,7 @@ def is_ppt(rho: DensityMatrix, tol: float = PPT_TOL, side: str = "A") -> PptRepo
     are full transposes of each other, hence isospectral.
     """
     linalg._check_tol(tol)
-    min_eig = float(min_pt_eigenvalues(rho.mat, rho.dims, side))  # checks the dims
+    min_eig = float(min_pt_eigenvalues(rho.mat, rho.dims, side))  # split_dims checks them
     return PptReport(
         min_eig_pt=min_eig,
         is_ppt=min_eig >= -tol,

@@ -164,10 +164,10 @@ def save_state(target, mat: np.ndarray, dims, label: str | None = None) -> None:
     """Write a state file; floats keep round-trip precision.
 
     The text is the one ``json.dumps`` gives for the schema document.
-    Before it opens ``target``, it refuses what a load would refuse:
-    NonSquareError unless ``mat`` is a square matrix, DimMismatchError for
-    ``dims`` that ``linalg._check_dims`` refuses against its side, and
-    StateFileError if it holds NaN or an infinity.
+    Before it opens ``target``, it raises NonSquareError unless ``mat`` is
+    a square matrix, DimMismatchError for the ``dims`` a load refuses (by
+    ``linalg._check_dims`` against its side), and StateFileError if it
+    holds NaN or an infinity.
     """
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2:
