@@ -3,8 +3,9 @@
 Commands: ``twirl``, ``coherence``, ``sweep-qubit``, ``sweep-bell``,
 ``verify``.  Exit codes: 0 success, 1 validation or parse error,
 2 dimension guard, 3 verification failure.  The environment variable
-``PERMUTWIRL_SEED`` overrides the default seed where no ``--seed`` flag
-is given.  File arguments accept '-' for stdin/stdout.
+``PERMUTWIRL_SEED`` sets ``verify``'s seed where no ``--seed`` flag is
+given; no other command reads it.  File arguments accept '-' for
+stdin/stdout.
 """
 
 import argparse

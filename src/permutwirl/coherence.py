@@ -161,8 +161,11 @@ def rel_ent_lower_bound(rho: DensityMatrix) -> float:
 
     evaluated with 0 ln 0 = 0 at the endpoints.  Agrees with computing
     the measure on the reconstructed output state directly.  1 - w and
-    (d - 1) w + 1 are d times the eigenvalues of that state; one below
-    ``-linalg.DEFAULT_TOL`` raises WeightOutOfRangeError.
+    (d - 1) w + 1 are d times the eigenvalues of that state.  The family
+    is checked at the twirled state's own diagonal, tr/d: an eigenvalue
+    of the twirl below ``-linalg.DEFAULT_TOL`` raises WeightOutOfRangeError.
+    The twirl is mixed-unitary, so its lowest eigenvalue is at least the
+    input's, and no state that validation accepts is refused.
     """
     linalg._check_dims(rho.dims, rho.d, 1)
     return float(rel_ent_lower_bounds(rho.mat))
@@ -172,7 +175,8 @@ def rel_ent_lower_bounds(mats) -> np.ndarray:
     """:func:`rel_ent_lower_bound` of each matrix of a stack ``(n, d, d)``."""
     m = np.asarray(mats, dtype=complex)
     d = m.shape[-1]
-    w = d * states._family_off_diag(d, twirl.off_diagonal_means(m))
+    diag = np.trace(m, axis1=-2, axis2=-1).real / d
+    w = d * states._family_off_diag(d, twirl.off_diagonal_means(m), diag)
     # Clamp endpoint noise so the log arguments stay nonnegative.
     u = np.maximum(0.0, 1.0 - w)
     v = np.maximum(0.0, (d - 1) * w + 1.0)
@@ -270,14 +274,13 @@ def assistance_estimate(
     Deterministic given ``seed``.
 
     Raises:
-        SampleCountError: if ``samples`` < 1.
+        SampleCountError: if ``samples`` is not an integer >= 1.
         DimensionTooLargeError: if ``samples`` > MAX_ASSIST_SAMPLES (checked
             before any eigensolve or draw).
     """
     linalg._check_dims(rho.dims, rho.d, 1)
     measure = _check_measure(measure)
-    if samples < 1:
-        raise SampleCountError(f"samples must be >= 1, got {samples}")
+    samples = linalg._check_count(samples, "samples", 1, SampleCountError)
     if samples > MAX_ASSIST_SAMPLES:
         raise DimensionTooLargeError(
             f"samples {samples} exceeds the limit of {MAX_ASSIST_SAMPLES}: the "

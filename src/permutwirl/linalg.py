@@ -166,6 +166,17 @@ def _check_dims(dims, side: int | None, count: int | None = None) -> tuple[int, 
     return out
 
 
+def _check_count(value, name: str, least: int, error: type[Exception]) -> int:
+    """``value`` as an int when it is an integer of at least ``least`` (a
+    bool, a float, NaN or an infinity is refused, never truncated); else
+    ``error``, the class each caller raises for a count below its minimum."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise error(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def _check_tol(tol: float) -> None:
     if not 0.0 <= tol < np.inf:  # NaN included
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")

@@ -8,9 +8,10 @@ with the matrix flattened row-major, one [re, im] pair per entry.  Each
 part is a finite JSON number, integer or float.  Both directions check
 dims by ``linalg._check_dims``.  A load rejects NaN, Infinity, -Infinity
 and integers too large for a float; before it writes, a save refuses a
-matrix holding NaN or an infinity, and dims or a shape that a load would
-refuse.  Floats are written exactly as ``json.dumps`` writes them (``repr``), so
-save followed by load is bit-exact.  The path '-' means stdin/stdout.
+matrix holding NaN or an infinity, and dims, a shape or a label that a
+load would refuse.  Floats are written exactly as ``json.dumps`` writes
+them (``repr``), so save followed by load is bit-exact.  The path '-'
+means stdin/stdout.
 
 Both directions work on whole arrays.  A load checks the types of every
 entry and part with set-building passes, then converts all parts in one
@@ -167,12 +168,14 @@ def save_state(target, mat: np.ndarray, dims, label: str | None = None) -> None:
     Before it opens ``target``, it raises NonSquareError unless ``mat`` is
     a square matrix, DimMismatchError for the ``dims`` a load refuses (by
     ``linalg._check_dims`` against its side), and StateFileError if it
-    holds NaN or an infinity.
+    holds NaN or an infinity or ``label`` is not a string.
     """
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2:
         raise NonSquareError(f"expected a square matrix, got shape {mat.shape}")
     dims = linalg._check_dims(dims, linalg.require_square(mat))
+    if label is not None and not isinstance(label, str):
+        raise StateFileError("field 'label' must be a string")
     parts = (
         '{"dims": ' + json.dumps(list(dims)) + ', "matrix": [',
         _matrix_entries_json(mat),

@@ -312,17 +312,20 @@ def maximally_coherent_mixed_state(d: int, p: float) -> DensityMatrix:
     return DensityMatrix(_fill((d, d), a, 1.0 / d), (d,))
 
 
-def _family_off_diag(d: int, off_diag) -> np.ndarray:
+def _family_off_diag(d: int, off_diag, diag=None) -> np.ndarray:
     """``off_diag`` as a float array, each entry a checked to give a state of
-    diagonal 1/d: its eigenvalues 1/d + (d - 1) a and (at d >= 2) 1/d - a are
-    at least ``-linalg.DEFAULT_TOL``, as :func:`validate_density` requires.
+    diagonal c, ``diag`` (its own entry or one for all; 1/d by default): at
+    d >= 2 its eigenvalues c + (d - 1) a and c - a are at least
+    ``-linalg.DEFAULT_TOL``, as :func:`validate_density` requires.  At
+    d = 1 the member is [[1]] whatever c is, and every finite a passes.
 
     Raises:
         WeightOutOfRangeError: if an entry fails, NaN and infinities included.
     """
     a = np.asarray(off_diag, dtype=float)
+    c = np.asarray(1.0 / d if diag is None else diag, dtype=float)
     with np.errstate(invalid="ignore"):  # 0 * inf at d = 1 is NaN, refused
-        lowest = np.minimum(1.0 / d + (d - 1) * a, 1.0 / d - a if d > 1 else 1.0)
+        lowest = np.minimum(c + (d - 1) * a, c - a) if d > 1 else 1.0 + 0.0 * a
     bad = ~(lowest >= -linalg.DEFAULT_TOL)  # NaN included
     if bad.any():
         raise WeightOutOfRangeError(

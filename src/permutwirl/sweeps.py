@@ -38,7 +38,7 @@ def qubit_sweep_rows(r2: float, r3: float, steps: int) -> np.ndarray:
 
     Raises:
         ParamOutOfRangeError: if r2 or r3 is not finite, r2^2 + r3^2 > 1,
-            or ``steps`` < 1.
+            or ``steps`` is not an integer >= 1.
         DimensionTooLargeError: if ``steps`` > MAX_QUBIT_STEPS (checked
             before any row is built).
     """
@@ -50,8 +50,7 @@ def qubit_sweep_rows(r2: float, r3: float, steps: int) -> np.ndarray:
         )
     if not norm_sq <= 1.0:
         raise ParamOutOfRangeError(f"r2^2 + r3^2 = {norm_sq:.12g} exceeds 1")
-    if steps < 1:
-        raise ParamOutOfRangeError(f"steps must be >= 1, got {steps}")
+    steps = linalg._check_count(steps, "steps", 1, ParamOutOfRangeError)
     if steps > MAX_QUBIT_STEPS:
         raise DimensionTooLargeError(
             f"steps {steps} exceeds the limit of {MAX_QUBIT_STEPS} sweep rows"
@@ -87,12 +86,11 @@ def bell_lattice(grid: int) -> tuple[np.ndarray, np.ndarray]:
     ``-linalg.DEFAULT_TOL``, as in ``states.validate_bell_params``.
 
     Raises:
-        ParamOutOfRangeError: if ``grid`` < 2.
+        ParamOutOfRangeError: if ``grid`` is not an integer >= 2.
         DimensionTooLargeError: if ``grid`` > MAX_BELL_GRID (checked
             before any allocation).
     """
-    if grid < 2:
-        raise ParamOutOfRangeError(f"grid must be >= 2, got {grid}")
+    grid = linalg._check_count(grid, "grid", 2, ParamOutOfRangeError)
     if grid > MAX_BELL_GRID:
         raise DimensionTooLargeError(
             f"grid {grid} makes {grid**3} lattice points; the limit is "

@@ -372,10 +372,8 @@ def run_suite(
     residual and its declared tol under each of its names in ``_CHECKS``,
     so the names and their order do not depend on how a check ended.
     """
-    if dmax < 1:
-        raise ValueError(f"dmax must be >= 1, got {dmax}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    dmax = linalg._check_count(dmax, "dmax", 1, ValueError)
+    samples = linalg._check_count(samples, "samples", 1, ValueError)
     if dmax > MAX_DMAX:
         raise ValueError(f"dmax must be <= {MAX_DMAX}, got {dmax}")
     if samples > MAX_SAMPLES:

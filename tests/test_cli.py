@@ -265,6 +265,41 @@ def test_twirl_stdin_stdout(tmp_path, capsys, monkeypatch):
     assert doc["dims"] == [2]
 
 
+def _real_density(d, lam_min, seed):
+    """Q diag(lam) Q^T with trace one and smallest eigenvalue lam_min."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    lam = np.full(d, (1 - lam_min) / (d - 1))
+    lam[0] = lam_min
+    return (q * lam) @ q.T
+
+
+TWIRL_BOTH = ["twirl", "--side", "both"]
+COHERENCE_BOTH = ["coherence", "--measure", "both"]
+
+
+@pytest.mark.parametrize(
+    "d, dims, seed, argv, lam_min, expected",
+    [
+        (64, (8, 8), 2, TWIRL_BOTH, -2 * linalg.DEFAULT_TOL, cli.EXIT_INVALID),
+        (4, (2, 2), 3, TWIRL_BOTH, -2 * linalg.DEFAULT_TOL, cli.EXIT_INVALID),
+        (4, (2, 2), 3, TWIRL_BOTH, -linalg.DEFAULT_TOL / 2, cli.EXIT_OK),
+        (4, (4,), 3, COHERENCE_BOTH, -2 * linalg.DEFAULT_TOL, cli.EXIT_INVALID),
+        (4, (4,), 3, COHERENCE_BOTH, -linalg.DEFAULT_TOL / 2, cli.EXIT_OK),
+    ],
+    ids=["d64-twirl", "d4-twirl-refused", "d4-twirl", "c4-coherence-refused", "c4-coherence"],
+)
+def test_positivity_screen_exit_code_at_every_side(
+    tmp_path, capsys, d, dims, seed, argv, lam_min, expected
+):
+    # refused below -tol and accepted above it, whatever the side
+    path = str(tmp_path / "state.json")
+    statefile.save_state(path, _real_density(d, lam_min, seed), dims)
+    code, out, err = _run(capsys, [argv[0], path, *argv[1:]])
+    assert code == expected, err
+    if expected:
+        assert out == "" and "min eigenvalue" in err
+
+
 def _one_error_line(err):
     lines = err.splitlines()
     return len(lines) == 1 and lines[0].startswith("error:") and "Traceback" not in err
@@ -471,9 +506,10 @@ def test_verify_rejects_malformed_env_seed(capsys, monkeypatch):
 
 
 def test_verify_rejects_bad_flags(capsys):
-    code, _, err = _run(capsys, ["verify", "--dmax", "12"])
-    assert code == cli.EXIT_INVALID
-    assert "dmax" in err
+    for dmax in ("12", "10"):
+        code, _, err = _run(capsys, ["verify", "--dmax", dmax])
+        assert code == cli.EXIT_INVALID
+        assert "dmax" in err
     code, _, _ = _run(capsys, ["verify", "--samples", "0"])
     assert code == cli.EXIT_INVALID
 

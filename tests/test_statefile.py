@@ -133,28 +133,29 @@ def test_save_refuses_non_finite(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "mat, dims, error",
+    "mat, dims, label, error",
     [
-        (np.eye(4) / 4, (3,), DimMismatchError),
-        (np.eye(4) / 4, (0, 4), DimMismatchError),
-        (np.eye(4) / 4, (2.0, 2), DimMismatchError),
-        (np.eye(4) / 4, (True, 4), DimMismatchError),
-        (np.eye(4) / 4, [], DimMismatchError),
-        (np.ones((2, 3)) / 2, (2,), NonSquareError),
-        (np.eye(2)[None] / 2, (2,), NonSquareError),
-        (np.full(4, 0.25), (2,), NonSquareError),
+        (np.eye(4) / 4, (3,), None, DimMismatchError),
+        (np.eye(4) / 4, (0, 4), None, DimMismatchError),
+        (np.eye(4) / 4, (2.0, 2), None, DimMismatchError),
+        (np.eye(4) / 4, (True, 4), None, DimMismatchError),
+        (np.eye(4) / 4, [], None, DimMismatchError),
+        (np.ones((2, 3)) / 2, (2,), None, NonSquareError),
+        (np.eye(2)[None] / 2, (2,), None, NonSquareError),
+        (np.full(4, 0.25), (2,), None, NonSquareError),
+        (np.eye(2) / 2, (2,), 5, StateFileError),
     ],
-    ids=["product", "zero", "float", "bool", "empty", "2x3", "stack", "vector"],
+    ids=["product", "zero", "float", "bool", "empty", "2x3", "stack", "vector", "label"],
 )
-def test_save_refuses_what_a_load_refuses_before_writing(tmp_path, mat, dims, error):
+def test_save_refuses_what_a_load_refuses_before_writing(tmp_path, mat, dims, label, error):
     path = tmp_path / "out.json"
     path.write_text("kept")
     with pytest.raises(error):
-        statefile.save_state(path, mat, dims)
+        statefile.save_state(path, mat, dims, label=label)
     assert path.read_text() == "kept"
     buf = io.StringIO()
     with pytest.raises(error):
-        statefile.save_state(buf, mat, dims)
+        statefile.save_state(buf, mat, dims, label=label)
     assert buf.getvalue() == ""
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permutwirl import linalg, states, sweeps, twirl, verify
+from permutwirl import coherence, linalg, states, sweeps, twirl, verify
 from permutwirl.errors import (
     BlochOutsideBallError,
     CertificateError,
@@ -14,6 +14,7 @@ from permutwirl.errors import (
     NotPositiveError,
     ParamOutOfRangeError,
     PermutwirlError,
+    SampleCountError,
     TraceNotOneError,
     WeightOutOfRangeError,
 )
@@ -367,6 +368,23 @@ def _perturbed_choi(monkeypatch):
     )
 
 
+# Each count guard refuses what is not an integer with the class it raises
+# for a count below its minimum, before any draw or allocation.
+COUNT_GUARDS = [
+    ("verify-dmax", verify.run_suite, lambda n: (n, 2), ValueError),
+    ("verify-samples", verify.run_suite, lambda n: (2, n), ValueError),
+    (
+        "assist-samples",
+        coherence.assistance_estimate,
+        lambda n: (states.DensityMatrix(MIXED, (2,)), "l1", n, 1),
+        SampleCountError,
+    ),
+    ("qubit-sweep-steps", sweeps.qubit_sweep_rows, lambda n: (0.1, 0.1, n), ParamOutOfRangeError),
+    ("bell-grid", sweeps.bell_lattice, lambda n: (n,), ParamOutOfRangeError),
+]
+NOT_COUNTS = {"nan": np.nan, "inf": np.inf, "minus-inf": -np.inf, "2.5": 2.5, "true": True}
+
+
 @pytest.mark.parametrize(
     "patch, fn, args, error",
     [
@@ -393,6 +411,11 @@ def _perturbed_choi(monkeypatch):
         (_perturbed_choi, twirl.entanglement_breaking_certificate, (3,), CertificateError),
         (None, sweeps.qubit_sweep_rows, (0.1, 0.1, 0), ParamOutOfRangeError),
         (None, verify.run_suite, (0,), ValueError),
+    ]
+    + [
+        (None, fn, args(value), error)
+        for _, fn, args, error in COUNT_GUARDS
+        for value in NOT_COUNTS.values()
     ],
     ids=[
         "split-dims-non-positive",
@@ -413,7 +436,8 @@ def _perturbed_choi(monkeypatch):
         "certificate-residual",
         "qubit-sweep-steps",
         "verify-dmax",
-    ],
+    ]
+    + [f"{guard}-{kind}" for guard, *_ in COUNT_GUARDS for kind in NOT_COUNTS],
 )
 def test_refusals_raise_their_error_class(monkeypatch, patch, fn, args, error):
     # each refusal raises exactly its documented class
@@ -422,6 +446,15 @@ def test_refusals_raise_their_error_class(monkeypatch, patch, fn, args, error):
     with pytest.raises(error) as caught:
         fn(*args)
     assert caught.type is error
+
+
+@pytest.mark.parametrize("guard, fn, args, error", COUNT_GUARDS, ids=[g[0] for g in COUNT_GUARDS])
+def test_count_guards_read_numpy_integers_as_ints(guard, fn, args, error):
+    # a numpy integer too small keeps the integer message, and an accepted
+    # one gives what the int gives
+    with pytest.raises(error, match=r" must be >= [12], got 0$"):
+        fn(*args(np.int64(0)))
+    assert repr(fn(*args(np.int64(2)))) == repr(fn(*args(2)))
 
 
 # ------------------------------------------------------------ positivity screen

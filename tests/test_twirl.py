@@ -401,25 +401,46 @@ EDGE_CASES = [
 ]
 
 
+EDGE_MATS = [_edge_density(*case) for case in EDGE_CASES] + [
+    _pairwise_non_hermitian(d, 0.9 * TOL) for d in (3, 5)
+]
+EDGE_IDS = [f"d{d}-{lam / TOL:g}tol-{where}" for d, lam, where in EDGE_CASES] + [
+    "d3-pairwise",
+    "d5-pairwise",
+]
+# the -0.9 tol cases scaled to trace 1 - 0.9 tol and 1 + 0.9 tol
+TRACE_CASES = [
+    (case, sign) for case in EDGE_CASES if case[1] == -0.9 * TOL for sign in (-1, 1)
+]
+
+
 @pytest.mark.parametrize(
     "mat",
-    [_edge_density(*case) for case in EDGE_CASES]
-    + [_pairwise_non_hermitian(d, 0.9 * TOL) for d in (3, 5)],
-    ids=[f"d{d}-{lam / TOL:g}tol-{where}" for d, lam, where in EDGE_CASES]
-    + ["d3-pairwise", "d5-pairwise"],
+    EDGE_MATS + [(1 + sign * 0.9 * TOL) * _edge_density(*case) for case, sign in TRACE_CASES],
+    ids=EDGE_IDS
+    + [
+        f"d{d}-{lam / TOL:g}tol-{where}-trace1{'+-'[sign < 0]}0.9tol"
+        for (d, lam, where), sign in TRACE_CASES
+    ],
 )
 def test_every_consumer_accepts_what_validation_accepts(mat):
     rho = states.validate_density(mat)
-    d = rho.d
     for measure in coherence.MEASURES:
         coherence.coherence_report(rho, measure)
-    summary = twirl.twirl_params(rho)
-    star = twirl.reconstruct_output_state(summary)
-    family = states.maximally_coherent_mixed_state(d, summary.weight)
-    assert linalg.max_abs_diff(star.mat, family.mat) <= 1e-15
-    states.validate_density(star.mat)
+    twirl.twirl_params(rho)
     bound = coherence.rel_ent_lower_bounds(mat[None])
     assert np.isfinite(bound).all() and bound[0] == coherence.rel_ent_lower_bound(rho)
+
+
+@pytest.mark.parametrize("mat", EDGE_MATS, ids=EDGE_IDS)
+def test_the_summary_of_an_accepted_trace_one_state_rebuilds_as_a_state(mat):
+    # a summary holds no trace: the member it rebuilds has trace one
+    rho = states.validate_density(mat)
+    summary = twirl.twirl_params(rho)
+    star = twirl.reconstruct_output_state(summary)
+    family = states.maximally_coherent_mixed_state(rho.d, summary.weight)
+    assert linalg.max_abs_diff(star.mat, family.mat) <= 1e-15
+    states.validate_density(star.mat)
 
 
 @pytest.mark.parametrize("d", [3, 5])
