@@ -31,7 +31,7 @@ def test_d256_two_sided_twirl_file_round_trips(cli, tmp_path):
     for name in ("d256.json", "d256-twirled.json"):
         _assert_round_trips(tmp_path / name)
     loaded = statefile.load_raw(tmp_path / "d256.json")
-    np.testing.assert_array_equal(loaded.mat.view(float), rho.mat.view(float))
+    np.testing.assert_array_equal(loaded.mat.view(np.uint64), rho.mat.view(np.uint64))
 
 
 def test_d12_kernel_and_oracle_files_round_trip(cli, tmp_path):

@@ -658,7 +658,9 @@ def test_closed_form_check_nan_is_not_its_first_residual(monkeypatch):
     # the fault above lands past the check's first residual, so the test
     # above cannot pass on a NaN that built-in max would keep anyway
     _nan_past_row_0_of_closed_form(monkeypatch)
-    residuals = list(verify.check_closed_form_matches_bruteforce(2, 2, np.random.default_rng(1)))
+    check = verify.check_closed_form_matches_bruteforce
+    (row,) = [r for r in verify._CHECKS if r[0] is check]
+    (residuals,) = verify._residuals(row, 2, 2, np.random.default_rng(1))
     assert np.isfinite(residuals[0])
     assert np.isnan(residuals[1])
 
@@ -677,10 +679,13 @@ def _worst(*values) -> float:
 def test_run_suite_reduces_residuals_as_worst_does(residuals, monkeypatch):
     # one reduction per result keeps _worst(0.0, *residuals): NaN wherever it
     # is, a 0.0 floor, and +0.0 (not -0.0) for a zero worst
-    def check(dmax, samples, rng):
-        yield from residuals
+    def draw(dmax, samples, rng):
+        yield ()
 
-    monkeypatch.setattr(verify, "_CHECKS", ((check, ("fake", 1.0)),))
+    def check():
+        return residuals
+
+    monkeypatch.setattr(verify, "_CHECKS", ((check, draw, ("fake", 1.0)),))
     (result,) = verify.run_suite(dmax=2, samples=2, seed=1)
     want = _worst(0.0, *residuals)
     assert type(result.max_residual) is float
@@ -690,6 +695,91 @@ def test_run_suite_reduces_residuals_as_worst_does(residuals, monkeypatch):
         assert math.copysign(1.0, result.max_residual) == 1.0
         assert result.max_residual == want
     assert result.passed is (want <= 1.0)
+
+
+def test_each_result_reduces_as_many_residuals_as_its_draws_give():
+    # the count of each name at run_suite(3, 2, 1), from the sizes of its
+    # draws: a block dropped from a draw or a check changes a count
+    dmax, samples = 3, 2
+    per_d = samples * len(range(2, dmax + 1))
+    operators = 2 * per_d
+    bipartite = 2 * verify.BIPARTITE_SAMPLES * len(verify.BIPARTITE_PAIRS)
+    small_d = len(range(2, min(dmax, 5) + 1))
+    want = {
+        "closed_form_matches_bruteforce": operators,
+        "idempotence": operators,
+        "unitality": 2 * dmax,
+        "self_adjointness": per_d,
+        "transpose_covariance": operators,
+        "permutation_invariance": operators,
+        "trace_and_positivity_preserved": 2 * per_d,
+        "qubit_bloch_image": verify.BLOCH_SAMPLES,
+        "output_state_reconstruction": per_d,
+        "output_state_eigenvalues": per_d,
+        "parameter_bounds": 4 * per_d,
+        "coherence_gap_l1": verify.COHERENCE_SAMPLES * small_d,
+        "coherence_gap_relent": verify.COHERENCE_SAMPLES * small_d,
+        "l1_bound_equals_formula": per_d,
+        "relent_bound_eigen_route": per_d,
+        "l1_bound_tight_for_nonneg_real": per_d,
+        "one_sided_matches_bruteforce": bipartite,
+        "two_sided_matches_nested_bruteforce": bipartite,
+        "two_qubit_eigenvalue_formula": verify.BIPARTITE_SAMPLES,
+        # one per output, with no output refused as not PPT
+        "two_qubit_outputs_separable": 2 * verify.TWO_QUBIT_SAMPLES,
+        # per d = 2..6: the residual, the weight sum and the two weights
+        "entanglement_breaking_certificate": 4 * 5,
+        "choi_matrix_ppt": 5,
+        "qubit_sweep_l1_curves": 3,
+        "qubit_sweep_relent_ordering": 3,
+        "bell_octahedron_ppt_agreement": 1,
+        "bell_one_sided_image": 1,
+        "collective_matches_bruteforce": verify.COLLECTIVE_SAMPLES * small_d,
+    }
+    rng = np.random.default_rng(1)
+    got = {}
+    for row in verify._CHECKS:
+        columns = verify._residuals(row, dmax, samples, rng)
+        for (name, _), column in zip(row[2:], columns, strict=True):
+            got[name] = len(column)
+    assert got == want
+    assert list(got) == [r.name for r in verify.run_suite(dmax, samples, 1)]
+
+
+# Draws whose kind holds no imaginary part; every other random stack is
+# built from complex Ginibre matrices.
+_REAL_DRAWS = (verify._real_densities,)
+
+
+@pytest.mark.parametrize("row", verify._CHECKS, ids=lambda row: row[2][0])
+def test_every_drawn_stack_is_generic(row):
+    # each random stack is full rank, holds off-diagonal (and, where its
+    # kind has them, imaginary) mass in every matrix, and repeats no row:
+    # stacks of I/d and I would pass every check of the suite
+    _, draw, *_ = row
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    stacks = [
+        arg
+        for args in draw(4, 3, rng)
+        for arg in args
+        if isinstance(arg, np.ndarray) and arg.dtype.kind in "fc"
+    ]
+    if rng.bit_generator.state == before:
+        assert stacks == []
+        return
+    assert stacks
+    for stack in stacks:
+        assert len({entry.tobytes() for entry in stack}) == len(stack)
+        if stack.ndim == 2:
+            # Bloch vectors, one per row
+            assert np.linalg.matrix_rank(stack) == stack.shape[1]
+            continue
+        d = stack.shape[-1]
+        assert np.all(np.linalg.matrix_rank(stack) == d)
+        assert np.all(np.abs(stack[:, ~np.eye(d, dtype=bool)]).max(axis=1) > 0)
+        if draw not in _REAL_DRAWS:
+            assert np.all(np.abs(stack.imag).max(axis=(1, 2)) > 0)
 
 
 def test_verify_catches_an_oracle_wrong_past_its_first_row(monkeypatch):

@@ -119,7 +119,7 @@ def test_accepted_documents(tmp_path, doc):
     loaded = statefile.load_raw(path)
     want = np.array([complex(float(re), float(im)) for re, im in doc["matrix"]])
     assert loaded.label == doc.get("label")
-    np.testing.assert_array_equal(loaded.mat.reshape(-1).view(float), want.view(float))
+    np.testing.assert_array_equal(loaded.mat.reshape(-1).view(np.uint64), want.view(np.uint64))
 
 
 def test_save_refuses_non_finite(tmp_path):
@@ -228,7 +228,9 @@ def test_save_text_matches_schema_and_round_trips_bit_exactly(case):
     loaded = statefile.load_raw(io.StringIO(text))
     assert loaded.dims == tuple(dims)
     assert loaded.label == label
-    np.testing.assert_array_equal(loaded.mat.view(float), np.ascontiguousarray(mat).view(float))
+    np.testing.assert_array_equal(
+        loaded.mat.view(np.uint64), np.ascontiguousarray(mat).view(np.uint64)
+    )
 
 
 def _per_pair_reference(entries):
@@ -292,4 +294,4 @@ def test_load_matches_per_pair_conversion(case):
             statefile.load_raw(io.StringIO(text))
         return
     loaded = statefile.load_raw(io.StringIO(text))
-    np.testing.assert_array_equal(loaded.mat.reshape(-1).view(float), want.view(float))
+    np.testing.assert_array_equal(loaded.mat.reshape(-1).view(np.uint64), want.view(np.uint64))

@@ -85,9 +85,11 @@ def test_bell_sweep_rows_equal_per_point_walk(grid):
 
 def test_bell_geometry_check_equals_per_point_walk():
     check = verify.check_bell_geometry
-    (row,) = check(verify.DEFAULT_DMAX, verify.DEFAULT_SAMPLES, None)
+    (checks_row,) = [r for r in verify._CHECKS if r[0] is check]
+    residuals = verify._residuals(checks_row, verify.DEFAULT_DMAX, verify.DEFAULT_SAMPLES, None)
+    (row,) = [tuple(r) for r in residuals.T.tolist()]
     assert row == _bell_geometry_per_point()
-    (measured,) = [m for c, *m in verify._CHECKS if c is check]
+    measured = checks_row[2:]
     assert all(residual <= tol for residual, (_, tol) in zip(row, measured, strict=True))
 
 

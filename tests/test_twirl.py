@@ -845,7 +845,7 @@ def _bipartite_stacks(draw):
 
 
 def _bits(a):
-    return np.ascontiguousarray(a).view(float)
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 @settings(max_examples=120, deadline=None)
