@@ -10,9 +10,14 @@ from permutwirl import statefile, states
 
 
 def _save(path, seed, dims):
+    # every other diagonal entry gets a -0.0 imaginary part, which a load
+    # must keep: a valid density holds -0.0 as well as +0.0
     rho = states.random_density(int(np.prod(dims)), np.random.default_rng(seed), dims=dims)
-    statefile.save_state(path, rho.mat, rho.dims, label="ci")
-    return rho
+    mat = rho.mat.copy()
+    every_other = np.arange(0, len(mat), 2)
+    mat.imag[every_other, every_other] = -0.0
+    statefile.save_state(path, mat, dims, label="ci")
+    return mat
 
 
 def _assert_round_trips(path):
@@ -26,12 +31,28 @@ def _assert_round_trips(path):
 
 
 def test_d256_two_sided_twirl_file_round_trips(cli, tmp_path):
-    rho = _save(tmp_path / "d256.json", 1, (16, 16))
+    mat = _save(tmp_path / "d256.json", 1, (16, 16))
     cli("twirl", "d256.json", "--side", "both", "--out", "d256-twirled.json")
     for name in ("d256.json", "d256-twirled.json"):
         _assert_round_trips(tmp_path / name)
     loaded = statefile.load_raw(tmp_path / "d256.json")
-    np.testing.assert_array_equal(loaded.mat.view(np.uint64), rho.mat.view(np.uint64))
+    np.testing.assert_array_equal(loaded.mat.view(np.uint64), mat.view(np.uint64))
+
+
+def test_d64_both_load_routes_give_the_same_twirl_file(cli, tmp_path):
+    # save_state's layout takes load_raw's whole-buffer route; the same
+    # document written with indent=2 takes the tree route
+    mat = _save(tmp_path / "d64.json", 2, (8, 8))
+    text = (tmp_path / "d64.json").read_text(encoding="utf-8")
+    indented = json.dumps(json.loads(text), indent=2)
+    (tmp_path / "d64-indented.json").write_text(indented, encoding="utf-8")
+    assert statefile._load_flat(text) is not None and statefile._load_flat(indented) is None
+    for name in ("d64", "d64-indented"):
+        cli("twirl", f"{name}.json", "--side", "both", "--out", f"{name}-twirled.json")
+        loaded = statefile.load_raw(tmp_path / f"{name}.json")
+        np.testing.assert_array_equal(loaded.mat.view(np.uint64), mat.view(np.uint64))
+    twirled = (tmp_path / "d64-twirled.json").read_bytes()
+    assert twirled == (tmp_path / "d64-indented-twirled.json").read_bytes()
 
 
 def test_d12_kernel_and_oracle_files_round_trip(cli, tmp_path):

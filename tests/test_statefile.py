@@ -1,5 +1,7 @@
 import io
 import json
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,3 +297,166 @@ def test_load_matches_per_pair_conversion(case):
         return
     loaded = statefile.load_raw(io.StringIO(text))
     np.testing.assert_array_equal(loaded.mat.reshape(-1).view(np.uint64), want.view(np.uint64))
+
+
+# ------------------------------------------------------------ two routes
+#
+# load_raw reads the layout that save_state and json.dumps write through
+# statefile._load_flat, and every other document through
+# statefile._load_tree, the only route that raises.  A document gives the
+# same bits, dims and label, or the same error class and message, either way.
+
+
+def _outcome(load, source):
+    try:
+        loaded = load(source)
+    except Exception as exc:  # compared by class and message
+        return type(exc), str(exc)
+    return loaded.mat.view(np.uint64).tolist(), loaded.dims, loaded.label
+
+
+def _one(matrix: str, tail: str = "") -> str:
+    return '{"dims": [1], "matrix": ' + matrix + tail + "}"
+
+
+def _two(pairs: str, tail: str = "") -> str:
+    return '{"dims": [2], "matrix": [' + pairs + "]" + tail + "}"
+
+
+_CANONICAL = _two("[0.5, 0.0], [0.25, -0.125], [0.25, 0.125], [0.5, 0.0]", ', "label": "c"') + "\n"
+_INDENTED = json.dumps(json.loads(_CANONICAL), indent=2)
+
+# (id, document, the route load_raw takes)
+_ROUTE_ROWS = [
+    ("canonical", _CANONICAL, "flat"),
+    ("minus-zero-float", _one("[[-0.0, -0.0]]"), "flat"),
+    ("minus-zero-int", _one("[[-0, 1]]"), "flat"),
+    ("ints", _two("[1, 0], [2, -3], [0, 4], [5, 0]"), "flat"),
+    ("2**53+1", _one("[[9007199254740993, 0]]"), "flat"),
+    ("400-digit-int", _one("[[1" + "0" * 400 + ", 0]]"), "tree"),
+    ("1e400", _one("[[1e400, 0]]"), "tree"),
+    ("leading-zero", _one("[[01, 0]]"), "tree"),
+    ("bare-point", _one("[[1., 0]]"), "tree"),
+    ("1-2", _one("[[1-2, 0]]"), "tree"),
+    ("plus-sign", _one("[[+1, 0]]"), "tree"),
+    ("empty-slot", _one("[[, 1]]"), "tree"),
+    ("true", _one("[[true, 0]]"), "tree"),
+    ("string", _one('[["1", 0]]'), "tree"),
+    ("nan", _one("[[NaN, 0]]"), "tree"),
+    ("ragged", _two("[1, 0], [0], [0, 0], [1, 0]"), "tree"),
+    ("triple", _two("[1, 0, 0], [0, 0], [0, 0], [1, 0]"), "tree"),
+    # a number across a bracket, where no slot is left empty once the
+    # brackets are gone
+    ("number-after-pair", _two("[1, ]2, [0, 0], [0, 0], [1, 0]"), "tree"),
+    ("number-before-pair", _two("[1, 0], 5[, 0], [0, 0], [1, 0]"), "tree"),
+    ("duplicate-matrix", _one("[[1, 0]]", ', "matrix": []'), "tree"),
+    ("duplicate-dims", '{"dims": [2], "dims": [1], "matrix": [[1, 0]]}', "tree"),
+    ("extra-key", _one("[[1, 0]]", ', "extra": 1'), "tree"),
+    ("key-ending-in-matrix", '{"dims": [1], "x\\"matrix": [[1, 0]], "matrix": [[2, 0]]}', "tree"),
+    ("matrix-in-label", '{"dims": [1], "matrix": [], "label": {"matrix": [[1, 0]]}}', "tree"),
+    ("label-first", '{"label": "first", "dims": [1], "matrix": [[1, 0]]}', "flat"),
+    ("label-escapes", _one("[[1, 0]]", ', "label": "a\\"b \\u00e9 é"'), "flat"),
+    ("label-brackets", _one("[[1, 0]]", ', "label": "]] [[ \\" é"'), "tree"),
+    ("label-number", _one("[[1, 0]]", ', "label": 5'), "tree"),
+    ("label-null", _one("[[1, 0]]", ', "label": null'), "flat"),
+    ("trailing-data", _one("[[1, 0]]") + " x", "tree"),
+    ("dims-disagree", '{"dims": [3], "matrix": [[1, 0], [0, 0], [0, 0], [1, 0]]}', "tree"),
+    ("dims-sized-beyond-file", '{"dims": [30, 30], "matrix": [[1, 0]]}', "tree"),
+    ("dims-zero", '{"dims": [0], "matrix": [[1, 0]]}', "tree"),
+    ("dims-float", '{"dims": [1.0], "matrix": [[1, 0]]}', "tree"),
+    ("top-level-array", '[{"dims": [1], "matrix": [[1, 0]]}]', "tree"),
+    ("indent-1", json.dumps(json.loads(_CANONICAL), indent=1), "tree"),
+    ("indent-2", _INDENTED, "tree"),
+    ("leading-whitespace", " \n\t" + _CANONICAL, "flat"),
+    ("bom", "\ufeff" + _CANONICAL, "tree"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, route", [row[1:] for row in _ROUTE_ROWS], ids=[row[0] for row in _ROUTE_ROWS]
+)
+def test_routes_agree(text, route):
+    assert (statefile._load_flat(text) is not None) == (route == "flat")
+    assert _outcome(statefile.load_raw, io.StringIO(text)) == _outcome(statefile._load_tree, text)
+
+
+def _sources(tmp_path, monkeypatch, text) -> dict:
+    path = tmp_path / "state.json"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    return {"path": path, "text": io.StringIO(text), "binary": io.BytesIO(text.encode()), "stdin": "-"}
+
+
+@pytest.mark.parametrize("kind", ["path", "text", "binary", "stdin"])
+@pytest.mark.parametrize(
+    "text",
+    [_CANONICAL, _one("[[-0, -0.0]]"), "\ufeff" + _CANONICAL, _INDENTED],
+    ids=["canonical", "minus-zero", "bom", "indent-2"],
+)
+def test_routes_agree_on_every_source(tmp_path, monkeypatch, text, kind):
+    source = _sources(tmp_path, monkeypatch, text)[kind]
+    raw = text.encode() if kind == "binary" else text
+    assert _outcome(statefile.load_raw, source) == _outcome(statefile._load_tree, raw)
+
+
+def test_a_reader_giving_neither_text_nor_bytes():
+    class Reader:
+        def read(self):
+            return None
+
+    assert _outcome(statefile.load_raw, Reader()) == _outcome(statefile._load_tree, None)
+
+
+@pytest.mark.parametrize("kind", ["path", "text", "binary", "stdin"])
+def test_every_source_takes_the_flat_route(tmp_path, monkeypatch, kind):
+    want = _outcome(statefile._load_tree, _CANONICAL)
+    source = _sources(tmp_path, monkeypatch, _CANONICAL)[kind]
+
+    def tree_route(text):
+        raise AssertionError("the tree route was taken")
+
+    monkeypatch.setattr(statefile, "_load_tree", tree_route)
+    assert _outcome(statefile.load_raw, source) == want
+
+
+def test_dims_size_no_allocation_before_the_matrix_is_measured():
+    # 810000 pairs declared, one written: the expected skeleton alone
+    # would take 4.9 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateFileError, match=r"must hold 810000 \[re, im\] pairs .* got 1$"):
+            statefile.load_raw(io.StringIO('{"dims": [30, 30], "matrix": [[1, 0]]}'))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+_EDIT_BYTES = list('[] ,.-eE0"t')
+_KEYS = ['"dims"', '"matrix"', '"label"']
+
+
+@st.composite
+def _edited_documents(draw):
+    """A schema document with one edit: a byte replaced, a pair dropped or
+    doubled, or a key renamed."""
+    text = _schema_text(*draw(_matrices()))
+    edit = draw(st.sampled_from(["byte", "drop", "double", "rename"]))
+    if edit == "byte":
+        at = draw(st.integers(0, len(text) - 1))
+        return text[:at] + draw(st.sampled_from(_EDIT_BYTES)) + text[at + 1 :]
+    if edit == "rename":
+        return text.replace(draw(st.sampled_from(_KEYS)), draw(st.sampled_from(_KEYS + ['"x"'])), 1)
+    doc = json.loads(text)
+    at = draw(st.integers(0, len(doc["matrix"]) - 1))
+    if edit == "drop":
+        del doc["matrix"][at]
+    else:
+        doc["matrix"].insert(at, doc["matrix"][at])
+    return json.dumps(doc) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edited_documents())
+def test_routes_agree_on_edited_documents(text):
+    assert _outcome(statefile.load_raw, io.StringIO(text)) == _outcome(statefile._load_tree, text)
