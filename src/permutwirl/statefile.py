@@ -13,16 +13,14 @@ load would refuse.  Floats are written exactly as ``json.dumps`` writes
 them (``repr``), so save followed by load is bit-exact.  The path '-'
 means stdin/stdout.
 
-Both directions work on whole arrays.  The layout that ``save_state``
-and ``json.dumps`` write loads by ``_load_flat``, which checks the matrix's
-bracket skeleton on the raw bytes and parses its numbers as one flat list.
-Any other document, or one that route cannot vouch for, loads by
-``_load_tree``: set-building passes check the types of the pairs, and
-what they cannot vouch for is checked pair by pair, naming the first bad
-index.  Only ``_load_tree`` raises, so no bit and no refusal depends on
-the route.  A save groups the entries by their (re, im) bits with one
-``np.lexsort``, spells each distinct entry once, and writes the head, the
-entries and the tail in turn, without building the whole text.
+Both directions work on whole arrays.  The layout that ``save_state`` and
+``json.dumps`` write loads by ``_load_flat``: it checks the matrix's bracket
+skeleton on the raw bytes and parses its numbers as one flat list.  Any
+other document goes to ``_load_tree``, which checks the pairs' types in
+set-building passes, then pair by pair to name the first bad index.  Only
+``_load_tree`` raises, so no bit and no refusal depends on the route.  A save
+groups the entries by their (re, im) bits with one ``np.lexsort``, spells
+each distinct entry once and writes head, entries and tail in turn.
 """
 
 import json
@@ -96,47 +94,40 @@ def _raise_at_first_bad_pair(entries: list) -> None:
             raise StateFileError(f"field 'matrix'[{idx}] holds a value that is not finite")
 
 
-# The bytes a JSON number may hold, and the sorted key lists of the schema.
-_NUMBER_BYTES = b"0123456789+-.eE"
+_NUMBER_BYTES = b"0123456789+-.eE"  # the bytes a JSON number may hold
 _KEY_LISTS = (["dims", "matrix"], ["dims", "label", "matrix"])
 
 
 def _load_flat(text) -> StateFile | None:
     """The whole-buffer route; None for a document it cannot vouch for.
 
-    The matrix region runs from the first ``"matrix": [[`` to the last ``]]``;
-    the rest, with ``[]`` in its place, gives the dims, the label and the key
-    list, which must be ``dims``, ``matrix`` and an optional ``label``.
-    Without its number bytes the region must read ``[`` + ``[, ], `` * (n - 1)
-    + ``[, ]]`` (its length compared first).  With each ``], [`` made ``, ``,
-    ``json.loads`` parses its 2n numbers; a number set across a bracket
-    (``[1, ]2``) leaves a ``]`` that json refuses."""
-    if not isinstance(text, (str, bytes)):  # a reader gave neither: _load_tree refuses it
-        return None
+    The region from the first ``"matrix": [[`` to the last ``]]`` is the matrix:
+    the rest, with ``[]`` as its top-level ``matrix``, holds ``dims`` and an
+    optional ``label``.  Without its number bytes the region reads ``[`` +
+    ``[, ], `` * (n - 1) + ``[, ]]``; ``json.loads`` parses its 2n numbers once
+    each ``], [`` is ``, ``, and refuses the stray ``]`` of ``[1, ]2``."""
     try:
         data = text.encode() if isinstance(text, str) else text
-        start = data.index(b'"matrix": [[') + 10
-        end = data.rindex(b"]]") + 2
+        start, end = data.index(b'"matrix": [[') + 10, data.rindex(b"]]") + 2
         doc = json.loads((data[:start] + b"[]" + data[end:]).decode(), object_pairs_hook=tuple)
         if not isinstance(doc, tuple) or sorted(key for key, _ in doc) not in _KEY_LISTS:
             return None
-        fields = dict(doc)
-        if not isinstance(fields.get("label"), (str, type(None))):
+        fields = dict(doc)  # a nested object is a tuple here, so != []
+        if fields["matrix"] != [] or not isinstance(fields.get("label"), (str, type(None))):
             return None
         dims = linalg._check_dims(fields["dims"], None)
         n = math.prod(dims) ** 2
-        skeleton = data[start:end].translate(None, _NUMBER_BYTES)
+        skeleton = data[start:end].translate(None, _NUMBER_BYTES)  # length compared first
         if len(skeleton) != 6 * n or skeleton != b"[" + b"[, ], " * (n - 1) + b"[, ]]":
             return None
         numbers = data[start + 1 : end - 1].replace(b"], [", b", ").decode()
         del data  # not held while json builds its list of floats
         flat = np.fromiter(json.loads(numbers), float, 2 * n)
-    except (ValueError, OverflowError, RecursionError, DimMismatchError):
-        return None
+    except (AttributeError, ValueError, OverflowError, RecursionError, DimMismatchError):
+        return None  # AttributeError: a reader gave neither text nor bytes
     if not np.isfinite(flat).all():
         return None
-    mat = flat.view(complex).reshape(math.prod(dims), -1)
-    return StateFile(mat=mat, dims=dims, label=fields.get("label"))
+    return StateFile(flat.view(complex).reshape(math.prod(dims), -1), dims, fields.get("label"))
 
 
 def _load_tree(text) -> StateFile:

@@ -354,6 +354,8 @@ _ROUTE_ROWS = [
     ("extra-key", _one("[[1, 0]]", ', "extra": 1'), "tree"),
     ("key-ending-in-matrix", '{"dims": [1], "x\\"matrix": [[1, 0]], "matrix": [[2, 0]]}', "tree"),
     ("matrix-in-label", '{"dims": [1], "matrix": [], "label": {"matrix": [[1, 0]]}}', "tree"),
+    ("matrix-in-object", '{"dims": [1], "matrix": {"matrix": [[1, 0]]}}', "tree"),
+    ("matrix-in-array-object", '{"dims": [1], "matrix": [{"matrix": [[1, 0]]}]}', "tree"),
     ("label-first", '{"label": "first", "dims": [1], "matrix": [[1, 0]]}', "flat"),
     ("label-escapes", _one("[[1, 0]]", ', "label": "a\\"b \\u00e9 é"'), "flat"),
     ("label-brackets", _one("[[1, 0]]", ', "label": "]] [[ \\" é"'), "tree"),
