@@ -5,6 +5,7 @@ import io
 import json
 
 import numpy as np
+import pytest
 
 from permutwirl import statefile, states
 
@@ -79,3 +80,32 @@ def test_d63_one_sided_oracle_file(cli, tmp_path):
     assert gap.max() <= 1e-12, gap.max()
     for path in (tmp_path / "d63.json", brute):
         _assert_round_trips(path)
+
+
+_CANONICAL = b'{"dims": [1], "matrix": [[1.0, 0.0]]}\n'
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (
+            b"\xef\xbb\xbf" + _CANONICAL,
+            b"malformed JSON at line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)",
+        ),
+        (
+            b'{"dims": [1], "matrix": [[1' + b"0" * 5000 + b", 0]]}\n",
+            b"field 'matrix'[0] holds an integer too large for a float",
+        ),
+    ],
+    ids=["bom", "5001-digit-int"],
+)
+@pytest.mark.parametrize("source", ["path", "stdin"])
+def test_refused_file_exits_1_from_a_path_and_from_real_stdin(cli, tmp_path, data, message, source):
+    # the real standard input, not a StringIO standing in for sys.stdin
+    (tmp_path / "bad.json").write_bytes(data)
+    if source == "path":
+        done = cli("twirl", "--raw", "bad.json", status=1)
+    else:
+        done = cli("twirl", "--raw", "-", stdin=data, status=1)
+    assert done.stdout == b""
+    assert done.stderr == b"error: " + message + b"\n"

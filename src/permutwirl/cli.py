@@ -143,17 +143,13 @@ def _cmd_coherence(args) -> int:
     return EXIT_OK
 
 
-def _write_csv(target: str, header, rows) -> None:
-    def _fmt(value) -> str:
-        if isinstance(value, (int, np.integer)):
-            return str(int(value))
-        return f"{value:.{CSV_FLOAT_DIGITS}g}"
-
+def _write_csv(target: str, header, rows: np.ndarray) -> None:
+    # one row list at a time, not a list of every row
     def _emit(fh) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        for row in map(np.ndarray.tolist, rows):
+            writer.writerow([f"{v:.{CSV_FLOAT_DIGITS}g}" for v in row])
 
     if target == "-":
         _emit(sys.stdout)
@@ -164,8 +160,7 @@ def _write_csv(target: str, header, rows) -> None:
 
 def _cmd_sweep_qubit(args) -> int:
     rows = sweeps.qubit_sweep_rows(args.r2, args.r3, args.steps)
-    # one row list at a time, not a list of every row
-    _write_csv(args.out, sweeps.QUBIT_SWEEP_COLUMNS, map(np.ndarray.tolist, rows))
+    _write_csv(args.out, sweeps.QUBIT_SWEEP_COLUMNS, rows)
     return EXIT_OK
 
 

@@ -43,12 +43,15 @@ class StateFile:
 
 
 def _read_text(source) -> str:
-    if source == "-":
-        return sys.stdin.read()
-    if hasattr(source, "read"):
-        return source.read()
-    with open(source, "r", encoding="utf-8") as fh:
-        return fh.read()
+    # Every source decodes as UTF-8 and keeps a BOM, which json then refuses.
+    try:
+        if source == "-" or hasattr(source, "read"):
+            text = (sys.stdin if source == "-" else source).read()
+            return text.decode() if isinstance(text, (bytes, bytearray)) else text
+        with open(source, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise StateFileError(f"not UTF-8 text: {exc}") from None
 
 
 def _pairs_as_array(entries: list) -> np.ndarray | None:
@@ -98,7 +101,7 @@ _NUMBER_BYTES = b"0123456789+-.eE"  # the bytes a JSON number may hold
 _KEY_LISTS = (["dims", "matrix"], ["dims", "label", "matrix"])
 
 
-def _load_flat(text) -> StateFile | None:
+def _load_flat(text: str) -> StateFile | None:
     """The whole-buffer route; None for a document it cannot vouch for.
 
     The region from the first ``"matrix": [[`` to the last ``]]`` is the matrix:
@@ -107,7 +110,7 @@ def _load_flat(text) -> StateFile | None:
     ``[, ], `` * (n - 1) + ``[, ]]``; ``json.loads`` parses its 2n numbers once
     each ``], [`` is ``, ``, and refuses the stray ``]`` of ``[1, ]2``."""
     try:
-        data = text.encode() if isinstance(text, str) else text
+        data = text.encode()
         start, end = data.index(b'"matrix": [[') + 10, data.rindex(b"]]") + 2
         doc = json.loads((data[:start] + b"[]" + data[end:]).decode(), object_pairs_hook=tuple)
         if not isinstance(doc, tuple) or sorted(key for key, _ in doc) not in _KEY_LISTS:
@@ -130,10 +133,17 @@ def _load_flat(text) -> StateFile | None:
     return StateFile(flat.view(complex).reshape(math.prod(dims), -1), dims, fields.get("label"))
 
 
+def _parse_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() reads: far beyond a float
+        return int(digits[:400])  # which the pair checks refuse by index
+
+
 def _load_tree(text) -> StateFile:
     """The route for any document, and the only one that raises."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise StateFileError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

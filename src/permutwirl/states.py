@@ -221,20 +221,24 @@ def bloch_of_qubit_stack(mats) -> np.ndarray:
     )
 
 
-def _check_permutation(perm) -> tuple[int, ...]:
-    p = tuple(int(i) for i in perm)
-    d = len(p)
-    if d == 0 or sorted(p) != list(range(d)):
-        raise ValueError(f"not a permutation of 0..{d - 1}: {perm!r}")
+def _check_permutations(perms, d: int) -> np.ndarray:
+    """The one permutation rule: ``perms`` as an ``(n, d)`` array of an integer
+    dtype, each row holding 0..d-1, d >= 1 (a bool, float, str or object array
+    is refused, never truncated); else ValueError."""
+    p = np.asarray(perms)
+    shaped = p.dtype.kind in "iu" and p.shape[1:] == (d,) and d >= 1
+    if not (shaped and (np.sort(p, axis=-1) == np.arange(d)).all()):
+        raise ValueError(f"not a permutation of 0..{d - 1} in each row: got {p.dtype} {p.shape}")
     return p
 
 
 def permutation_matrix(perm) -> np.ndarray:
     """0/1 matrix sending basis vector i to basis vector perm[i]."""
-    p = _check_permutation(perm)
-    d = len(p)
+    p = np.asarray(perm)
+    d = p.size
+    (p,) = _check_permutations(p[None], d)
     mat = np.zeros((d, d), dtype=complex)
-    mat[np.array(p), np.arange(d)] = 1.0
+    mat[p, np.arange(d)] = 1.0
     return mat
 
 
@@ -254,7 +258,8 @@ def conjugate_stack_by_permutations(mats, perms) -> np.ndarray:
 
     Raises:
         DimMismatchError: if the stack and the permutations do not match.
-        ValueError: if a row of ``perms`` is not a permutation of 0..d-1.
+        ValueError: if ``perms`` is not of an integer dtype or a row is not a
+            permutation of 0..d-1.
     """
     m = linalg.as_complex_matrix(mats, stack=True)
     d = linalg.require_square(m)
@@ -264,9 +269,7 @@ def conjugate_stack_by_permutations(mats, perms) -> np.ndarray:
             f"expected an (n, d, d) stack and (n, d) permutations, got shapes "
             f"{m.shape} and {p.shape}"
         )
-    if not (np.sort(p, axis=-1) == np.arange(d)).all():
-        raise ValueError(f"a row of perms is not a permutation of 0..{d - 1}")
-    inv = np.argsort(p, axis=-1)
+    inv = np.argsort(_check_permutations(p, d), axis=-1)
     rows = np.arange(len(m))[:, None, None]
     return m[rows, inv[:, :, None], inv[:, None, :]]
 
@@ -277,8 +280,7 @@ def enumerate_permutations(d: int):
     The deterministic order makes brute-force group averages
     bit-reproducible in serial mode.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    d = linalg._check_count(d, "dimension", 1, ValueError)
     if d > MAX_ENUM_DIM:
         raise DimensionTooLargeError(
             f"refusing to enumerate {d}! permutations (limit d <= {MAX_ENUM_DIM})"
@@ -288,14 +290,13 @@ def enumerate_permutations(d: int):
 
 def all_ones_projector(d: int) -> np.ndarray:
     """The all-ones matrix; satisfies E @ E = d * E."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    d = linalg._check_count(d, "dimension", 1, ValueError)
     return np.ones((d, d), dtype=complex)
 
 
 def maximally_coherent_state(d: int) -> DensityMatrix:
     """Rank-one projector onto the uniform superposition; all entries 1/d."""
-    return DensityMatrix(all_ones_projector(d) / d, (d,))
+    return maximally_coherent_mixed_state(d, 1.0)
 
 
 def maximally_coherent_mixed_state(d: int, p: float) -> DensityMatrix:
@@ -306,8 +307,7 @@ def maximally_coherent_mixed_state(d: int, p: float) -> DensityMatrix:
     at least ``-linalg.DEFAULT_TOL``, as :func:`validate_density` requires.
     At d = 1 every finite p gives [[1]], which has no off-diagonal.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    d = linalg._check_count(d, "dimension", 1, ValueError)
     a = _family_off_diag(d, float(p) / d)
     return DensityMatrix(_fill((d, d), a, 1.0 / d), (d,))
 
@@ -346,8 +346,7 @@ def _fill(shape, off_diag, diag) -> np.ndarray:
 
 def maximally_entangled_state(d: int) -> DensityMatrix:
     """Projector onto (1/sqrt(d)) sum_i |ii>, as a d x d bipartite state."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    d = linalg._check_count(d, "dimension", 1, ValueError)
     vec = np.zeros(d * d, dtype=complex)
     vec[np.arange(d) * d + np.arange(d)] = 1.0 / np.sqrt(d)
     return DensityMatrix(np.outer(vec, vec.conj()), (d, d))
@@ -431,6 +430,7 @@ def random_hermitian_stack(d: int, n: int, rng: np.random.Generator) -> np.ndarr
 
 def _ginibre_stack(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     # One draw for n matrices: each one's real block, then its imaginary block.
+    d = linalg._check_count(d, "dimension", 1, ValueError)  # before the draw
     g = rng.standard_normal((n, 2, d, d))
     return g[:, 0] + 1j * g[:, 1]
 

@@ -103,12 +103,12 @@ def bell_lattice(grid: int) -> tuple[np.ndarray, np.ndarray]:
     return t, states.bell_diagonal_stack(t)
 
 
-def bell_sweep_rows(grid: int) -> list[tuple[float, ...]]:
+def bell_sweep_rows(grid: int) -> np.ndarray:
     """Octahedron membership vs PPT across the correlation-triple tetrahedron.
 
     Evaluates the valid points of :func:`bell_lattice` as one stack and
     records the one-sided twirl image, which lies on the (t1, 0, 0)
-    segment.  Booleans are written as 0/1.
+    segment, as the rows of a float ``(n, 7)`` array.  Booleans are 0.0/1.0.
     """
     t, rho = bell_lattice(grid)
     member = entanglement.bell_octahedron_members(t)
@@ -118,10 +118,4 @@ def bell_sweep_rows(grid: int) -> list[tuple[float, ...]]:
     t1_image = np.trace(
         image @ np.kron(states.SIGMA_1, states.SIGMA_1), axis1=1, axis2=2
     ).real
-    return list(
-        zip(
-            *(c.tolist() for c in t.T),
-            *(c.astype(int).tolist() for c in (member, before, after)),
-            t1_image.tolist(),
-        )
-    )
+    return np.column_stack([t, member, before, after, t1_image])

@@ -114,7 +114,6 @@ def _perm_index_array(d: int) -> np.ndarray:
     # The d! x d table of states.enumerate_permutations(d), in its
     # lexicographic order, built one size at a time: for each first element
     # f in turn, the rows of the smaller table relabelled to skip f.
-    states.enumerate_permutations(d)  # its refusals, before any table
     table = np.zeros((1, 0), dtype=np.intp)
     for k in range(1, d + 1):
         first = np.arange(k)[:, None, None]
@@ -297,12 +296,11 @@ def output_state_stack(d: int, off_diag) -> np.ndarray:
     At d = 1 every finite entry gives [[1]], which has no off-diagonal.
 
     Raises:
-        ParamOutOfRangeError: if ``d`` < 1; its subclass WeightOutOfRangeError
-            if an entry a is not finite or an eigenvalue, 1/d + (d - 1) a or
-            (at d >= 2) 1/d - a, is below ``-linalg.DEFAULT_TOL``.
+        ParamOutOfRangeError: if ``d`` is not an integer >= 1; its subclass
+            WeightOutOfRangeError if an entry a is not finite or an eigenvalue,
+            1/d + (d - 1) a or (at d >= 2) 1/d - a, is below ``-linalg.DEFAULT_TOL``.
     """
-    if d < 1:
-        raise ParamOutOfRangeError(f"dimension must be >= 1, got {d}")
+    d = linalg._check_count(d, "dimension", 1, ParamOutOfRangeError)
     a = states._family_off_diag(d, off_diag)
     return states._fill((*a.shape, d, d), a, 1.0 / d)
 
@@ -451,8 +449,7 @@ def choi_matrix(d: int) -> DensityMatrix:
 
     where F projects onto the uniform superposition.
     """
-    if d < 2:
-        raise ParamOutOfRangeError(f"Choi matrix needs d >= 2, got {d}")
+    d = linalg._check_count(d, "dimension", 2, ParamOutOfRangeError)
     omega = states.maximally_entangled_state(d)
     mat = twirl_one_sided(omega.mat, (d, d), linalg.SIDE_A)
     return DensityMatrix(mat, (d, d))

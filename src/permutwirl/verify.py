@@ -283,12 +283,12 @@ def check_two_qubit_outputs_separable(mats):
 
 
 def check_entanglement_breaking(d):
-    cert = twirl.entanglement_breaking_certificate(d, tol=1e-12)
+    cert = twirl.entanglement_breaking_certificate(d)
     return [cert.residual, abs(sum(cert.weights) - 1.0), *(-w for w in cert.weights)]
 
 
 def check_choi_ppt(d):
-    return [-entanglement.is_ppt(twirl.choi_matrix(d), tol=1e-12).min_eig_pt]
+    return [-entanglement.is_ppt(twirl.choi_matrix(d)).min_eig_pt]
 
 
 def check_bell_geometry():

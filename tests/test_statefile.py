@@ -94,6 +94,14 @@ def test_schema_violations(tmp_path, doc, message):
         statefile.load_raw(path)
 
 
+def test_integer_of_more_digits_than_int_reads_is_too_large(tmp_path):
+    # json.dumps cannot write it: int() refuses more than 4300 digits by default
+    path = tmp_path / "bad.json"
+    path.write_text('{"dims": [2], "matrix": [[1, 0], [0, 0], [0, 1' + "0" * 5000 + "], [1, 0]]}")
+    with pytest.raises(StateFileError, match=r"matrix'\[2\] .*too large"):
+        statefile.load_raw(path)
+
+
 def test_float_literal_beyond_range_is_not_finite(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"dims": [1], "matrix": [[1e400, 0]]}')
@@ -334,6 +342,8 @@ _ROUTE_ROWS = [
     ("ints", _two("[1, 0], [2, -3], [0, 4], [5, 0]"), "flat"),
     ("2**53+1", _one("[[9007199254740993, 0]]"), "flat"),
     ("400-digit-int", _one("[[1" + "0" * 400 + ", 0]]"), "tree"),
+    # more digits than int() reads (4300 by default)
+    ("5001-digit-int", _two("[1, 0], [-1" + "0" * 5000 + ", 0], [0, 0], [1, 0]"), "tree"),
     ("1e400", _one("[[1e400, 0]]"), "tree"),
     ("leading-zero", _one("[[01, 0]]"), "tree"),
     ("bare-point", _one("[[1., 0]]"), "tree"),
@@ -396,9 +406,19 @@ def _sources(tmp_path, monkeypatch, text) -> dict:
     ids=["canonical", "minus-zero", "bom", "indent-2"],
 )
 def test_routes_agree_on_every_source(tmp_path, monkeypatch, text, kind):
+    # one outcome from every source: a binary reader's bytes decode as a
+    # path's do, so a BOM is refused from each
     source = _sources(tmp_path, monkeypatch, text)[kind]
-    raw = text.encode() if kind == "binary" else text
-    assert _outcome(statefile.load_raw, source) == _outcome(statefile._load_tree, raw)
+    assert _outcome(statefile.load_raw, source) == _outcome(statefile._load_tree, text)
+
+
+def test_bytes_that_are_not_utf8_are_refused(tmp_path):
+    data = b'{"dims": [1], "matrix": [[1, 0]], "label": "\xe9"}'
+    path = tmp_path / "latin1.json"
+    path.write_bytes(data)
+    for source in (path, io.BytesIO(data)):
+        with pytest.raises(StateFileError, match="not UTF-8 text: .* byte 0xe9 in position 44"):
+            statefile.load_raw(source)
 
 
 def test_a_reader_giving_neither_text_nor_bytes():

@@ -457,6 +457,121 @@ def test_count_guards_read_numpy_integers_as_ints(guard, fn, args, error):
     assert repr(fn(*args(np.int64(2)))) == repr(fn(*args(2)))
 
 
+# Every dimension argument follows linalg._check_count and every permutation
+# argument states._check_permutations: a value that is not one (a bool, a
+# float, NaN or an infinity included) is refused with the class the function
+# raises for a dimension below its minimum, before any draw, and a numpy
+# integer (array) gives what the plain int (list) gives.
+NOT_DIMENSIONS = {
+    "0": 0,
+    "minus-1": -1,
+    "2.5": 2.5,
+    "3.0": 3.0,
+    "true": True,
+    "nan": np.nan,
+    "inf": np.inf,
+    "minus-inf": -np.inf,
+}
+NOT_PERMUTATIONS = {
+    "0.5-1": [0.5, 1],
+    "1.9-0.2": [1.9, 0.2],
+    "strings": ["1", "0"],
+    "bools": [True, False],
+    "floats": [0.0, 1.0],
+    "2-d": [[0, 1], [1, 0]],
+}
+DIMENSION = (NOT_DIMENSIONS, (np.int64(3), 3))
+PERMUTATION = (NOT_PERMUTATIONS, (np.array([1, 0], dtype=np.uint8), [1, 0]))
+# (id, call(value, rng), its class, (the refused values, (accepted, plain)))
+ARGUMENT_RULES = [
+    ("enumerate", lambda d, rng: list(states.enumerate_permutations(d)), ValueError, DIMENSION),
+    ("all-ones", lambda d, rng: states.all_ones_projector(d), ValueError, DIMENSION),
+    ("coherent", lambda d, rng: states.maximally_coherent_state(d), ValueError, DIMENSION),
+    (
+        "coherent-mixed",
+        lambda d, rng: states.maximally_coherent_mixed_state(d, 0.5),
+        ValueError,
+        DIMENSION,
+    ),
+    ("entangled", lambda d, rng: states.maximally_entangled_state(d), ValueError, DIMENSION),
+    ("random-hermitian", states.random_hermitian, ValueError, DIMENSION),
+    (
+        "random-hermitian-stack",
+        lambda d, rng: states.random_hermitian_stack(d, 2, rng),
+        ValueError,
+        DIMENSION,
+    ),
+    (
+        "random-density-stack",
+        lambda d, rng: states.random_density_stack(d, 2, rng),
+        ValueError,
+        DIMENSION,
+    ),
+    (
+        "output-stack",
+        lambda d, rng: twirl.output_state_stack(d, 0.0),
+        ParamOutOfRangeError,
+        DIMENSION,
+    ),
+    (
+        "choi",
+        lambda d, rng: twirl.choi_matrix(d),
+        ParamOutOfRangeError,
+        ({"1": 1, **NOT_DIMENSIONS}, DIMENSION[1]),
+    ),
+    ("permutation-matrix", lambda p, rng: states.permutation_matrix(p), ValueError, PERMUTATION),
+    (
+        "conjugate-stack",
+        lambda p, rng: states.conjugate_stack_by_permutations([[[1, 2], [3, 4]]], [p]),
+        ValueError,
+        PERMUTATION,
+    ),
+]
+
+
+def _refusal(name, kind, error):
+    # a 2-d row stacks into a 3-d array of rows, which no matrix stack
+    # matches: conjugate_stack_by_permutations refuses that shape as before
+    return DimMismatchError if (name, kind) == ("conjugate-stack", "2-d") else error
+
+
+@pytest.mark.parametrize(
+    "call, error, value",
+    [
+        (call, _refusal(name, kind, error), value)
+        for name, call, error, (values, _) in ARGUMENT_RULES
+        for kind, value in values.items()
+    ],
+    ids=[f"{name}-{kind}" for name, _, _, (values, _) in ARGUMENT_RULES for kind in values],
+)
+def test_arguments_that_are_not_counts_or_permutations_are_refused(call, error, value):
+    rng = np.random.default_rng(90)
+    before = rng.bit_generator.state
+    with pytest.raises(error) as caught:
+        call(value, rng)
+    assert caught.type is error
+    assert rng.bit_generator.state == before
+
+
+def _comparable(out):
+    if isinstance(out, states.DensityMatrix):
+        return _comparable(out.mat), repr(out.dims)
+    if isinstance(out, np.ndarray):
+        return out.dtype, out.shape, out.tobytes()
+    return repr(out)
+
+
+@pytest.mark.parametrize(
+    "call, accepted",
+    [(call, accepted) for _, call, _, (_, accepted) in ARGUMENT_RULES],
+    ids=[row[0] for row in ARGUMENT_RULES],
+)
+def test_arguments_accept_numpy_integers(call, accepted):
+    value, plain = accepted
+    got = call(value, np.random.default_rng(91))
+    assert _comparable(got) == _comparable(call(plain, np.random.default_rng(91)))
+
+
 # ------------------------------------------------------------ positivity screen
 #
 # At every side, a Cholesky screen may accept a density before any

@@ -78,9 +78,9 @@ def _bell_geometry_per_point():
 @pytest.mark.parametrize("grid", [2, 3, 9, 21])
 def test_bell_sweep_rows_equal_per_point_walk(grid):
     rows = sweeps.bell_sweep_rows(grid)
-    assert rows == _bell_rows_per_point(grid)
-    assert all(type(v) is float for row in rows for v in row[:3] + row[6:])
-    assert all(type(v) is int for row in rows for v in row[3:6])
+    want = _bell_rows_per_point(grid)
+    assert rows.dtype == np.float64 and rows.shape == (len(want), 7)
+    assert rows.tolist() == [list(map(float, row)) for row in want]
 
 
 def test_bell_geometry_check_equals_per_point_walk():
