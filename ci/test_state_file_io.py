@@ -96,8 +96,12 @@ _CANONICAL = b'{"dims": [1], "matrix": [[1.0, 0.0]]}\n'
             b'{"dims": [1], "matrix": [[1' + b"0" * 5000 + b", 0]]}\n",
             b"field 'matrix'[0] holds an integer too large for a float",
         ),
+        (
+            b'{"dims": [1], "matrix": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+            b"JSON nested too deeply to parse",
+        ),
     ],
-    ids=["bom", "5001-digit-int"],
+    ids=["bom", "5001-digit-int", "deep-nesting"],
 )
 @pytest.mark.parametrize("source", ["path", "stdin"])
 def test_refused_file_exits_1_from_a_path_and_from_real_stdin(cli, tmp_path, data, message, source):

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import coherence, statefile, states, sweeps, twirl, verify
+from . import coherence, linalg, statefile, states, sweeps, twirl, verify
 from .errors import DimensionTooLargeError, PermutwirlError
 
 EXIT_OK = 0
@@ -130,7 +130,8 @@ def _cmd_coherence(args) -> int:
         }
     if args.assist is not None:
         samples, seed = args.assist
-        star = twirl.reconstruct_output_state(twirl.twirl_params(rho))
+        # the twirled state that `twirl --out` writes, diagonal tr/d
+        star = states.DensityMatrix(twirl.twirl_closed_form(rho.mat), rho.dims)
         doc["assist"] = {"samples": samples, "seed": seed, "estimates": {}}
         for measure in measures:
             est = coherence.assistance_estimate(rho, measure, samples, seed)
@@ -178,6 +179,7 @@ def _cmd_verify(args) -> int:
             seed = int(env)
         except ValueError as exc:
             raise PermutwirlError(f"PERMUTWIRL_SEED must be an integer, got {env!r}") from exc
+        seed = linalg._check_count(seed, "PERMUTWIRL_SEED", 0, PermutwirlError)
     results = verify.run_suite(dmax=args.dmax, samples=args.samples, seed=seed)
     doc = {
         "dmax": args.dmax,

@@ -275,12 +275,14 @@ def assistance_estimate(
 
     Raises:
         SampleCountError: if ``samples`` is not an integer >= 1.
+        ValueError: if ``seed`` is not an integer >= 0.
         DimensionTooLargeError: if ``samples`` > MAX_ASSIST_SAMPLES (checked
             before any eigensolve or draw).
     """
     linalg._check_dims(rho.dims, rho.d, 1)
     measure = _check_measure(measure)
     samples = linalg._check_count(samples, "samples", 1, SampleCountError)
+    seed = linalg._check_count(seed, "seed", 0, ValueError)
     if samples > MAX_ASSIST_SAMPLES:
         raise DimensionTooLargeError(
             f"samples {samples} exceeds the limit of {MAX_ASSIST_SAMPLES}: the "

@@ -137,7 +137,9 @@ def _parse_int(digits: str) -> int:
     try:
         return int(digits)
     except ValueError:  # more digits than int() reads: far beyond a float
-        return int(digits[:400])  # which the pair checks refuse by index
+        # A stand-in of the literal's sign that no str() prints either, so no
+        # message describes it; the pair checks refuse it by index.
+        return int(digits[:400]) * 10 ** sys.get_int_max_str_digits()
 
 
 def _load_tree(text) -> StateFile:
@@ -148,6 +150,8 @@ def _load_tree(text) -> StateFile:
         raise StateFileError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise StateFileError("JSON nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise StateFileError("top-level JSON value must be an object")
     for field in ("dims", "matrix"):
@@ -155,15 +159,19 @@ def _load_tree(text) -> StateFile:
             raise StateFileError(f"missing field '{field}'")
     try:  # the matrix field, not yet read, is sized from the dims
         dims = linalg._check_dims(doc["dims"], None)
-    except DimMismatchError:
+    except (DimMismatchError, ValueError):  # ValueError: str() refusing a dims entry
         raise StateFileError(
             "field 'dims' must be a nonempty list of positive integers"
         ) from None
     d = math.prod(dims)
     entries = doc["matrix"]
     if not isinstance(entries, list) or len(entries) != d * d:
+        try:
+            need = f"{d * d} [re, im] pairs for dims {list(dims)}"
+        except ValueError:  # str() prints no int of more digits than this
+            need = f"at least 10^{sys.get_int_max_str_digits()} [re, im] pairs for its dims"
         raise StateFileError(
-            f"field 'matrix' must hold {d * d} [re, im] pairs for dims {list(dims)}, "
+            f"field 'matrix' must hold {need}, "
             f"got {len(entries) if isinstance(entries, list) else type(entries).__name__}"
         )
     flat = _pairs_as_array(entries)

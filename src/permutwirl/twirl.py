@@ -270,7 +270,10 @@ def twirl_params(rho: DensityMatrix) -> TwirlSummary:
     """Scalars characterizing the twirl of a monopartite state.
 
     ``off_diag`` is the mean of the off-diagonal entries (see
-    :func:`off_diagonal_means`).  ``weight = dim * off_diag``.
+    :func:`off_diagonal_means`).  ``weight = dim * off_diag``.  The summary
+    holds no trace: :func:`reconstruct_output_state` rebuilds from it the
+    trace-one member of the output family, not the kernel's output
+    :func:`twirl_closed_form`, whose diagonal is Tr(rho)/d.
     """
     linalg._check_dims(rho.dims, rho.d, 1)
     a = float(off_diagonal_means(rho.mat))
@@ -278,11 +281,15 @@ def twirl_params(rho: DensityMatrix) -> TwirlSummary:
 
 
 def reconstruct_output_state(summary: TwirlSummary) -> DensityMatrix:
-    """Rebuild the twirled state from its scalar summary.
+    """Rebuild the trace-one member of the output family from a summary.
 
     Equal to the one-parameter maximally-coherent-mixed family at weight
-    ``summary.weight``, and to the twirl of any state producing that
-    summary.
+    ``summary.weight``, with diagonal exactly 1/d.  It is not the kernel's
+    output: :func:`twirl_closed_form` gives the diagonal Tr(rho)/d, so the
+    two agree up to rounding only on a state of trace one.  A state that
+    validation accepts with a trace off 1 may rebuild to a member that is
+    not a state within ``linalg.DEFAULT_TOL``, which
+    :func:`output_state_stack` refuses.
     """
     mat = output_state_stack(summary.dim, summary.off_diag)
     return DensityMatrix(mat, (summary.dim,))

@@ -374,6 +374,7 @@ def run_suite(
     """
     dmax = linalg._check_count(dmax, "dmax", 1, ValueError)
     samples = linalg._check_count(samples, "samples", 1, ValueError)
+    seed = linalg._check_count(seed, "seed", 0, ValueError)
     if dmax > MAX_DMAX:
         raise ValueError(f"dmax must be <= {MAX_DMAX}, got {dmax}")
     if samples > MAX_SAMPLES:

@@ -413,6 +413,86 @@ def test_coherence_rejects_bipartite(tmp_path, capsys):
     assert "monopartite" in err
 
 
+@pytest.mark.parametrize(
+    "flags", [["--measure", "l1"], ["--measure", "relent"], ["--bits"]], ids=["l1", "relent", "bits"]
+)
+def test_assist_rho_star_is_the_estimate_on_the_twirl_out_file(tmp_path, capsys, flags):
+    # one twirled state: rho_star scores the matrix that `twirl --out` writes
+    rng = np.random.default_rng(31)
+    scale = 1.0 / math.log(2.0) if "--bits" in flags else 1.0
+    for d in (2, 3, 5):
+        path = _write_state(tmp_path, f"d{d}.json", states.random_density(d, rng))
+        twirled = str(tmp_path / f"d{d}-twirled.json")
+        assert _run(capsys, ["twirl", path, "--out", twirled])[0] == 0
+        code, out, err = _run(capsys, ["coherence", path, *flags, "--assist", "60", "4"])
+        assert (code, err) == (0, "")
+        loaded = statefile.load_density(twirled)
+        star = states.DensityMatrix(loaded.mat, loaded.dims)
+        estimates = json.loads(out)["assist"]["estimates"]
+        assert list(estimates) == (["l1", "relent"] if "--bits" in flags else [flags[1]])
+        for measure, est in estimates.items():
+            want = coherence.assistance_estimate(star, measure, 60, 4).value
+            if measure == coherence.MEASURE_REL_ENT:
+                want *= scale
+            got = np.float64(est["rho_star"])
+            assert got.view(np.uint64) == np.float64(want).view(np.uint64), (d, measure)
+
+
+def test_assist_on_an_accepted_state_at_the_output_family_edge(tmp_path, capsys):
+    # -0.9e-10 on psi+ and 1 + 1.8e-10 on psi-: validation accepts it, and
+    # the trace-one member of the output family is not a state within tol
+    plus, minus = np.array([1.0, 1.0]) / np.sqrt(2), np.array([1.0, -1.0]) / np.sqrt(2)
+    mat = -0.9e-10 * np.outer(plus, plus) + (1 + 1.8e-10) * np.outer(minus, minus)
+    path = _write_state(tmp_path, "edge.json", states.validate_density(mat))
+    code, out, err = _run(capsys, ["coherence", path, "--measure", "both", "--assist", "20", "7"])
+    assert (code, err) == (0, "")
+    assert set(json.loads(out)["assist"]["estimates"]) == {"l1", "relent"}
+
+
+@pytest.mark.parametrize(
+    "argv, env_seed, message",
+    [
+        (["verify", "--dmax", "2", "--samples", "2", "--seed", "-1"], None, "seed must be >= 0, got -1"),
+        (["verify", "--dmax", "2", "--samples", "2"], "-3", "PERMUTWIRL_SEED must be >= 0, got -3"),
+        (["coherence", "{state}", "--assist", "5", "-1"], None, "seed must be >= 0, got -1"),
+    ],
+    ids=["verify-flag", "verify-env", "coherence-assist"],
+)
+def test_negative_seed_is_refused_by_name(tmp_path, capsys, monkeypatch, argv, env_seed, message):
+    path = _write_state(tmp_path, "q.json", states.qubit_from_bloch((0.3, 0.2, 0.5)))
+    if env_seed is None:
+        monkeypatch.delenv("PERMUTWIRL_SEED", raising=False)
+    else:
+        monkeypatch.setenv("PERMUTWIRL_SEED", env_seed)
+    code, out, err = _run(capsys, [a.format(state=path) for a in argv])
+    assert (code, out, err) == (cli.EXIT_INVALID, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"dims": [1], "matrix": ' + "[" * 100000 + "]" * 100000 + "}", "JSON nested too deeply to parse"),
+        (
+            '{"dims": [' + ", ".join(["1" + "0" * 400] * 6) + '], "matrix": [[1, 0]]}',
+            f"field 'matrix' must hold at least 10^{sys.get_int_max_str_digits()} [re, im] "
+            "pairs for its dims, got 1",
+        ),
+        (
+            '{"dims": [1' + "0" * 5000 + '], "matrix": [[1, 0]]}',
+            f"field 'matrix' must hold at least 10^{sys.get_int_max_str_digits()} [re, im] "
+            "pairs for its dims, got 1",
+        ),
+    ],
+    ids=["deep-nesting", "six-401-digit-dims", "5001-digit-dims"],
+)
+@pytest.mark.parametrize("raw", [False, True], ids=["density", "raw"])
+def test_extreme_document_prints_one_error_line(tmp_path, capsys, text, message, raw):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = _run(capsys, ["twirl", str(path), *(["--raw"] if raw else [])])
+    assert (code, out, err) == (cli.EXIT_INVALID, "", f"error: {message}\n")
+
+
 def _read_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]

@@ -445,6 +445,9 @@ def test_assistance_sample_count_guard(monkeypatch):
     monkeypatch.setattr(linalg, "hermitian_eigen", no_work)
     with pytest.raises(DimensionTooLargeError, match=str(coherence.MAX_ASSIST_SAMPLES)):
         coherence.assistance_estimate(rho, "l1", coherence.MAX_ASSIST_SAMPLES + 1, seed=1)
+    # so is a negative seed, which numpy would refuse without naming it
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        coherence.assistance_estimate(rho, "l1", 5, seed=-1)
 
 
 @pytest.mark.parametrize(

@@ -102,6 +102,42 @@ def test_integer_of_more_digits_than_int_reads_is_too_large(tmp_path):
         statefile.load_raw(path)
 
 
+_DIGIT_LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"dims": [1], "matrix": ' + "[" * 100000 + "]" * 100000 + "}", "JSON nested too deeply to parse"),
+        # too deep for the parser in the dims, where the whole-buffer route parses
+        ('{"dims": ' + "[" * 100000 + "]" * 100000 + ', "matrix": [[1.0, 0.0]]}', "JSON nested too deeply to parse"),
+        # a count of more digits than str() prints, from printable dims
+        (
+            '{"dims": [' + ", ".join(["1" + "0" * 400] * 6) + '], "matrix": [[1, 0]]}',
+            f"field 'matrix' must hold at least 10^{_DIGIT_LIMIT} [re, im] pairs for its dims, got 1",
+        ),
+        # a dims entry of more digits than int() reads is not named by a stand-in
+        (
+            '{"dims": [1' + "0" * 5000 + '], "matrix": [[1, 0]]}',
+            f"field 'matrix' must hold at least 10^{_DIGIT_LIMIT} [re, im] pairs for its dims, got 1",
+        ),
+        (
+            '{"dims": [0, 1' + "0" * 5000 + '], "matrix": [[1, 0]]}',
+            "field 'dims' must be a nonempty list of positive integers",
+        ),
+        (
+            '{"dims": [-1' + "0" * 5000 + '], "matrix": [[1, 0]]}',
+            "field 'dims' must be a nonempty list of positive integers",
+        ),
+    ],
+    ids=["deep-matrix", "deep-dims", "six-401-digit-dims", "5001-digit-dims", "zero-and-5001-digit-dims", "negative-5001-digit-dims"],
+)
+def test_extreme_documents_are_state_file_errors(text, message):
+    with pytest.raises(StateFileError) as info:
+        statefile.load_raw(io.StringIO(text))
+    assert str(info.value) == message
+
+
 def test_float_literal_beyond_range_is_not_finite(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"dims": [1], "matrix": [[1e400, 0]]}')
