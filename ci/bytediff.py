@@ -39,12 +39,13 @@ DIMS = [(3,), (6,), (2, 2), (2, 3), (3, 4), (8, 8)]
 class Run:
     argv: tuple[str, ...]
     stdin: str | None = None  # a corpus file fed on standard input
-    seed_env: str | None = None  # PERMUTWIRL_SEED, unset when None
+    env: tuple[tuple[str, str], ...] = ()  # (name, value) pairs set for this run
 
     @property
     def name(self) -> str:
-        env = "" if self.seed_env is None else f"PERMUTWIRL_SEED={self.seed_env} "
-        return env + " ".join(self.argv) + ("" if self.stdin is None else f" < {self.stdin}")
+        env = "".join(f"{key}={value} " for key, value in self.env)
+        command = " ".join(self.argv) or "(no arguments)"
+        return env + command + ("" if self.stdin is None else f" < {self.stdin}")
 
 
 @dataclass(frozen=True)
@@ -123,6 +124,7 @@ def corpus() -> dict[str, str]:
         rho = _density(rng, math.prod(dims))
         files[f"d{_tag(dims)}.json"] = _doc_text(rho, dims, "l]] é")
         files[f"d{_tag(dims)}-indent.json"] = _doc_text(rho, dims, indent=1)
+    files["d3-utf8.json"] = files["d3.json"].replace("\\u00e9", "é")  # é as its UTF-8 bytes
     files["op2x3.json"] = _doc_text(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)), (2, 3))
     files["int2.json"] = '{"dims": [2], "matrix": [[1, 0], [0, 0], [0, 0], [0, 0]]}'
     # accepted: -0.9e-10 on psi+, 1 + 1.8e-10 on psi-, trace 1 + 0.9e-10
@@ -132,6 +134,7 @@ def corpus() -> dict[str, str]:
     files["dims-6x401.json"] = '{"dims": [' + ", ".join(["1" + "0" * 400] * 6) + '], "matrix": [[1, 0]]}'
     files["dims-5001.json"] = '{"dims": [1' + "0" * 5000 + '], "matrix": [[1, 0]]}'
     files["entry-5001.json"] = '{"dims": [1], "matrix": [[1' + "0" * 5000 + ", 0]]}"
+    files["lone-cr.json"] = '{"dims": [1],\r"matrix": [[1, 0]],\r"x": ]}'
     for k, doc in enumerate(SCHEMA_VIOLATIONS):
         files[f"schema{k:02d}.json"] = json.dumps(doc)
     return files
@@ -160,11 +163,12 @@ def runs() -> list[Run]:
         Run(("twirl", "-", "--side", "both", "--out", OUT), stdin="d2x2.json"),
         Run(("twirl", "-", "--side", "both", "--out", OUT), stdin="d3x4.json"),
         Run(("twirl", "-", "--out", "-"), stdin="d3.json"),
+        Run(("twirl", "-", "--out", "-"), stdin="d3-utf8.json", env=(("PYTHONIOENCODING", "latin-1"),)),
         Run(("twirl", "-", "--raw"), stdin="op2x3.json"),
         Run(("twirl", "-", "--raw"), stdin="deep.json"),
         Run(("twirl", "missing.json")),
     ]
-    for f in ["deep.json", "dims-6x401.json", "dims-5001.json", "entry-5001.json"]:
+    for f in ["deep.json", "dims-6x401.json", "dims-5001.json", "entry-5001.json", "lone-cr.json"]:
         out.append(Run(("twirl", f, "--raw")))
     out += [Run(("twirl", f"schema{k:02d}.json", "--raw")) for k in range(len(SCHEMA_VIOLATIONS))]
     for f in mono:
@@ -190,22 +194,22 @@ def runs() -> list[Run]:
         Run(("sweep-bell", "--grid", "21")),
         Run(("sweep-bell", "--grid", "41", "--out", OUT)),
         Run(("verify", "--dmax", "3", "--samples", "10")),
-        Run(("verify", "--dmax", "3", "--samples", "10"), seed_env="5"),
-        Run(("verify", "--dmax", "3", "--samples", "10"), seed_env="-3"),
-        Run(("verify", "--dmax", "3", "--samples", "10"), seed_env="x"),
+        Run(("verify", "--dmax", "3", "--samples", "10"), env=(("PERMUTWIRL_SEED", "5"),)),
+        Run(("verify", "--dmax", "3", "--samples", "10"), env=(("PERMUTWIRL_SEED", "-3"),)),
+        Run(("verify", "--dmax", "3", "--samples", "10"), env=(("PERMUTWIRL_SEED", "x"),)),
         Run(("verify", "--dmax", "3", "--samples", "10", "--seed", "-1")),
         Run(("verify", "--dmax", "5", "--samples", "50", "--seed", "1")),
         Run(("verify", "--dmax", "9", "--samples", "3", "--seed", "7")),
     ]
     out += [Run(("verify", "--dmax", "6", "--samples", "100", "--seed", s)) for s in "123"]
+    out += [Run(("twirl", "x.json", "--side", "Q")), Run(("verify", "--dmax", "1e3")), Run(())]
     return out
 
 
-def _env(src: Path, threads: int, seed_env: str | None) -> dict:
-    env = {k: v for k, v in os.environ.items() if k != "PERMUTWIRL_SEED"}
-    env.update(PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=str(threads))
-    if seed_env is not None:
-        env["PERMUTWIRL_SEED"] = seed_env
+def _env(src: Path, threads: int, run_env=()) -> dict:
+    unset = ("PERMUTWIRL_SEED", "PYTHONIOENCODING")
+    env = {k: v for k, v in os.environ.items() if k not in unset}
+    env.update(PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=str(threads), **dict(run_env))
     return env
 
 
@@ -214,7 +218,7 @@ def run_tree(tree: Path, work: Path, threads: int, plan: list[Run]) -> list[Outc
     src = tree / "src"
     where = subprocess.run(
         [sys.executable, "-c", "import permutwirl; print(permutwirl.__file__)"],
-        cwd=work, env=_env(src, threads, None), capture_output=True, text=True, check=True,
+        cwd=work, env=_env(src, threads), capture_output=True, text=True, check=True,
     ).stdout.strip()
     if not Path(where).resolve().is_relative_to(src.resolve()):
         raise SystemExit(f"bytediff: {tree} imports permutwirl from {where}")
@@ -223,7 +227,7 @@ def run_tree(tree: Path, work: Path, threads: int, plan: list[Run]) -> list[Outc
         stdin = (work / run.stdin).read_bytes() if run.stdin else b""
         done = subprocess.run(
             [sys.executable, "-m", "permutwirl.cli", *run.argv],
-            input=stdin, cwd=work, env=_env(src, threads, run.seed_env),
+            input=stdin, cwd=work, env=_env(src, threads, run.env),
             capture_output=True, timeout=600,
         )
         target = work / OUT

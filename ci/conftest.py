@@ -21,14 +21,15 @@ CLI = ("-m", "permutwirl.cli")
 
 @pytest.fixture
 def cli(tmp_path):
-    """``cli(*args, threads=1, prog=CLI, stdin=b"", status=0)`` runs ``python -m
-    permutwirl.cli args`` in ``tmp_path`` under ``OPENBLAS_NUM_THREADS=threads``
-    with ``stdin`` on its standard input, checks that it exits with
-    ``status`` and returns the completed process (bytes)."""
+    """``cli(*args, threads=1, prog=CLI, stdin=b"", status=0, env=None)`` runs
+    ``python -m permutwirl.cli args`` in ``tmp_path`` under
+    ``OPENBLAS_NUM_THREADS=threads`` and the variables of ``env`` (a dict), with
+    ``stdin`` on its standard input, checks that it exits with ``status`` and
+    returns the completed process (bytes)."""
 
-    def run(*args, threads=1, prog=CLI, stdin=b"", status=0):
+    def run(*args, threads=1, prog=CLI, stdin=b"", status=0, env=None):
         path = os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": path}
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": path, **(env or {})}
         argv = [sys.executable, *prog, *map(str, args)]
         done = subprocess.run(argv, input=stdin, cwd=tmp_path, env=env, capture_output=True)
         assert done.returncode == status, (argv[1:], done.returncode, done.stderr.decode())

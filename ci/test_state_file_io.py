@@ -47,7 +47,8 @@ def test_d64_both_load_routes_give_the_same_twirl_file(cli, tmp_path):
     text = (tmp_path / "d64.json").read_text(encoding="utf-8")
     indented = json.dumps(json.loads(text), indent=2)
     (tmp_path / "d64-indented.json").write_text(indented, encoding="utf-8")
-    assert statefile._load_flat(text) is not None and statefile._load_flat(indented) is None
+    assert statefile._load_flat(text.encode()) is not None
+    assert statefile._load_flat(indented.encode()) is None
     for name in ("d64", "d64-indented"):
         cli("twirl", f"{name}.json", "--side", "both", "--out", f"{name}-twirled.json")
         loaded = statefile.load_raw(tmp_path / f"{name}.json")
@@ -113,3 +114,25 @@ def test_refused_file_exits_1_from_a_path_and_from_real_stdin(cli, tmp_path, dat
         done = cli("twirl", "--raw", "-", stdin=data, status=1)
     assert done.stdout == b""
     assert done.stderr == b"error: " + message + b"\n"
+
+
+# (document, exit status): a label the flat route reads, a lone CR and a CRLF
+# before a refusal, and a UTF-8-encoded lone surrogate
+_ANY_ENCODING_ROWS = {
+    "non-ascii-label": ('{"dims": [1], "matrix": [[1.0, 0.0]], "label": "\u00e9 \u00fc"}\n'.encode(), 0),
+    "lone-cr": (b'{"dims": [1],\r"matrix": [[1, 0]],\r"x": ]}', 1),
+    "crlf": (b'{"dims": [1],\r\n"matrix": [[1, 0]],\r\n"x": ]}', 1),
+    "non-utf8-bytes": (b'{"dims": [1], "matrix": [[1, 0]], "label": "a\xed\xa0\x80"}', 1),
+}
+
+
+@pytest.mark.parametrize("data, status", _ANY_ENCODING_ROWS.values(), ids=list(_ANY_ENCODING_ROWS))
+def test_real_stdin_gives_the_path_bytes_under_any_stdio_encoding(cli, tmp_path, data, status):
+    # stdin is read as bytes, whatever encoding its text layer declares
+    (tmp_path / "state.json").write_bytes(data)
+    want = cli("twirl", "--raw", "state.json", "--out", "-", status=status)
+    assert want.stderr.startswith(b"error: ") if status else want.stderr == b""
+    for encoding in ("utf-8", "latin-1", "ascii"):
+        env = {"PYTHONIOENCODING": encoding}
+        done = cli("twirl", "--raw", "-", "--out", "-", stdin=data, status=status, env=env)
+        assert (done.stdout, done.stderr) == (want.stdout, want.stderr), encoding

@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Commands: ``twirl``, ``coherence``, ``sweep-qubit``, ``sweep-bell``,
-``verify``.  Exit codes: 0 success, 1 validation or parse error,
-2 dimension guard, 3 verification failure.  The environment variable
-``PERMUTWIRL_SEED`` sets ``verify``'s seed where no ``--seed`` flag is
-given; no other command reads it.  File arguments accept '-' for
-stdin/stdout.
+``verify``.  Exit codes: 0 success, 1 validation or parse error (a
+usage error included), 2 dimension guard, 3 verification failure.  The
+environment variable ``PERMUTWIRL_SEED`` sets ``verify``'s seed where no
+``--seed`` flag is given; no other command reads it.  File arguments
+accept '-' for stdin/stdout.
 """
 
 import argparse
@@ -204,8 +204,17 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one ``error:`` line and exit 1, as a parse error is;
+    exit 2 stays the dimension guard's.  Subcommand parsers share the class."""
+
+    def error(self, message):
+        sys.stderr.write(f"error: {message}\n")
+        raise SystemExit(EXIT_INVALID)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="permutwirl",
         description="Permutation-twirl channel numerics: apply the channel, "
         "bound coherence, sweep figures, and self-verify.",

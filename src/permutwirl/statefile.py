@@ -13,12 +13,16 @@ load would refuse.  Floats are written exactly as ``json.dumps`` writes
 them (``repr``), so save followed by load is bit-exact.  The path '-'
 means stdin/stdout.
 
-Both directions work on whole arrays.  The layout that ``save_state`` and
-``json.dumps`` write loads by ``_load_flat``: it checks the matrix's bracket
-skeleton on the raw bytes and parses its numbers as one flat list.  Any
-other document goes to ``_load_tree``, which checks the pairs' types in
-set-building passes, then pair by pair to name the first bad index.  Only
-``_load_tree`` raises, so no bit and no refusal depends on the route.  A save
+A load reads every source as bytes: a path, '-' (stdin's bytes, whatever
+its text encoding), a binary reader, or a text reader, whose str is encoded
+as UTF-8.  Both directions work on whole arrays.  The layout that
+``save_state`` and ``json.dumps`` write loads by ``_load_flat``: it checks
+the matrix's bracket skeleton on those bytes and parses its numbers as one
+flat list.  Any other document goes to ``_load_tree``, the one decode of the
+whole document (strict UTF-8, so json counts lines by ``\n`` alone and
+refuses a BOM), which checks the pairs' types in set-building passes, then
+pair by pair to name the first bad index.  Only ``_load_tree`` raises, so no
+bit and no refusal depends on the route or on the source.  A save
 groups the entries by their (re, im) bits with one ``np.lexsort``, spells
 each distinct entry once and writes head, entries and tail in turn.
 """
@@ -42,16 +46,16 @@ class StateFile:
     label: str | None
 
 
-def _read_text(source) -> str:
-    # Every source decodes as UTF-8 and keeps a BOM, which json then refuses.
-    try:
-        if source == "-" or hasattr(source, "read"):
-            text = (sys.stdin if source == "-" else source).read()
-            return text.decode() if isinstance(text, (bytes, bytearray)) else text
-        with open(source, "r", encoding="utf-8") as fh:
+def _read_bytes(source):
+    """The one read of every source: its bytes as given, a reader's str as
+    UTF-8, a lone surrogate included, so that _load_tree's decode refuses it."""
+    if source == "-":
+        source = getattr(sys.stdin, "buffer", sys.stdin)
+    if not hasattr(source, "read"):
+        with open(source, "rb") as fh:
             return fh.read()
-    except UnicodeDecodeError as exc:
-        raise StateFileError(f"not UTF-8 text: {exc}") from None
+    data = source.read()
+    return data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
 
 
 def _pairs_as_array(entries: list) -> np.ndarray | None:
@@ -101,7 +105,7 @@ _NUMBER_BYTES = b"0123456789+-.eE"  # the bytes a JSON number may hold
 _KEY_LISTS = (["dims", "matrix"], ["dims", "label", "matrix"])
 
 
-def _load_flat(text: str) -> StateFile | None:
+def _load_flat(data: bytes) -> StateFile | None:
     """The whole-buffer route; None for a document it cannot vouch for.
 
     The region from the first ``"matrix": [[`` to the last ``]]`` is the matrix:
@@ -110,7 +114,6 @@ def _load_flat(text: str) -> StateFile | None:
     ``[, ], `` * (n - 1) + ``[, ]]``; ``json.loads`` parses its 2n numbers once
     each ``], [`` is ``, ``, and refuses the stray ``]`` of ``[1, ]2``."""
     try:
-        data = text.encode()
         start, end = data.index(b'"matrix": [[') + 10, data.rindex(b"]]") + 2
         doc = json.loads((data[:start] + b"[]" + data[end:]).decode(), object_pairs_hook=tuple)
         if not isinstance(doc, tuple) or sorted(key for key, _ in doc) not in _KEY_LISTS:
@@ -123,8 +126,8 @@ def _load_flat(text: str) -> StateFile | None:
         skeleton = data[start:end].translate(None, _NUMBER_BYTES)  # length compared first
         if len(skeleton) != 6 * n or skeleton != b"[" + b"[, ], " * (n - 1) + b"[, ]]":
             return None
+        # ASCII, as the skeleton shows: a str, so json holds no bytes copy as it parses
         numbers = data[start + 1 : end - 1].replace(b"], [", b", ").decode()
-        del data  # not held while json builds its list of floats
         flat = np.fromiter(json.loads(numbers), float, 2 * n)
     except (AttributeError, ValueError, OverflowError, RecursionError, DimMismatchError):
         return None  # AttributeError: a reader gave neither text nor bytes
@@ -142,10 +145,15 @@ def _parse_int(digits: str) -> int:
         return int(digits[:400]) * 10 ** sys.get_int_max_str_digits()
 
 
-def _load_tree(text) -> StateFile:
-    """The route for any document, and the only one that raises."""
+def _load_tree(data) -> StateFile:
+    """The route for any document, and the only one that raises.
+
+    The one decode of the whole document: strict UTF-8, which keeps a BOM
+    for json to refuse."""
     try:
-        doc = json.loads(text, parse_int=_parse_int)
+        doc = json.loads(str(data, "utf-8"), parse_int=_parse_int)
+    except UnicodeDecodeError as exc:
+        raise StateFileError(f"not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise StateFileError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -185,8 +193,8 @@ def _load_tree(text) -> StateFile:
 
 def load_raw(source) -> StateFile:
     """Parse a state file without density validation (operator mode)."""
-    text = _read_text(source)
-    return _load_flat(text) or _load_tree(text)
+    data = _read_bytes(source)
+    return _load_flat(data) or _load_tree(data)
 
 
 def load_density(source) -> StateFile:

@@ -492,7 +492,7 @@ def entanglement_breaking_certificate(
 
 def _collective_matrix(x, d: int) -> np.ndarray:
     m = linalg.as_complex_matrix(x, stack=True)
-    if d < 1:
+    if isinstance(d, (int, np.integer)) and d < 1:  # any other d: the dims rule
         raise ValueError(f"dimension must be >= 1, got {d}")
     linalg._check_dims((d, d), linalg.require_square(m))
     return m

@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permutwirl import cli, coherence, linalg, statefile, states, sweeps, twirl, verify
 
@@ -1025,3 +1027,139 @@ def test_verify_names_do_not_depend_on_how_checks_end(capsys, monkeypatch):
     code, out, _ = _run(capsys, ["verify", "--dmax", "2", "--samples", "2", "--seed", "1"])
     assert code == cli.EXIT_VERIFY_FAILED
     assert [c["name"] for c in json.loads(out)["checks"]] == passing
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["twirl", "x", "--side", "Q"], "argument --side: invalid choice: 'Q'"),
+        (["verify", "--dmax", "1e3"], "argument --dmax: invalid int value: '1e3'"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["twirl-side-Q", "verify-dmax-1e3", "bare"],
+)
+def test_usage_error_is_one_line_and_exit_1(capsys, argv, message):
+    # exit 2 stays the dimension guard's; a usage error is a parse error
+    with pytest.raises(SystemExit) as caught:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert caught.value.code == cli.EXIT_INVALID
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + message) and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as caught:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert caught.value.code == 0
+    assert captured.out.startswith("usage: permutwirl") and captured.err == ""
+
+
+# ------------------------------------------------------------ the CLI contract
+#
+# Every argv ends in one exit code, 0 to 3 (SystemExit 0 for --help, 1 for a
+# usage error), with stderr empty or one `error:` or `verification failed:`
+# line, and no exception escaping.  The argv are drawn from a grammar over
+# the five commands with odd values; the state files include the extremes of
+# depth and digit count.
+
+_HUGE = "1" + "0" * 30
+_CONTRACT_DOCS = {
+    "d2.json": json.dumps(
+        {"dims": [2], "matrix": [[0.5, 0], [0.25, -0.125], [0.25, 0.125], [0.5, 0]], "label": "é"}
+    ).encode(),
+    "d2x2.json": json.dumps(
+        {"dims": [2, 2], "matrix": [[0.25 * (i % 5 == 0), 0] for i in range(16)]}
+    ).encode(),
+    "deep.json": b'{"dims": [1], "matrix": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+    "dims-6x401.json": b'{"dims": [' + b", ".join([b"1" + b"0" * 400] * 6) + b'], "matrix": [[1, 0]]}',
+    "dims-5001.json": b'{"dims": [1' + b"0" * 5000 + b'], "matrix": [[1, 0]]}',
+    "entry-5001.json": b'{"dims": [1], "matrix": [[1' + b"0" * 5000 + b", 0]]}",
+    "lone-cr.json": b'{"dims": [1],\r"matrix": [[1, 0]],\r"x": ]}',
+    "latin-1.json": b'{"dims": [1], "matrix": [[1, 0]], "label": "\xe9"}',
+}
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    where = tmp_path_factory.mktemp("contract")
+    for name, data in _CONTRACT_DOCS.items():
+        (where / name).write_bytes(data)
+    return where
+
+
+def _odd(*usual):
+    return st.sampled_from(usual) | st.sampled_from(["0", "-1", "2.5", "nan", "inf", _HUGE])
+
+
+@st.composite
+def _contract_argv(draw, where):
+    """(argv, the bytes on stdin): each flag present or not, its value usual or odd."""
+
+    def flag(name, values):
+        return [name, draw(values)] if draw(st.booleans()) else []
+
+    files = st.sampled_from([*(str(where / name) for name in _CONTRACT_DOCS), str(where / "missing.json")])
+    files |= st.just("-")
+    outs = st.sampled_from([str(where / "out.dat"), "-", str(where / "missing" / "out.dat")])
+    command = draw(st.sampled_from(["twirl", "coherence", "sweep-qubit", "sweep-bell", "verify"]))
+    if command == "twirl":
+        argv = [command, draw(files), *flag("--side", st.sampled_from(["A", "B", "both", "none", "Q"]))]
+        argv += flag("--method", st.sampled_from(["closed", "brute", "x"])) + flag("--out", outs)
+        argv += ["--raw"] * draw(st.booleans())
+    elif command == "coherence":
+        argv = [command, draw(files), *flag("--measure", st.sampled_from(["l1", "relent", "both", "x"]))]
+        if draw(st.booleans()):
+            argv += ["--assist", draw(_odd("3", "40")), draw(_odd("7"))]
+        argv += ["--bits"] * draw(st.booleans())
+    elif command == "sweep-qubit":
+        argv = [command, *flag("--r2", _odd("0.1", "0.9")), *flag("--r3", _odd("0.1", "-0.2"))]
+        argv += flag("--steps", _odd("1", "7")) + flag("--out", outs)
+    elif command == "sweep-bell":
+        argv = [command, *flag("--grid", _odd("2", "3")), *flag("--out", outs)]
+    else:  # verify's defaults take a tenth of a second, so both counts are drawn
+        argv = [command, "--dmax", draw(_odd("2", "3")), "--samples", draw(_odd("1", "2"))]
+        argv += flag("--seed", _odd("5"))
+    if draw(st.integers(0, 9)) == 5:
+        argv.insert(draw(st.integers(0, len(argv))), "--help")
+    return argv, _CONTRACT_DOCS[draw(st.sampled_from(sorted(_CONTRACT_DOCS)))]
+
+
+def _main_with_streams(argv, stdin_bytes):
+    """cli.main's outcome, stdout and stderr, with stdin a text wrapper over
+    the bytes that declares latin-1."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin_bytes), encoding="latin-1", newline="\n")
+    sys.stdout, sys.stderr = out, err
+    try:
+        outcome = cli.main(argv)
+    except SystemExit as exc:
+        outcome = ("SystemExit", exc.code)
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+    return outcome, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_cli_contract(contract_dir, data):
+    argv, stdin_bytes = data.draw(_contract_argv(contract_dir), label="argv, stdin")
+    outcome, _, err = _main_with_streams(argv, stdin_bytes)
+    if outcome == ("SystemExit", 0):
+        assert "--help" in argv and err == ""
+        return
+    want = {
+        ("SystemExit", cli.EXIT_INVALID): "error: ",
+        cli.EXIT_OK: "",
+        cli.EXIT_INVALID: "error: ",
+        cli.EXIT_DIMENSION: "error: ",
+        cli.EXIT_VERIFY_FAILED: "verification failed: ",
+    }
+    assert outcome in want, outcome
+    if want[outcome]:
+        assert err.startswith(want[outcome]) and err.count("\n") == 1 and err.endswith("\n"), err
+    else:
+        assert err == ""

@@ -231,6 +231,12 @@ MIXED4 = np.eye(4) / 4
         (states.random_density, (0, np.random.default_rng(1))),
         (states.random_density, (4, np.random.default_rng(1), (2, 2.0))),
         (twirl.collective_twirl, (MIXED4, 2.0)),
+        (twirl.collective_twirl, (MIXED4, "2")),
+        (twirl.collective_twirl, (MIXED4, None)),
+        (twirl.collective_twirl, (MIXED4, [2])),
+        (twirl.collective_twirl_bruteforce, (MIXED4, "2")),
+        (twirl.collective_twirl_bruteforce, (MIXED4, None)),
+        (twirl.collective_twirl_bruteforce, (MIXED4, [2])),
         (entanglement.is_ppt, (states.DensityMatrix(MIXED4, (2, 2, 1)),)),
         (twirl.twirl_params, (states.DensityMatrix(MIXED4, (2, 2)),)),
         (coherence.l1_coherence, (states.DensityMatrix(MIXED4, (2, 2)),)),
@@ -249,6 +255,12 @@ MIXED4 = np.eye(4) / 4
         "random-d0",
         "random-float",
         "collective-float-d",
+        "collective-str-d",
+        "collective-none-d",
+        "collective-list-d",
+        "collective-oracle-str-d",
+        "collective-oracle-none-d",
+        "collective-oracle-list-d",
         "ppt-three-factors",
         "twirl-params-two-factors",
         "l1-two-factors",

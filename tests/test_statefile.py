@@ -424,35 +424,63 @@ _ROUTE_ROWS = [
     "text, route", [row[1:] for row in _ROUTE_ROWS], ids=[row[0] for row in _ROUTE_ROWS]
 )
 def test_routes_agree(text, route):
-    assert (statefile._load_flat(text) is not None) == (route == "flat")
-    assert _outcome(statefile.load_raw, io.StringIO(text)) == _outcome(statefile._load_tree, text)
+    assert (statefile._load_flat(text.encode()) is not None) == (route == "flat")
+    assert _outcome(statefile.load_raw, io.StringIO(text)) == _outcome(statefile._load_tree, text.encode())
 
 
-def _sources(tmp_path, monkeypatch, text) -> dict:
-    path = tmp_path / "state.json"
-    path.write_text(text, encoding="utf-8")
-    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-    return {"path": path, "text": io.StringIO(text), "binary": io.BytesIO(text.encode()), "stdin": "-"}
+_SOURCES = ["path", "text", "binary", "stdin", "stdin-latin-1"]
 
 
-@pytest.mark.parametrize("kind", ["path", "text", "binary", "stdin"])
+def _source(tmp_path, monkeypatch, data: bytes, kind: str):
+    """``data`` as a path, a text reader, a binary reader, or '-' with
+    stdin a test's StringIO or a text wrapper over the bytes that declares
+    latin-1 and splits lines at \\n, as the real stdin does."""
+    if kind == "path":
+        (tmp_path / "state.json").write_bytes(data)
+        return tmp_path / "state.json"
+    if kind == "binary":
+        return io.BytesIO(data)
+    if kind == "stdin-latin-1":
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="latin-1", newline="\n")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        return "-"
+    text = io.StringIO(data.decode("utf-8", "surrogatepass"))
+    if kind == "text":
+        return text
+    monkeypatch.setattr(sys, "stdin", text)
+    return "-"
+
+
+# (id, document): each decodes with surrogatepass, so a text reader holds it too
+_SOURCE_ROWS = [
+    ("canonical", _CANONICAL.encode()),
+    ("minus-zero", _one("[[-0, -0.0]]").encode()),
+    ("bom", ("\ufeff" + _CANONICAL).encode()),
+    ("indent-2", _INDENTED.encode()),
+    # json counts lines by \n alone, whatever the source
+    ("lone-cr", b'{"dims": [1],\r"matrix": [[1, 0]],\r"x": ]}'),
+    ("crlf", b'{"dims": [1],\r\n"matrix": [[1, 0]],\r\n"x": ]}'),
+    ("non-ascii-label", _one("[[1, 0]]", ', "label": "\u00e9 \u00fc"').encode()),
+    # a UTF-8-encoded lone surrogate: strict UTF-8 refuses its first byte
+    ("non-utf8-bytes", _one("[[1, 0]]", ', "label": "a\ud800"').encode("utf-8", "surrogatepass")),
+]
+
+
+@pytest.mark.parametrize("kind", _SOURCES)
 @pytest.mark.parametrize(
-    "text",
-    [_CANONICAL, _one("[[-0, -0.0]]"), "\ufeff" + _CANONICAL, _INDENTED],
-    ids=["canonical", "minus-zero", "bom", "indent-2"],
+    "data", [row[1] for row in _SOURCE_ROWS], ids=[row[0] for row in _SOURCE_ROWS]
 )
-def test_routes_agree_on_every_source(tmp_path, monkeypatch, text, kind):
-    # one outcome from every source: a binary reader's bytes decode as a
-    # path's do, so a BOM is refused from each
-    source = _sources(tmp_path, monkeypatch, text)[kind]
-    assert _outcome(statefile.load_raw, source) == _outcome(statefile._load_tree, text)
+def test_routes_agree_on_every_source(tmp_path, monkeypatch, data, kind):
+    # one outcome from every source: each is read as bytes, decoded once,
+    # so a BOM or bytes that are not UTF-8 are refused from each
+    source = _source(tmp_path, monkeypatch, data, kind)
+    assert _outcome(statefile.load_raw, source) == _outcome(statefile._load_tree, data)
 
 
-def test_bytes_that_are_not_utf8_are_refused(tmp_path):
+def test_bytes_that_are_not_utf8_are_refused(tmp_path, monkeypatch):
     data = b'{"dims": [1], "matrix": [[1, 0]], "label": "\xe9"}'
-    path = tmp_path / "latin1.json"
-    path.write_bytes(data)
-    for source in (path, io.BytesIO(data)):
+    for kind in ("path", "binary", "stdin-latin-1"):
+        source = _source(tmp_path, monkeypatch, data, kind)
         with pytest.raises(StateFileError, match="not UTF-8 text: .* byte 0xe9 in position 44"):
             statefile.load_raw(source)
 
@@ -465,10 +493,10 @@ def test_a_reader_giving_neither_text_nor_bytes():
     assert _outcome(statefile.load_raw, Reader()) == _outcome(statefile._load_tree, None)
 
 
-@pytest.mark.parametrize("kind", ["path", "text", "binary", "stdin"])
+@pytest.mark.parametrize("kind", _SOURCES)
 def test_every_source_takes_the_flat_route(tmp_path, monkeypatch, kind):
-    want = _outcome(statefile._load_tree, _CANONICAL)
-    source = _sources(tmp_path, monkeypatch, _CANONICAL)[kind]
+    want = _outcome(statefile._load_tree, _CANONICAL.encode())
+    source = _source(tmp_path, monkeypatch, _CANONICAL.encode(), kind)
 
     def tree_route(text):
         raise AssertionError("the tree route was taken")
@@ -517,4 +545,4 @@ def _edited_documents(draw):
 @settings(max_examples=300, deadline=None)
 @given(_edited_documents())
 def test_routes_agree_on_edited_documents(text):
-    assert _outcome(statefile.load_raw, io.StringIO(text)) == _outcome(statefile._load_tree, text)
+    assert _outcome(statefile.load_raw, io.StringIO(text)) == _outcome(statefile._load_tree, text.encode())
