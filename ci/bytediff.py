@@ -3,12 +3,12 @@
     python ci/bytediff.py --base REV [--threads 1 2]
 
 Runs every ``permutwirl`` command on a seeded corpus with ``python -m
-permutwirl.cli``, on the base tree and on the tree that holds this script,
-and compares each run's stdout, stderr, exit code and output file.  The
-base is ``git archive REV`` of this repository, or a directory that holds
-a tree (its ``src/``).  Under ``--threads``, every run is made once per
-``OPENBLAS_NUM_THREADS`` value, and each tree is compared with the other at
-that count.
+permutwirl.cli``, some with stdin or stdout closed, on the base tree and on
+the tree that holds this script, and compares each run's stdout, stderr,
+exit code and output file.  The base is ``git archive REV`` of this
+repository, or a directory that holds a tree (its ``src/``).  Under
+``--threads``, every run is made once per ``OPENBLAS_NUM_THREADS`` value,
+and each tree is compared with the other at that count.
 
 Prints one summary line (N runs, M identical) and a table of the runs that
 moved; exits 0 when every run is identical and 1 otherwise.  The corpus is
@@ -35,17 +35,32 @@ OUT = "out.dat"  # every run that writes a file writes it here, in its own tree'
 DIMS = [(3,), (6,), (2, 2), (2, 3), (3, 4), (8, 8)]
 
 
+# the shell redirection that closes each standard stream
+_CLOSE = {"stdin": "<&-", "stdout": ">&-"}
+
+
+def closing(argv: list[str], closed: str | None) -> list[str]:
+    """``argv``, run with the standard stream ``closed`` names ("stdin" or
+    "stdout") closed when given: through ``sh``, since ``preexec_fn`` is
+    unsafe in the threads that run_tree runs in."""
+    if closed is None:
+        return argv
+    return ["sh", "-c", f'exec "$@" {_CLOSE[closed]}', "sh", *argv]
+
+
 @dataclass(frozen=True)
 class Run:
     argv: tuple[str, ...]
     stdin: str | None = None  # a corpus file fed on standard input
     env: tuple[tuple[str, str], ...] = ()  # (name, value) pairs set for this run
+    closed: str | None = None  # "stdin" or "stdout": the child starts with it closed
 
     @property
     def name(self) -> str:
         env = "".join(f"{key}={value} " for key, value in self.env)
         command = " ".join(self.argv) or "(no arguments)"
-        return env + command + ("" if self.stdin is None else f" < {self.stdin}")
+        stdin = "" if self.stdin is None else f" < {self.stdin}"
+        return env + command + stdin + ("" if self.closed is None else f" {_CLOSE[self.closed]}")
 
 
 @dataclass(frozen=True)
@@ -113,6 +128,8 @@ SCHEMA_VIOLATIONS = [
     {"dims": [2], "matrix": [[1, 0], "12", [0, 0], [1, 0]]},
     {"dims": [2], "matrix": [[1, 0], ["1", "2"], [0, 0], [1, 0]]},
     {"dims": [2], "matrix": [[1, 0], [0, 0], ["1.5", 0], [1, 0]]},
+    {"dims": [1], "matrix": [[_NAN, 10**400]]},
+    {"dims": [1], "matrix": [[True, 10**400]]},
 ]
 
 
@@ -203,6 +220,20 @@ def runs() -> list[Run]:
     ]
     out += [Run(("verify", "--dmax", "6", "--samples", "100", "--seed", s)) for s in "123"]
     out += [Run(("twirl", "x.json", "--side", "Q")), Run(("verify", "--dmax", "1e3")), Run(())]
+    out += [Run((command, "-"), stdin="d3.json", closed="stdin") for command in ("twirl", "coherence")]
+    out += [
+        Run(argv, closed="stdout")
+        for argv in (
+            ("twirl", "d3.json"),
+            ("twirl", "d3.json", "--out", "-"),
+            ("coherence", "d3.json"),
+            ("sweep-bell",),
+            ("sweep-qubit", "--out", "-"),
+            ("sweep-qubit", "--steps", "77", "--out", OUT),
+            ("verify", "--dmax", "3", "--samples", "10"),
+            ("--help",),
+        )
+    ]
     return out
 
 
@@ -226,7 +257,7 @@ def run_tree(tree: Path, work: Path, threads: int, plan: list[Run]) -> list[Outc
     for run in plan:
         stdin = (work / run.stdin).read_bytes() if run.stdin else b""
         done = subprocess.run(
-            [sys.executable, "-m", "permutwirl.cli", *run.argv],
+            closing([sys.executable, "-m", "permutwirl.cli", *run.argv], run.closed),
             input=stdin, cwd=work, env=_env(src, threads, run.env),
             capture_output=True, timeout=600,
         )

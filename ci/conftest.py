@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from bytediff import closing
 
 import permutwirl
 
@@ -21,16 +22,17 @@ CLI = ("-m", "permutwirl.cli")
 
 @pytest.fixture
 def cli(tmp_path):
-    """``cli(*args, threads=1, prog=CLI, stdin=b"", status=0, env=None)`` runs
-    ``python -m permutwirl.cli args`` in ``tmp_path`` under
+    """``cli(*args, threads=1, prog=CLI, stdin=b"", status=0, env=None, closed=None)``
+    runs ``python -m permutwirl.cli args`` in ``tmp_path`` under
     ``OPENBLAS_NUM_THREADS=threads`` and the variables of ``env`` (a dict), with
-    ``stdin`` on its standard input, checks that it exits with ``status`` and
+    ``stdin`` on its standard input, or with the stream ``closed`` names
+    ("stdin" or "stdout") closed, checks that it exits with ``status`` and
     returns the completed process (bytes)."""
 
-    def run(*args, threads=1, prog=CLI, stdin=b"", status=0, env=None):
+    def run(*args, threads=1, prog=CLI, stdin=b"", status=0, env=None, closed=None):
         path = os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
         env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": path, **(env or {})}
-        argv = [sys.executable, *prog, *map(str, args)]
+        argv = closing([sys.executable, *prog, *map(str, args)], closed)
         done = subprocess.run(argv, input=stdin, cwd=tmp_path, env=env, capture_output=True)
         assert done.returncode == status, (argv[1:], done.returncode, done.stderr.decode())
         return done

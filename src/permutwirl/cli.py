@@ -5,7 +5,7 @@ Commands: ``twirl``, ``coherence``, ``sweep-qubit``, ``sweep-bell``,
 usage error included), 2 dimension guard, 3 verification failure.  The
 environment variable ``PERMUTWIRL_SEED`` sets ``verify``'s seed where no
 ``--seed`` flag is given; no other command reads it.  File arguments
-accept '-' for stdin/stdout.
+accept '-' for stdin/stdout; a closed one (``statefile._stdio``) exits 1.
 """
 
 import argparse
@@ -28,12 +28,12 @@ EXIT_VERIFY_FAILED = 3
 CSV_FLOAT_DIGITS = 12
 
 
-def _print_json(doc) -> None:
+def _print_json(doc, indent=None) -> None:
     try:
-        text = json.dumps(doc, allow_nan=False)
+        text = json.dumps(doc, indent=indent, allow_nan=False)
     except ValueError as exc:
         raise PermutwirlError(f"result is not finite: {exc}") from exc
-    sys.stdout.write(text + "\n")
+    statefile._stdio("-", "output").write(text + "\n")
 
 
 def _json_float(value: float):
@@ -152,8 +152,9 @@ def _write_csv(target: str, header, rows: np.ndarray) -> None:
         for row in map(np.ndarray.tolist, rows):
             writer.writerow([f"{v:.{CSV_FLOAT_DIGITS}g}" for v in row])
 
-    if target == "-":
-        _emit(sys.stdout)
+    target = statefile._stdio(target, "output")
+    if hasattr(target, "write"):
+        _emit(target)
     else:
         with open(target, "w", encoding="utf-8", newline="") as fh:
             _emit(fh)
@@ -196,7 +197,7 @@ def _cmd_verify(args) -> int:
             for r in results
         ],
     }
-    sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    _print_json(doc, indent=2)
     if not doc["passed"]:
         first = next(r.name for r in results if not r.passed)
         sys.stderr.write(f"verification failed: {first}\n")
@@ -211,6 +212,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(EXIT_INVALID)
+
+    def print_help(self, file=None):
+        # a closed stdout is main's one error line, not the help on stderr
+        super().print_help(file or statefile._stdio("-", "output"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,9 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except DimensionTooLargeError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -2,7 +2,8 @@
 
 Everything operates on ``numpy`` arrays of dtype complex128.  Matrix
 equality is always tolerance-based (max-abs entry difference), never
-bitwise; use :func:`max_abs_diff`.
+bitwise; use :func:`max_abs_diff`.  ``hs_inner``, ``max_abs_diffs``, the
+eigensolvers and ``partial_transpose`` also take stacks ``(n, D, D)``.
 
 Bipartite operators use the row-major composite index ``i_A * d_B + i_B``,
 the same convention as ``numpy.kron``.
@@ -76,15 +77,24 @@ def max_abs_diffs(a, b) -> np.ndarray:
     return np.abs(a - b).max(axis=(-2, -1), initial=0.0)
 
 
-def hs_inner(x, y) -> complex:
-    """Hilbert-Schmidt inner product Tr(x^dagger y)."""
-    xm = as_complex_matrix(x)
-    ym = as_complex_matrix(y)
+def hs_inner(x, y):
+    """Hilbert-Schmidt inner product Tr(x^dagger y) of two matrices, or an
+    ``(n,)`` array of them for each pair of matrices of two stacks ``(n, D, D)``.
+
+    Each is one ``(1, D^2) @ (D^2, 1)`` product of the conjugate, which
+    gives the bits of ``np.vdot`` under one or two BLAS threads.
+
+    Raises:
+        DimMismatchError: if the shapes differ or are not 2-d or 3-d.
+        ValueError: if an entry is NaN or infinite.
+    """
+    xm = as_complex_matrix(x, stack=True)
+    ym = as_complex_matrix(y, stack=True)
     if xm.shape != ym.shape:
         raise DimMismatchError(f"shape mismatch: {xm.shape} vs {ym.shape}")
-    # vdot conjugates its first argument and sums entrywise products,
-    # which is exactly Tr(x^dagger y) for row-major flattening.
-    return complex(np.vdot(xm, ym))
+    lead, size = xm.shape[:-2], xm.shape[-2] * xm.shape[-1]
+    out = (xm.conj().reshape(*lead, 1, size) @ ym.reshape(*lead, size, 1))[..., 0, 0]
+    return out if lead else complex(out)
 
 
 def hermitian_eigen(a) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,7 @@ and integers too large for a float; before it writes, a save refuses a
 matrix holding NaN or an infinity, and dims, a shape or a label that a
 load would refuse.  Floats are written exactly as ``json.dumps`` writes
 them (``repr``), so save followed by load is bit-exact.  The path '-'
-means stdin/stdout.
+means stdin/stdout (``_stdio``, the CLI's stdout too); a closed one is OSError.
 
 A load reads every source as bytes: a path, '-' (stdin's bytes, whatever
 its text encoding), a binary reader, or a text reader, whose str is encoded
@@ -20,9 +20,9 @@ as UTF-8.  Both directions work on whole arrays.  The layout that
 the matrix's bracket skeleton on those bytes and parses its numbers as one
 flat list.  Any other document goes to ``_load_tree``, the one decode of the
 whole document (strict UTF-8, so json counts lines by ``\n`` alone and
-refuses a BOM), which checks the pairs' types in set-building passes, then
-pair by pair to name the first bad index.  Only ``_load_tree`` raises, so no
-bit and no refusal depends on the route or on the source.  A save
+refuses a BOM), which checks the pairs in one pass in index order, naming
+the first bad index.  Only ``_load_tree`` raises, so no bit and no refusal
+depends on the route or on the source.  A save
 groups the entries by their (re, im) bits with one ``np.lexsort``, spells
 each distinct entry once and writes head, entries and tail in turn.
 """
@@ -46,11 +46,24 @@ class StateFile:
     label: str | None
 
 
+def _stdio(target, direction: str):
+    """``target``, or for '-' the standard stream of ``direction``: stdin's
+    bytes (where it has a binary layer) for "input", stdout for "output".
+
+    A stream that the process began with closed is None in ``sys``: OSError,
+    which the CLI prints as one line."""
+    if target != "-":
+        return target
+    stream = sys.stdout if direction == "output" else getattr(sys.stdin, "buffer", sys.stdin)
+    if stream is None:
+        raise OSError(f"standard {direction} is closed")
+    return stream
+
+
 def _read_bytes(source):
     """The one read of every source: its bytes as given, a reader's str as
     UTF-8, a lone surrogate included, so that _load_tree's decode refuses it."""
-    if source == "-":
-        source = getattr(sys.stdin, "buffer", sys.stdin)
+    source = _stdio(source, "input")
     if not hasattr(source, "read"):
         with open(source, "rb") as fh:
             return fh.read()
@@ -58,50 +71,8 @@ def _read_bytes(source):
     return data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
 
 
-def _pairs_as_array(entries: list) -> np.ndarray | None:
-    """All pairs as one complex array, or None when the array route cannot vouch for them.
-
-    ``np.fromiter`` reads the string "1" as 1.0 and a boolean as 1.0/0.0,
-    so the exact types of the entries and of their parts are checked first:
-    lists of two, holding floats and integers only.  The view reinterprets
-    (re, im) float pairs, so the bits equal ``complex(re, im)``.
-    """
-    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
-        return None
-    if not set(map(type, chain.from_iterable(entries))) <= {float, int}:
-        return None
-    try:
-        flat = np.fromiter(chain.from_iterable(entries), float, 2 * len(entries))
-    except OverflowError:  # an integer too large for a float
-        return None
-    if not np.isfinite(flat).all():
-        return None
-    return flat.view(complex)
-
-
-def _raise_at_first_bad_pair(entries: list) -> None:
-    """Raises at the first entry that is not a finite [re, im] pair: every
-    list that :func:`_pairs_as_array` refuses holds one."""
-    for idx, pair in enumerate(entries):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(
-                isinstance(c, (int, float)) and not isinstance(c, bool) for c in pair
-            )
-        ):
-            raise StateFileError(f"field 'matrix'[{idx}] is not an [re, im] pair")
-        try:
-            z = complex(pair[0], pair[1])
-        except OverflowError as exc:
-            raise StateFileError(
-                f"field 'matrix'[{idx}] holds an integer too large for a float"
-            ) from exc
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise StateFileError(f"field 'matrix'[{idx}] holds a value that is not finite")
-
-
 _NUMBER_BYTES = b"0123456789+-.eE"  # the bytes a JSON number may hold
+_PART_TYPES = frozenset((int, float))  # exact types (a bool is neither); a set: hashed, not compared
 _KEY_LISTS = (["dims", "matrix"], ["dims", "label", "matrix"])
 
 
@@ -182,9 +153,24 @@ def _load_tree(data) -> StateFile:
             f"field 'matrix' must hold {need}, "
             f"got {len(entries) if isinstance(entries, list) else type(entries).__name__}"
         )
-    flat = _pairs_as_array(entries)
-    if flat is None:
-        _raise_at_first_bad_pair(entries)
+    # one pass in index order, so the first bad index is named: a list of two
+    # ints or floats, by exact type (np.fromiter would read a string or a bool
+    # as a number), then both parts within the float range, then both finite
+    try:
+        for idx, pair in enumerate(entries):
+            if type(pair) is not list or len(pair) != 2 or not (
+                type(pair[0]) in _PART_TYPES and type(pair[1]) in _PART_TYPES
+            ):
+                raise StateFileError(f"field 'matrix'[{idx}] is not an [re, im] pair")
+            # `&`, not `and`: both parts' range (OverflowError) before finiteness
+            if not math.isfinite(pair[0]) & math.isfinite(pair[1]):
+                raise StateFileError(f"field 'matrix'[{idx}] holds a value that is not finite")
+    except OverflowError:
+        raise StateFileError(
+            f"field 'matrix'[{idx}] holds an integer too large for a float"
+        ) from None
+    # the view reinterprets (re, im) float pairs: the bits of complex(re, im)
+    flat = np.fromiter(chain.from_iterable(entries), float, 2 * len(entries)).view(complex)
     label = doc.get("label")
     if label is not None and not isinstance(label, str):
         raise StateFileError("field 'label' must be a string")
@@ -249,10 +235,10 @@ def save_state(target, mat: np.ndarray, dims, label: str | None = None) -> None:
         _matrix_entries_json(mat),
         "]" + ("" if label is None else ', "label": ' + json.dumps(label)) + "}\n",
     )
-    if target == "-" or hasattr(target, "write"):
-        out = sys.stdout if target == "-" else target
+    target = _stdio(target, "output")
+    if hasattr(target, "write"):
         for part in parts:
-            out.write(part)
+            target.write(part)
         return
     with open(target, "w", encoding="utf-8") as fh:
         fh.writelines(parts)

@@ -56,13 +56,6 @@ class CheckResult:
     passed: bool
 
 
-def _hs_inners(xs, ys) -> np.ndarray:
-    # linalg.hs_inner of each pair, Tr(x^dagger y), as one stacked
-    # (1, D^2) @ (D^2, 1) product of the conjugate: the bits of np.vdot
-    n = len(xs)
-    return (xs.conj().reshape(n, 1, -1) @ ys.reshape(n, -1, 1)).ravel()
-
-
 def _densities(dmax, samples, rng):
     return ((states.random_density_stack(d, samples, rng),) for d in range(2, dmax + 1))
 
@@ -152,7 +145,7 @@ def check_unitality(d):
 
 def check_self_adjointness(xs, ys):
     tx, ty = twirl.twirl_closed_form(xs), twirl.twirl_closed_form(ys)
-    gap = _hs_inners(tx, ys) - _hs_inners(xs, ty)
+    gap = linalg.hs_inner(tx, ys) - linalg.hs_inner(xs, ty)
     # np.hypot, not np.abs: it keeps the bits of abs() of one complex
     return np.hypot(gap.real, gap.imag)
 

@@ -1127,13 +1127,16 @@ def _contract_argv(draw, where):
     return argv, _CONTRACT_DOCS[draw(st.sampled_from(sorted(_CONTRACT_DOCS)))]
 
 
-def _main_with_streams(argv, stdin_bytes):
+def _main_with_streams(argv, stdin_bytes, closed=None):
     """cli.main's outcome, stdout and stderr, with stdin a text wrapper over
-    the bytes that declares latin-1."""
+    the bytes that declares latin-1, and ``sys.stdin`` or ``sys.stdout``
+    None where ``closed`` names it, as in a process that began without it."""
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin, sys.stdout, sys.stderr
     sys.stdin = io.TextIOWrapper(io.BytesIO(stdin_bytes), encoding="latin-1", newline="\n")
     sys.stdout, sys.stderr = out, err
+    if closed is not None:
+        setattr(sys, closed, None)
     try:
         outcome = cli.main(argv)
     except SystemExit as exc:
@@ -1147,7 +1150,8 @@ def _main_with_streams(argv, stdin_bytes):
 @given(data=st.data())
 def test_cli_contract(contract_dir, data):
     argv, stdin_bytes = data.draw(_contract_argv(contract_dir), label="argv, stdin")
-    outcome, _, err = _main_with_streams(argv, stdin_bytes)
+    closed = data.draw(st.sampled_from([None, None, None, "stdin", "stdout"]), label="closed")
+    outcome, _, err = _main_with_streams(argv, stdin_bytes, closed)
     if outcome == ("SystemExit", 0):
         assert "--help" in argv and err == ""
         return
@@ -1163,3 +1167,24 @@ def test_cli_contract(contract_dir, data):
         assert err.startswith(want[outcome]) and err.count("\n") == 1 and err.endswith("\n"), err
     else:
         assert err == ""
+
+
+@pytest.mark.parametrize(
+    "closed, argv",
+    [
+        ("stdin", ["twirl", "-"]),
+        ("stdin", ["coherence", "-", "--assist", "3", "7"]),
+        ("stdout", ["twirl", "d2.json"]),
+        ("stdout", ["twirl", "d2.json", "--out", "-"]),
+        ("stdout", ["coherence", "d2.json"]),
+        ("stdout", ["sweep-bell", "--grid", "2"]),
+        ("stdout", ["sweep-qubit", "--out", "-"]),
+        ("stdout", ["verify", "--dmax", "2", "--samples", "1"]),
+        ("stdout", ["--help"]),
+    ],
+)
+def test_a_closed_stream_is_one_line_naming_it(contract_dir, monkeypatch, closed, argv):
+    monkeypatch.chdir(contract_dir)
+    outcome, out, err = _main_with_streams(argv, _CONTRACT_DOCS["d2.json"], closed)
+    direction = "input" if closed == "stdin" else "output"
+    assert (outcome, out, err) == (cli.EXIT_INVALID, "", f"error: standard {direction} is closed\n")

@@ -24,6 +24,36 @@ def test_hs_inner():
         linalg.hs_inner(np.eye(2), np.eye(3))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 16, 64, 256])
+def test_hs_inner_has_the_bits_of_vdot_and_each_stack_row_is_a_pair(d):
+    rng = np.random.default_rng(100 + d)
+    xs, ys = rng.standard_normal((2, 3, d, d)) + 1j * rng.standard_normal((2, 3, d, d))
+    pairs = [linalg.hs_inner(x, y) for x, y in zip(xs, ys)]
+    assert all(type(z) is complex for z in pairs)
+    want = np.array([complex(np.vdot(x, y)) for x, y in zip(xs, ys)])
+    np.testing.assert_array_equal(np.array(pairs).view(np.uint64), want.view(np.uint64))
+    stacked = linalg.hs_inner(xs, ys)
+    assert stacked.shape == (3,)
+    np.testing.assert_array_equal(stacked.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "x, y, error",
+    [
+        (np.zeros((2, 3, 3)), np.zeros((3, 3, 3)), DimMismatchError),
+        (np.zeros((2, 3, 3)), np.zeros((2, 2, 2)), DimMismatchError),
+        (np.zeros((2, 3, 3)), np.zeros((3, 3)), DimMismatchError),
+        (np.zeros((1, 2, 3, 3)), np.zeros((1, 2, 3, 3)), DimMismatchError),
+        (np.zeros((2, 3, 3)), np.full((2, 3, 3), np.nan), ValueError),
+        (np.where(np.arange(8).reshape(2, 2, 2) == 5, np.inf, 0.0), np.zeros((2, 2, 2)), ValueError),
+    ],
+    ids=["length", "side", "stack-and-matrix", "4-d", "nan", "inf"],
+)
+def test_hs_inner_refuses_stacks(x, y, error):
+    with pytest.raises(error):
+        linalg.hs_inner(x, y)
+
+
 def test_hermitian_eigen_pauli():
     w, _ = linalg.hermitian_eigen(states.SIGMA_1)
     np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-12)

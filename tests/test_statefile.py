@@ -85,6 +85,9 @@ def test_malformed_json_reports_position(tmp_path):
         ({"dims": [2], "matrix": [[1, 0], "12", [0, 0], [1, 0]]}, r"matrix'\[1\] is not"),
         ({"dims": [2], "matrix": [[1, 0], ["1", "2"], [0, 0], [1, 0]]}, r"matrix'\[1\] is not"),
         ({"dims": [2], "matrix": [[1, 0], [0, 0], ["1.5", 0], [1, 0]]}, r"matrix'\[2\] is not"),
+        # Within one pair: the type first, then both parts' range, then finiteness.
+        ({"dims": [1], "matrix": [[float("nan"), 10**400]]}, r"matrix'\[0\] .*too large"),
+        ({"dims": [1], "matrix": [[True, 10**400]]}, r"matrix'\[0\] is not"),
     ],
 )
 def test_schema_violations(tmp_path, doc, message):
