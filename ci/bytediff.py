@@ -184,6 +184,7 @@ def runs() -> list[Run]:
         Run(("twirl", "-", "--raw"), stdin="op2x3.json"),
         Run(("twirl", "-", "--raw"), stdin="deep.json"),
         Run(("twirl", "missing.json")),
+        Run(("twirl", "d3.json", "--out", "missing/out.dat")),  # no run makes missing/
     ]
     for f in ["deep.json", "dims-6x401.json", "dims-5001.json", "entry-5001.json", "lone-cr.json"]:
         out.append(Run(("twirl", f, "--raw")))
@@ -210,6 +211,8 @@ def runs() -> list[Run]:
         Run(("sweep-bell", "--grid", "2")),
         Run(("sweep-bell", "--grid", "21")),
         Run(("sweep-bell", "--grid", "41", "--out", OUT)),
+        Run(("sweep-qubit", "--out", "missing/out.csv")),
+        Run(("sweep-bell", "--grid", "2", "--out", "missing/out.csv")),
         Run(("verify", "--dmax", "3", "--samples", "10")),
         Run(("verify", "--dmax", "3", "--samples", "10"), env=(("PERMUTWIRL_SEED", "5"),)),
         Run(("verify", "--dmax", "3", "--samples", "10"), env=(("PERMUTWIRL_SEED", "-3"),)),

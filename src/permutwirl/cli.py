@@ -6,10 +6,13 @@ usage error included), 2 dimension guard, 3 verification failure.  The
 environment variable ``PERMUTWIRL_SEED`` sets ``verify``'s seed where no
 ``--seed`` flag is given; no other command reads it.  File arguments
 accept '-' for stdin/stdout; a closed one (``statefile._stdio``) exits 1.
+``_doc`` is the JSON object of every result dataclass, ``statefile._output``
+the writer of every output target, and ``main`` writes every error line.
 """
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -41,8 +44,13 @@ def _json_float(value: float):
     return value if math.isfinite(value) else None
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _doc(result) -> dict:
+    """A result dataclass as its JSON object: keys in field order, a complex
+    as ``[re, im]`` (json writes a tuple as a list)."""
+    return {
+        key: [value.real, value.imag] if isinstance(value, complex) else value
+        for key, value in dataclasses.asdict(result).items()
+    }
 
 
 def _cmd_twirl(args) -> int:
@@ -64,12 +72,7 @@ def _cmd_twirl(args) -> int:
             if args.raw:
                 summary_doc = {"dims": list(dims), "raw": True}
             else:
-                summary = twirl.twirl_params(states.DensityMatrix(mat, (mat.shape[0],)))
-                summary_doc = {
-                    "dim": summary.dim,
-                    "off_diag": summary.off_diag,
-                    "weight": summary.weight,
-                }
+                summary_doc = _doc(twirl.twirl_params(states.DensityMatrix(mat, (mat.shape[0],))))
         else:
             # the coefficients of every bipartite summary are the two-sided
             # twirl's; the output is the kernel or oracle that --side and
@@ -80,7 +83,7 @@ def _cmd_twirl(args) -> int:
                 out = one_sided(mat, dims, side)
             elif brute:
                 out = twirl.twirl_two_sided_bruteforce(mat, dims)
-            summary_doc = _coeff_doc(coeffs)
+            summary_doc = _doc(coeffs)
 
     # Check the matrix here and the summary in _print_json, before any
     # output.
@@ -90,19 +93,6 @@ def _cmd_twirl(args) -> int:
     if args.out is not None:
         statefile.save_state(args.out, out, dims, label=loaded.label)
     return EXIT_OK
-
-
-def _coeff_doc(coeffs: twirl.BipartiteTwirlCoefficients) -> dict:
-    return {
-        "dims": list(coeffs.dims),
-        "c0": _complex_pair(coeffs.c0),
-        "c1": _complex_pair(coeffs.c1),
-        "c2": _complex_pair(coeffs.c2),
-        "c3": _complex_pair(coeffs.c3),
-        "overlap_a": _complex_pair(coeffs.overlap_a),
-        "overlap_b": _complex_pair(coeffs.overlap_b),
-        "overlap_ab": _complex_pair(coeffs.overlap_ab),
-    }
 
 
 def _cmd_coherence(args) -> int:
@@ -122,11 +112,9 @@ def _cmd_coherence(args) -> int:
 
     doc = {"dim": rho.d, "units": "bits" if args.bits else "nats", "reports": {}}
     for measure in measures:
-        report = coherence.coherence_report(rho, measure)
+        report = _doc(coherence.coherence_report(rho, measure))
         doc["reports"][measure] = {
-            "value": _convert(measure, report.value),
-            "lower_bound": _convert(measure, report.lower_bound),
-            "gap": _convert(measure, report.gap),
+            key: _convert(measure, value) for key, value in report.items() if key != "measure"
         }
     if args.assist is not None:
         samples, seed = args.assist
@@ -145,19 +133,12 @@ def _cmd_coherence(args) -> int:
 
 
 def _write_csv(target: str, header, rows: np.ndarray) -> None:
-    # one row list at a time, not a list of every row
-    def _emit(fh) -> None:
+    with statefile._output(target) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
+        # one row list at a time, not a list of every row
         for row in map(np.ndarray.tolist, rows):
             writer.writerow([f"{v:.{CSV_FLOAT_DIGITS}g}" for v in row])
-
-    target = statefile._stdio(target, "output")
-    if hasattr(target, "write"):
-        _emit(target)
-    else:
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            _emit(fh)
 
 
 def _cmd_sweep_qubit(args) -> int:
@@ -188,12 +169,7 @@ def _cmd_verify(args) -> int:
         "seed": seed,
         "passed": all(r.passed for r in results),
         "checks": [
-            {
-                "name": r.name,
-                "max_residual": _json_float(r.max_residual),
-                "tol": _json_float(r.tol),
-                "passed": r.passed,
-            }
+            {**_doc(r), "max_residual": _json_float(r.max_residual), "tol": _json_float(r.tol)}
             for r in results
         ],
     }
@@ -286,12 +262,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except DimensionTooLargeError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DIMENSION
     except (PermutwirlError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID
+        return EXIT_DIMENSION if isinstance(exc, DimensionTooLargeError) else EXIT_INVALID
 
 
 def run() -> None:

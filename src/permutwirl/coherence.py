@@ -117,6 +117,7 @@ def l1_coherence(rho: DensityMatrix) -> float:
 def l1_coherences(mats) -> np.ndarray:
     """:func:`l1_coherence` of each matrix of a stack ``(n, d, d)``."""
     mags = np.abs(linalg.as_complex_matrix(mats, stack=True))
+    linalg.require_square(mags)
     return mags.sum(axis=(-2, -1)) - np.trace(mags, axis1=-2, axis2=-1)
 
 
@@ -174,7 +175,7 @@ def rel_ent_lower_bound(rho: DensityMatrix) -> float:
 def rel_ent_lower_bounds(mats) -> np.ndarray:
     """:func:`rel_ent_lower_bound` of each matrix of a stack ``(n, d, d)``."""
     m = np.asarray(mats, dtype=complex)
-    d = m.shape[-1]
+    d = linalg.require_square(m)
     diag = np.trace(m, axis1=-2, axis2=-1).real / d
     w = d * states._family_off_diag(d, twirl.off_diagonal_means(m), diag)
     # Clamp endpoint noise so the log arguments stay nonnegative.

@@ -55,9 +55,12 @@ def as_complex_matrix(a, stack: bool = False) -> np.ndarray:
 
 
 def require_square(a: np.ndarray) -> int:
-    """Side of a square matrix, or of each matrix in a stack."""
+    """Side of a square matrix, or of each matrix in a stack: at least 1, so
+    that no 0 x 0 matrix reaches numpy (a stack may hold no matrix)."""
     if a.shape[-2] != a.shape[-1]:
         raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[-1] == 0:
+        raise DimMismatchError(f"expected a matrix side of at least 1, got shape {a.shape}")
     return a.shape[-1]
 
 
@@ -86,12 +89,14 @@ def hs_inner(x, y):
 
     Raises:
         DimMismatchError: if the shapes differ or are not 2-d or 3-d.
+        NonSquareError: if the matrices are not square.
         ValueError: if an entry is NaN or infinite.
     """
     xm = as_complex_matrix(x, stack=True)
     ym = as_complex_matrix(y, stack=True)
     if xm.shape != ym.shape:
         raise DimMismatchError(f"shape mismatch: {xm.shape} vs {ym.shape}")
+    require_square(xm)
     lead, size = xm.shape[:-2], xm.shape[-2] * xm.shape[-1]
     out = (xm.conj().reshape(*lead, 1, size) @ ym.reshape(*lead, size, 1))[..., 0, 0]
     return out if lead else complex(out)

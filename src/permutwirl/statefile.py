@@ -12,6 +12,7 @@ matrix holding NaN or an infinity, and dims, a shape or a label that a
 load would refuse.  Floats are written exactly as ``json.dumps`` writes
 them (``repr``), so save followed by load is bit-exact.  The path '-'
 means stdin/stdout (``_stdio``, the CLI's stdout too); a closed one is OSError.
+``_output`` writes every output target, the CLI's CSV too, with ``\n`` line ends.
 
 A load reads every source as bytes: a path, '-' (stdin's bytes, whatever
 its text encoding), a binary reader, or a text reader, whose str is encoded
@@ -30,6 +31,7 @@ each distinct entry once and writes head, entries and tail in turn.
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 
@@ -58,6 +60,18 @@ def _stdio(target, direction: str):
     if stream is None:
         raise OSError(f"standard {direction} is closed")
     return stream
+
+
+@contextmanager
+def _output(target):
+    """The writer of ``target``: stdout for '-' (``_stdio``), a writer as
+    given, or the path opened as UTF-8 with ``newline=""``."""
+    target = _stdio(target, "output")
+    if hasattr(target, "write"):
+        yield target
+    else:
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            yield fh
 
 
 def _read_bytes(source):
@@ -235,10 +249,6 @@ def save_state(target, mat: np.ndarray, dims, label: str | None = None) -> None:
         _matrix_entries_json(mat),
         "]" + ("" if label is None else ', "label": ' + json.dumps(label)) + "}\n",
     )
-    target = _stdio(target, "output")
-    if hasattr(target, "write"):
+    with _output(target) as fh:
         for part in parts:
-            target.write(part)
-        return
-    with open(target, "w", encoding="utf-8") as fh:
-        fh.writelines(parts)
+            fh.write(part)

@@ -352,7 +352,8 @@ def _orbit_mean(m: np.ndarray, dims: tuple[int, ...], groups: tuple):
     means = sums / np.maximum(sizes[None].sum(axis=runs_at, keepdims=True), 1)
     runs[...] = means  # each run now holds its orbit's mean
     out = runs.ravel()[labels].reshape(m.shape)
-    return out, sums.reshape(*m.shape[:-2], -1), means.reshape(*m.shape[:-2], -1)
+    orbits = (*m.shape[:-2], math.prod(sums.shape[1:]))  # not -1: a stack may be empty
+    return out, sums.reshape(orbits), means.reshape(orbits)
 
 
 def twirl_one_sided(x, dims, side: str) -> np.ndarray:

@@ -580,6 +580,61 @@ def test_verify_env_seed(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 777
 
 
+def _key_paths(doc, prefix=""):
+    # every key of a parsed JSON document in the order of its text, a nested
+    # one as a dotted path; a list's items are numbered
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        path = f"{prefix}{key}"
+        if isinstance(doc, dict):
+            yield path
+        yield from _key_paths(value, path + ".")
+
+
+_COEFF_KEYS = ["dims", "c0", "c1", "c2", "c3", "overlap_a", "overlap_b", "overlap_ab"]
+_REPORT_KEYS = [
+    f"reports.{m}{k}" for m in ("l1", "relent") for k in ("", ".value", ".lower_bound", ".gap")
+]
+_ASSIST_KEYS = ["assist", "assist.samples", "assist.seed", "assist.estimates"] + [
+    f"assist.estimates.{m}{k}" for m in ("l1", "relent") for k in ("", ".rho", ".rho_star")
+]
+
+
+@pytest.mark.parametrize(
+    "state, argv, want",
+    [
+        ("qubit", ["twirl"], ["dim", "off_diag", "weight"]),
+        ("qubit", ["twirl", "--raw"], ["dims", "raw"]),
+        ("bell", ["twirl", "--side", "both"], _COEFF_KEYS),
+        ("bell", ["twirl", "--side", "A", "--raw"], _COEFF_KEYS),
+        (
+            "qubit",
+            ["coherence", "--assist", "20", "1"],
+            ["dim", "units", "reports", *_REPORT_KEYS, *_ASSIST_KEYS],
+        ),
+    ],
+    ids=["twirl", "twirl-raw", "twirl-bipartite", "twirl-bipartite-raw", "coherence-assist"],
+)
+def test_json_keys_follow_the_result_field_order(tmp_path, capsys, state, argv, want):
+    rho = {
+        "qubit": states.qubit_from_bloch((0.3, 0.2, 0.5)),
+        "bell": states.bell_diagonal_state(0.5, 0.3, -0.2),
+    }[state]
+    code, out, _ = _run(capsys, [argv[0], _write_state(tmp_path, "s.json", rho), *argv[1:]])
+    assert code == 0
+    assert list(_key_paths(json.loads(out))) == want
+
+
+def test_verify_json_keys_follow_the_result_field_order(capsys):
+    code, out, _ = _run(capsys, ["verify", "--dmax", "2", "--samples", "2"])
+    assert code == 0
+    doc = json.loads(out)
+    keys = ("name", "max_residual", "tol", "passed")
+    checks = [f"checks.{i}.{k}" for i in range(len(doc["checks"])) for k in keys]
+    assert len(checks) > 40
+    assert list(_key_paths(doc)) == ["dmax", "samples", "seed", "passed", "checks", *checks]
+
+
 def test_verify_rejects_malformed_env_seed(capsys, monkeypatch):
     monkeypatch.setenv("PERMUTWIRL_SEED", "not-a-number")
     code, _, err = _run(capsys, ["verify", "--dmax", "2", "--samples", "2"])

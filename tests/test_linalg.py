@@ -1,4 +1,6 @@
 import inspect
+import io
+import warnings
 
 import numpy as np
 import pytest
@@ -301,6 +303,50 @@ def test_dims_rule_refuses(fn, args):
     with pytest.raises(DimMismatchError) as caught:
         fn(*args)
     assert caught.type is DimMismatchError
+
+
+# Every public function that takes a matrix refuses a 0 x 0 one (and a stack
+# of side 0) with DimMismatchError from ``linalg.require_square``, before
+# numpy sees it: no warning, no reshape error, no empty sum read as 0.
+EMPTY = np.zeros((0, 0))
+
+ZERO_SIDE_CASES = {
+    "closed-form": (twirl.twirl_closed_form, (EMPTY,)),
+    "closed-form-stack": (twirl.twirl_closed_form, (np.zeros((3, 0, 0)),)),
+    "bruteforce": (twirl.twirl_bruteforce, (EMPTY,)),
+    "off-diag": (twirl.off_diagonal_means, (EMPTY,)),
+    "one-sided": (twirl.twirl_one_sided, (EMPTY, (1, 1), "A")),
+    "one-sided-oracle": (twirl.twirl_one_sided_bruteforce, (EMPTY, (1, 1), "B")),
+    "two-sided": (twirl.twirl_two_sided, (EMPTY, (1, 1))),
+    "two-sided-oracle": (twirl.twirl_two_sided_bruteforce, (EMPTY, (1, 1))),
+    "coefficients": (twirl.bipartite_coefficients, (EMPTY, (1, 1))),
+    "collective": (twirl.collective_twirl, (EMPTY, 1)),
+    "collective-oracle": (twirl.collective_twirl_bruteforce, (EMPTY, 1)),
+    "l1": (coherence.l1_coherences, (EMPTY,)),
+    "relent": (coherence.rel_ent_coherences, (EMPTY,)),
+    "l1-bound": (coherence.l1_lower_bounds, (EMPTY,)),
+    "relent-bound": (coherence.rel_ent_lower_bounds, (EMPTY,)),
+    "relent-bound-stack": (coherence.rel_ent_lower_bounds, (np.zeros((3, 0, 0)),)),
+    "hs-inner": (linalg.hs_inner, (EMPTY, EMPTY)),
+    "eigen": (linalg.hermitian_eigen, (EMPTY,)),
+    "eigvals": (linalg.hermitian_eigvals, (EMPTY,)),
+    "partial-trace": (linalg.partial_trace, (EMPTY, (1, 1), "A")),
+    "partial-transpose": (linalg.partial_transpose, (EMPTY, (1, 1), "A")),
+    "min-pt": (entanglement.min_pt_eigenvalues, (EMPTY, (1, 1))),
+    "validate": (states.validate_density, (EMPTY,)),
+    "validate-stack": (states.validate_density_stack, (np.zeros((3, 0, 0)),)),
+    "sanitize": (states.sanitize_density, (EMPTY,)),
+    "conjugate": (states.conjugate_by_permutation, (EMPTY, [])),
+    "save-state": (statefile.save_state, (io.StringIO(), EMPTY, (1,))),
+}
+
+
+@pytest.mark.parametrize("fn, args", ZERO_SIDE_CASES.values(), ids=ZERO_SIDE_CASES)
+def test_a_matrix_of_side_0_is_refused(fn, args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimMismatchError, match="matrix side of at least 1"):
+            fn(*args)
 
 
 def test_dims_rule_reads_numpy_integers_as_ints():

@@ -149,6 +149,72 @@ def test_max_abs_diffs_rows():
     )
 
 
+# Every stacked function on a stack of no matrices (side 6, or dims (2, 3);
+# side 4 for the collective twirl of d = 2): (call, the shape of each array
+# it returns).
+_NO_MATS, _NO_PAIRS = np.zeros((0, 6, 6)), np.zeros((0, 4, 4))
+_NO_TRIPLES = np.zeros((0, 3))
+
+
+def _two_sided_arrays():
+    out, coeffs = twirl.twirl_two_sided(_NO_MATS, (2, 3))
+    fields = ("c0", "c1", "c2", "c3", "overlap_a", "overlap_b", "overlap_ab")
+    return [out, *(getattr(coeffs, field) for field in fields)]
+
+
+EMPTY_STACK_CASES = {
+    "closed-form": (lambda: twirl.twirl_closed_form(_NO_MATS), [(0, 6, 6)]),
+    "bruteforce": (lambda: twirl.twirl_bruteforce(_NO_MATS), [(0, 6, 6)]),
+    "one-sided-A": (lambda: twirl.twirl_one_sided(_NO_MATS, (2, 3), "A"), [(0, 6, 6)]),
+    "one-sided-B": (lambda: twirl.twirl_one_sided(_NO_MATS, (2, 3), "B"), [(0, 6, 6)]),
+    "one-sided-oracle": (
+        lambda: twirl.twirl_one_sided_bruteforce(_NO_MATS, (2, 3), "A"), [(0, 6, 6)]
+    ),
+    "two-sided": (_two_sided_arrays, [(0, 6, 6)] + [(0,)] * 7),
+    "coefficients-to-matrix": (
+        lambda: twirl.coefficients_to_matrix(twirl.twirl_two_sided(_NO_MATS, (2, 3))[1]),
+        [(0, 6, 6)],
+    ),
+    "two-sided-oracle": (lambda: twirl.twirl_two_sided_bruteforce(_NO_MATS, (2, 3)), [(0, 6, 6)]),
+    "collective": (lambda: twirl.collective_twirl(_NO_PAIRS, 2), [(0, 4, 4)]),
+    "collective-oracle": (lambda: twirl.collective_twirl_bruteforce(_NO_PAIRS, 2), [(0, 4, 4)]),
+    "off-diag": (lambda: twirl.off_diagonal_means(_NO_MATS), [(0,)]),
+    "output-state": (lambda: twirl.output_state_stack(6, []), [(0, 6, 6)]),
+    "l1": (lambda: coherence.l1_coherences(_NO_MATS), [(0,)]),
+    "relent": (lambda: coherence.rel_ent_coherences(_NO_MATS), [(0,)]),
+    "l1-bound": (lambda: coherence.l1_lower_bounds(_NO_MATS), [(0,)]),
+    "relent-bound": (lambda: coherence.rel_ent_lower_bounds(_NO_MATS), [(0,)]),
+    "hs-inner": (lambda: linalg.hs_inner(_NO_MATS, _NO_MATS), [(0,)]),
+    "max-abs-diffs": (lambda: linalg.max_abs_diffs(_NO_MATS, _NO_MATS), [(0,)]),
+    "eigen": (lambda: linalg.hermitian_eigen(_NO_MATS), [(0, 6), (0, 6, 6)]),
+    "eigvals": (lambda: linalg.hermitian_eigvals(_NO_MATS), [(0, 6)]),
+    "partial-transpose": (lambda: linalg.partial_transpose(_NO_MATS, (2, 3), "B"), [(0, 6, 6)]),
+    "min-pt": (lambda: entanglement.min_pt_eigenvalues(_NO_MATS, (2, 3)), [(0,)]),
+    "validate": (lambda: states.validate_density_stack(_NO_MATS), [(0, 6, 6)]),
+    "conjugation": (
+        lambda: states.conjugate_stack_by_permutations(_NO_MATS, np.zeros((0, 6), int)),
+        [(0, 6, 6)],
+    ),
+    "qubit": (lambda: states.qubit_stack_from_bloch(_NO_TRIPLES), [(0, 2, 2)]),
+    "bloch": (lambda: states.bloch_of_qubit_stack(np.zeros((0, 2, 2))), [(0, 3)]),
+    "bell": (lambda: states.bell_diagonal_stack(_NO_TRIPLES), [(0, 4, 4)]),
+    "octahedron": (lambda: entanglement.bell_octahedron_members(_NO_TRIPLES), [(0,)]),
+    "random-density": (
+        lambda: states.random_density_stack(6, 0, np.random.default_rng(0)), [(0, 6, 6)]
+    ),
+    "random-hermitian": (
+        lambda: states.random_hermitian_stack(6, 0, np.random.default_rng(0)), [(0, 6, 6)]
+    ),
+}
+
+
+@pytest.mark.parametrize("call, shapes", EMPTY_STACK_CASES.values(), ids=EMPTY_STACK_CASES)
+def test_every_stacked_function_takes_an_empty_stack(call, shapes):
+    got = call()
+    arrays = list(got) if isinstance(got, (tuple, list)) else [got]
+    assert [np.shape(a) for a in arrays] == shapes
+
+
 def _error_class(call):
     with pytest.raises((PermutwirlError, ValueError, ArithmeticError)) as caught:
         call()
