@@ -152,6 +152,9 @@ def corpus() -> dict[str, str]:
     files["dims-5001.json"] = '{"dims": [1' + "0" * 5000 + '], "matrix": [[1, 0]]}'
     files["entry-5001.json"] = '{"dims": [1], "matrix": [[1' + "0" * 5000 + ", 0]]}"
     files["lone-cr.json"] = '{"dims": [1],\r"matrix": [[1, 0]],\r"x": ]}'
+    # finite entries whose trace, or whose Hermitian part, overflows
+    files["near-limit-diag.json"] = json.dumps({"dims": [2], "matrix": [[1e308, 0], [0, 0], [0, 0], [1e308, 0]]})
+    files["near-limit-off.json"] = json.dumps({"dims": [2], "matrix": [[0.5, 0], [1e308, 0], [1e308, 0], [0.5, 0]]})
     for k, doc in enumerate(SCHEMA_VIOLATIONS):
         files[f"schema{k:02d}.json"] = json.dumps(doc)
     return files
@@ -189,6 +192,8 @@ def runs() -> list[Run]:
     for f in ["deep.json", "dims-6x401.json", "dims-5001.json", "entry-5001.json", "lone-cr.json"]:
         out.append(Run(("twirl", f, "--raw")))
     out += [Run(("twirl", f"schema{k:02d}.json", "--raw")) for k in range(len(SCHEMA_VIOLATIONS))]
+    for f in ["near-limit-diag.json", "near-limit-off.json"]:
+        out += [Run(("twirl", f)), Run(("coherence", f))]
     for f in mono:
         for flags in (
             (),
@@ -208,6 +213,9 @@ def runs() -> list[Run]:
         Run(("sweep-qubit",)),
         Run(("sweep-qubit", "--r2", "0.3", "--r3", "-0.2", "--steps", "77", "--out", OUT)),
         Run(("sweep-qubit", "--r2", "0.9", "--r3", "0.9")),
+        Run(("sweep-qubit", "--r2", "1.00000000005", "--steps", "3")),
+        Run(("sweep-qubit", "--r2", "1.00000000005", "--r3", "0", "--steps", "3")),
+        Run(("sweep-qubit", "--r2", "1e200")),
         Run(("sweep-bell", "--grid", "2")),
         Run(("sweep-bell", "--grid", "21")),
         Run(("sweep-bell", "--grid", "41", "--out", OUT)),

@@ -131,6 +131,7 @@ def rel_ent_coherences(mats) -> np.ndarray:
     """:func:`rel_ent_coherence` of each matrix of a stack ``(n, d, d)``,
     with one ``linalg.hermitian_eigvals`` call."""
     m = linalg.as_complex_matrix(mats, stack=True)
+    linalg.require_square(m)
     diag = np.diagonal(m, axis1=-2, axis2=-1).real
     return _entropy_of_probs(diag) - _entropies(m)
 
@@ -148,7 +149,7 @@ def l1_lower_bound(rho: DensityMatrix) -> float:
 def l1_lower_bounds(mats) -> np.ndarray:
     """:func:`l1_lower_bound` of each matrix of a stack ``(n, d, d)``."""
     m = np.asarray(mats, dtype=complex)
-    d = m.shape[-1]
+    d = linalg.require_square(m)
     return d * (d - 1) * np.abs(twirl.off_diagonal_means(m))
 
 

@@ -36,27 +36,26 @@ SIDE_B = "B"
 
 
 def as_complex_matrix(a, stack: bool = False) -> np.ndarray:
-    """Coerce input to a 2-d complex128 array of finite entries.
-
-    With ``stack=True`` a 3-d stack of matrices, shape ``(n, D, D)``, is
-    accepted as well.
+    """Coerce input to a complex128 array of finite entries: one 2-d matrix,
+    or with ``stack=True`` any rank, which :func:`require_square` decides.
 
     Raises:
-        DimMismatchError: if the input is not 2-d (or 3-d, for a stack).
+        DimMismatchError: if ``stack`` is False and the input is not 2-d.
         ValueError: if an entry is NaN or infinite.
     """
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 and not (stack and m.ndim == 3):
-        kind = "a 2-d matrix or a 3-d stack" if stack else "a 2-d matrix"
-        raise DimMismatchError(f"expected {kind}, got ndim={m.ndim}")
+    if not stack and m.ndim != 2:
+        raise DimMismatchError(f"expected a 2-d matrix, got ndim={m.ndim}")
     if not np.isfinite(m).all():
         raise ValueError("matrix has a NaN or infinite entry")
     return m
 
 
 def require_square(a: np.ndarray) -> int:
-    """Side of a square matrix, or of each matrix in a stack: at least 1, so
-    that no 0 x 0 matrix reaches numpy (a stack may hold no matrix)."""
+    """The one shape rule: the side, at least 1, of a square matrix or of each
+    matrix of a 3-d stack (which may hold none); no other rank reaches numpy."""
+    if a.ndim not in (2, 3):
+        raise DimMismatchError(f"expected a 2-d matrix or a 3-d stack, got ndim={a.ndim}")
     if a.shape[-2] != a.shape[-1]:
         raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[-1] == 0:
@@ -134,10 +133,14 @@ def hermitian_eigvals(a) -> np.ndarray:
     return _hermitian_solve(np.linalg.eigvalsh, a)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _hermitian_solve(solver, a):
     # solver on the Hermitian part of a (of each matrix, for a stack), after
     # checking that a is Hermitian within DEFAULT_TOL: roundoff in the input
     # cannot leak into the solver, and adj is freed before the solver runs.
+    # Entries near the float limit may overflow; the Hermiticity test here
+    # and each caller's decision refuse inf and NaN, so numpy's warnings on
+    # the way are noise.
     m = as_complex_matrix(a, stack=True)
     require_square(m)
     adj = m.conj().swapaxes(-1, -2)

@@ -88,11 +88,14 @@ def validate_density_stack(mats) -> np.ndarray:
     return stack
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _check_densities(stack: np.ndarray, where) -> None:
     # Refuse the first matrix of the stack that fails a check, with
     # where(index) ahead of the message.  `not (x <= tol)` refuses NaN too.
     # Positivity is accepted by _cholesky_proves_positive when it can;
-    # otherwise the eigenvalues decide, and they alone refuse.
+    # otherwise the eigenvalues decide, and they alone refuse.  Entries near
+    # the float limit may overflow to inf or NaN on the way, which these
+    # decisions refuse, so numpy's warnings are noise.
     tol = linalg.DEFAULT_TOL
     adj = stack.conj().swapaxes(-1, -2)
     dev = linalg.max_abs_diffs(stack, adj)
@@ -187,7 +190,8 @@ def qubit_stack_from_bloch(vectors) -> np.ndarray:
     if v.ndim != 2 or v.shape[1] != 3:
         raise ValueError(f"expected Bloch vectors of shape (n, 3), got {v.shape}")
     r1, r2, r3 = v.T
-    norm = np.sqrt(r1 * r1 + r2 * r2 + r3 * r3)
+    with np.errstate(over="ignore"):  # a norm that overflows is inf, refused
+        norm = np.sqrt(r1 * r1 + r2 * r2 + r3 * r3)
     outside = ~(norm <= 1.0 + linalg.DEFAULT_TOL)  # NaN included
     if outside.any():
         raise BlochOutsideBallError(f"|r| = {norm[outside][0]:.12g} exceeds 1")
@@ -223,10 +227,11 @@ def bloch_of_qubit_stack(mats) -> np.ndarray:
 
 def _check_permutations(perms, d: int) -> np.ndarray:
     """The one permutation rule: ``perms`` as an ``(n, d)`` array of an integer
-    dtype, each row holding 0..d-1, d >= 1 (a bool, float, str or object array
-    is refused, never truncated); else ValueError."""
+    dtype, each row holding 0..d-1, d >= 1 by ``linalg._check_count`` (a bool,
+    float, str or object array is refused, never truncated); else ValueError."""
+    d = linalg._check_count(d, "dimension", 1, ValueError)
     p = np.asarray(perms)
-    shaped = p.dtype.kind in "iu" and p.shape[1:] == (d,) and d >= 1
+    shaped = p.dtype.kind in "iu" and p.shape[1:] == (d,)
     if not (shaped and (np.sort(p, axis=-1) == np.arange(d)).all()):
         raise ValueError(f"not a permutation of 0..{d - 1} in each row: got {p.dtype} {p.shape}")
     return p
@@ -324,7 +329,8 @@ def _family_off_diag(d: int, off_diag, diag=None) -> np.ndarray:
     """
     a = np.asarray(off_diag, dtype=float)
     c = np.asarray(1.0 / d if diag is None else diag, dtype=float)
-    with np.errstate(invalid="ignore"):  # 0 * inf at d = 1 is NaN, refused
+    # 0 * inf at d = 1 is NaN and (d - 1) a may overflow to inf: both refused
+    with np.errstate(over="ignore", invalid="ignore"):
         lowest = np.minimum(c + (d - 1) * a, c - a) if d > 1 else 1.0 + 0.0 * a
     bad = ~(lowest >= -linalg.DEFAULT_TOL)  # NaN included
     if bad.any():

@@ -37,19 +37,18 @@ def qubit_sweep_rows(r2: float, r3: float, steps: int) -> np.ndarray:
     the bits of one per point; only the rows grow with ``steps``.
 
     Raises:
-        ParamOutOfRangeError: if r2 or r3 is not finite, r2^2 + r3^2 > 1,
+        ParamOutOfRangeError: if r2 or r3 is not finite,
             or ``steps`` is not an integer >= 1.
+        BlochOutsideBallError: if the ball rule, within its tolerance, refuses (0, r2, r3).
         DimensionTooLargeError: if ``steps`` > MAX_QUBIT_STEPS (checked
             before any row is built).
     """
     r2, r3 = float(r2), float(r3)
-    norm_sq = r2 * r2 + r3 * r3
     if not (math.isfinite(r2) and math.isfinite(r3)):
         raise ParamOutOfRangeError(
-            f"r2^2 + r3^2 = {norm_sq:.12g}: r2 = {r2:g} and r3 = {r3:g} must be finite"
+            f"r2^2 + r3^2 = {r2 * r2 + r3 * r3:.12g}: r2 = {r2:g} and r3 = {r3:g} must be finite"
         )
-    if not norm_sq <= 1.0:
-        raise ParamOutOfRangeError(f"r2^2 + r3^2 = {norm_sq:.12g} exceeds 1")
+    states.qubit_stack_from_bloch([[0.0, r2, r3]])  # the ball rule, before steps
     steps = linalg._check_count(steps, "steps", 1, ParamOutOfRangeError)
     if steps > MAX_QUBIT_STEPS:
         raise DimensionTooLargeError(

@@ -1134,6 +1134,9 @@ _CONTRACT_DOCS = {
     "entry-5001.json": b'{"dims": [1], "matrix": [[1' + b"0" * 5000 + b", 0]]}",
     "lone-cr.json": b'{"dims": [1],\r"matrix": [[1, 0]],\r"x": ]}',
     "latin-1.json": b'{"dims": [1], "matrix": [[1, 0]], "label": "\xe9"}',
+    # finite entries whose trace, or whose Hermitian part, overflows
+    "near-limit-diag.json": b'{"dims": [2], "matrix": [[1e308, 0], [0, 0], [0, 0], [1e308, 0]]}',
+    "near-limit-off.json": b'{"dims": [2], "matrix": [[0.5, 0], [1e308, 0], [1e308, 0], [0.5, 0]]}',
 }
 
 
@@ -1243,3 +1246,21 @@ def test_a_closed_stream_is_one_line_naming_it(contract_dir, monkeypatch, closed
     outcome, out, err = _main_with_streams(argv, _CONTRACT_DOCS["d2.json"], closed)
     direction = "input" if closed == "stdin" else "output"
     assert (outcome, out, err) == (cli.EXIT_INVALID, "", f"error: standard {direction} is closed\n")
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("near-limit-diag.json", "error: trace is inf+0j, expected 1 within 1e-10\n"),
+        ("near-limit-off.json", "error: min eigenvalue nan below -1e-10\n"),
+    ],
+    ids=["trace", "hermitian-part"],
+)
+@pytest.mark.parametrize("command", ["twirl", "coherence"])
+def test_near_limit_validation_prints_only_the_error_line(contract_dir, capsys, command, name, message):
+    # numpy's overflow warnings on the way to the refusal must not reach stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outcome = _run(capsys, [command, str(contract_dir / name)])
+    assert outcome == (cli.EXIT_INVALID, "", message)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -131,6 +131,11 @@ def test_permutation_matrix_rejects_non_bijection():
         states.permutation_matrix((0, 0, 2))
 
 
+def test_permutation_matrix_of_no_entries_is_refused_by_the_count_rule():
+    with pytest.raises(ValueError, match=r"^dimension must be >= 1, got 0$"):
+        states.permutation_matrix([])
+
+
 def test_permutation_inverse_is_transpose():
     rng = np.random.default_rng(22)
     for d in (2, 4, 6):
@@ -519,7 +524,12 @@ ARGUMENT_RULES = [
         ParamOutOfRangeError,
         ({"1": 1, **NOT_DIMENSIONS}, DIMENSION[1]),
     ),
-    ("permutation-matrix", lambda p, rng: states.permutation_matrix(p), ValueError, PERMUTATION),
+    (
+        "permutation-matrix",
+        lambda p, rng: states.permutation_matrix(p),
+        ValueError,
+        ({"empty": [], **NOT_PERMUTATIONS}, PERMUTATION[1]),
+    ),
     (
         "conjugate-stack",
         lambda p, rng: states.conjugate_stack_by_permutations([[[1, 2], [3, 4]]], [p]),

@@ -6,6 +6,7 @@ import pytest
 
 from permutwirl import coherence, entanglement, linalg, states, sweeps, twirl, verify
 from permutwirl.errors import (
+    BlochOutsideBallError,
     DimensionTooLargeError,
     InvalidBellParamsError,
     ParamOutOfRangeError,
@@ -130,7 +131,8 @@ def test_qubit_sweep_non_finite_message_makes_no_comparison(r2, r3):
 
 
 def test_qubit_sweep_finite_overflow_still_exceeds_1():
-    with pytest.raises(ParamOutOfRangeError, match="= inf exceeds 1"):
+    # the ball rule's norm overflows to inf, which it refuses without a warning
+    with pytest.raises(BlochOutsideBallError, match="= inf exceeds 1"):
         sweeps.qubit_sweep_rows(1e200, 0.0, 5)
 
 

@@ -9,7 +9,7 @@ tolerance is loosened or tightened by any large factor fails a row.
 import numpy as np
 import pytest
 
-from permutwirl import coherence, linalg, states, twirl
+from permutwirl import coherence, linalg, states, sweeps, twirl
 from permutwirl.errors import (
     BlochOutsideBallError,
     InvalidBellParamsError,
@@ -44,6 +44,12 @@ ROWS = {
     ),
     "bloch-ball": (
         lambda s: states.qubit_stack_from_bloch([[0.0, 0.0, 1.0 + s * TOL]]),
+        BlochOutsideBallError,
+        "|r| = 1.0000000002 exceeds 1",
+    ),
+    # the sweep's (0, r2, r3) goes to the same ball rule
+    "qubit-sweep-ball": (
+        lambda s: sweeps.qubit_sweep_rows(0.0, 1.0 + s * TOL, 1),
         BlochOutsideBallError,
         "|r| = 1.0000000002 exceeds 1",
     ),

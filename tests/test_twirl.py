@@ -904,6 +904,8 @@ def _params_of(entries):
         (lambda: coherence.l1_lower_bounds([[[np.nan]]]), NonRealSumError),
         (lambda: coherence.rel_ent_lower_bounds([[[np.nan]]]), NonRealSumError),
         (lambda: twirl.output_state_stack(1, np.nan), ParamOutOfRangeError),
+        # (d - 1) a overflows to inf, refused without a warning
+        (lambda: twirl.output_state_stack(5, 1e308), ParamOutOfRangeError),
     ],
     ids=[
         "params-imaginary-part",
@@ -917,6 +919,7 @@ def _params_of(entries):
         "l1-bounds-1x1-nan",
         "rel-ent-bounds-1x1-nan",
         "output-state-1x1-nan",
+        "output-state-overflow",
     ],
 )
 def test_guards_reject_nan(call, error):
