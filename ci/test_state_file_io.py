@@ -1,8 +1,10 @@
-"""State files written by the CLI: JSON text, bit-exact round trips, and a
-one-sided oracle that does not depend on the BLAS thread count."""
+"""State files written by the CLI: JSON text, bit-exact round trips, a
+one-sided oracle that does not depend on the BLAS thread count, and the
+size limit, applied before the read."""
 
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -136,3 +138,29 @@ def test_real_stdin_gives_the_path_bytes_under_any_stdio_encoding(cli, tmp_path,
         env = {"PYTHONIOENCODING": encoding}
         done = cli("twirl", "--raw", "-", "--out", "-", stdin=data, status=status, env=env)
         assert (done.stdout, done.stderr) == (want.stdout, want.stderr), encoding
+
+
+# The child reports its own high-water RSS on stdout, which a refusal leaves
+# empty, so that stderr holds the error line alone.
+PEAK_AFTER_MAIN = """
+import sys
+from permutwirl import cli
+code = cli.main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    sys.stdout.write(next(line for line in fh if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
+
+
+def test_a_file_over_the_size_limit_is_refused_before_it_is_read(cli, tmp_path):
+    # a sparse file one byte over the limit, which takes no disk space
+    size = statefile.MAX_STATE_FILE_BYTES + 1
+    (tmp_path / "over.json").touch()
+    os.truncate(tmp_path / "over.json", size)
+    done = cli("twirl", "over.json", prog=("-c", PEAK_AFTER_MAIN), status=2)
+    limit = statefile.MAX_STATE_FILE_BYTES
+    assert done.stderr == f"error: state file exceeds the limit of {limit} bytes\n".encode()
+    field, kib, unit = done.stdout.decode().split()
+    assert (field, unit) == ("VmHWM:", "kB"), done.stdout
+    # the import alone takes about 30 MiB; a read of the file would add its size
+    assert int(kib) * 1024 < 0.75 * size, f"peak RSS {int(kib) / 1024:.1f} MiB"

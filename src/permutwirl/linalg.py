@@ -127,7 +127,7 @@ def hermitian_eigvals(a) -> np.ndarray:
     the symmetrisation of :func:`hermitian_eigen`.
 
     Raises:
-        NotHermitianError: if any ``max|a - a^dagger|`` exceeds ``DEFAULT_TOL``.
+        NotHermitianError: naming the first ``max|a - a^dagger|`` over ``DEFAULT_TOL``.
         ConvergenceError: if the underlying solver does not converge.
     """
     return _hermitian_solve(np.linalg.eigvalsh, a)
@@ -135,26 +135,33 @@ def hermitian_eigvals(a) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _hermitian_solve(solver, a):
-    # solver on the Hermitian part of a (of each matrix, for a stack), after
-    # checking that a is Hermitian within DEFAULT_TOL: roundoff in the input
-    # cannot leak into the solver, and adj is freed before the solver runs.
-    # Entries near the float limit may overflow; the Hermiticity test here
-    # and each caller's decision refuse inf and NaN, so numpy's warnings on
-    # the way are noise.
+    # solver on the Hermitian part of a (of each matrix, for a stack), so
+    # that roundoff in the input cannot leak into the solver.  Entries near
+    # the float limit may overflow; the Hermiticity test and each caller's
+    # decision refuse inf and NaN, so numpy's warnings on the way are noise.
     m = as_complex_matrix(a, stack=True)
     require_square(m)
-    adj = m.conj().swapaxes(-1, -2)
-    dev = max_abs_diff(m, adj)
-    if dev > DEFAULT_TOL:
-        raise NotHermitianError(
-            f"matrix is not Hermitian within tol={DEFAULT_TOL:g} (deviation {dev:.3e})"
-        )
-    m = 0.5 * (m + adj)
-    del adj
+    m = _hermitian_part(m, (lambda i: f"matrix {i}: ") if m.ndim == 3 else (lambda i: ""))
     try:
         return solver(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise ConvergenceError(str(exc)) from exc
+
+
+def _hermitian_part(m: np.ndarray, where) -> np.ndarray:
+    """The one Hermiticity rule: (m + m^dagger) / 2 for a square matrix, or of
+    each matrix of a stack, when each is within DEFAULT_TOL of its conjugate
+    transpose (``not dev <= tol`` refuses NaN too); else NotHermitianError
+    for the first that is not, with ``where(index)`` ahead of its message."""
+    adj = m.conj().swapaxes(-1, -2)
+    dev = max_abs_diffs(m, adj)
+    bad = np.flatnonzero(~(dev <= DEFAULT_TOL))
+    if bad.size:
+        i = bad[0]
+        raise NotHermitianError(
+            f"{where(i)}not Hermitian within {DEFAULT_TOL:g} (deviation {dev.flat[i]:.3e})"
+        )
+    return 0.5 * (m + adj)
 
 
 def split_dims(x: np.ndarray, dims) -> tuple[int, int]:

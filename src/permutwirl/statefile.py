@@ -7,8 +7,9 @@ Schema::
 with the matrix flattened row-major, one [re, im] pair per entry.  Each
 part is a finite JSON number, integer or float.  Both directions check
 dims by ``linalg._check_dims``.  A load rejects NaN, Infinity, -Infinity
-and integers too large for a float; before it writes, a save refuses a
-matrix holding NaN or an infinity, and dims, a shape or a label that a
+and integers too large for a float; before it writes, a save takes its
+matrix by the rule of every single-matrix argument (2-d and finite, by
+``linalg.as_complex_matrix``) and refuses dims, a shape or a label that a
 load would refuse.  Floats are written exactly as ``json.dumps`` writes
 them (``repr``), so save followed by load is bit-exact.  The path '-'
 means stdin/stdout (``_stdio``, the CLI's stdout too); a closed one is OSError.
@@ -16,14 +17,15 @@ means stdin/stdout (``_stdio``, the CLI's stdout too); a closed one is OSError.
 
 A load reads every source as bytes: a path, '-' (stdin's bytes, whatever
 its text encoding), a binary reader, or a text reader, whose str is encoded
-as UTF-8.  Both directions work on whole arrays.  The layout that
-``save_state`` and ``json.dumps`` write loads by ``_load_flat``: it checks
-the matrix's bracket skeleton on those bytes and parses its numbers as one
-flat list.  Any other document goes to ``_load_tree``, the one decode of the
+as UTF-8.  A source of more than ``MAX_STATE_FILE_BYTES`` is refused with
+DimensionTooLargeError, a path before it is read.  Both directions work on
+whole arrays.  The layout that ``save_state`` and ``json.dumps`` write
+loads by ``_load_flat``: it checks the matrix's bracket skeleton on those
+bytes and parses its numbers as one flat list.  Any other document goes to ``_load_tree``, the one decode of the
 whole document (strict UTF-8, so json counts lines by ``\n`` alone and
 refuses a BOM), which checks the pairs in one pass in index order, naming
-the first bad index.  Only ``_load_tree`` raises, so no bit and no refusal
-depends on the route or on the source.  A save
+the first bad index.  Past the size limit only ``_load_tree`` raises, so
+no bit and no refusal depends on the route or on the source.  A save
 groups the entries by their (re, im) bits with one ``np.lexsort``, spells
 each distinct entry once and writes head, entries and tail in turn.
 """
@@ -38,7 +40,12 @@ from itertools import chain
 import numpy as np
 
 from . import linalg, states
-from .errors import DimMismatchError, NonSquareError, StateFileError
+from .errors import DimensionTooLargeError, DimMismatchError, StateFileError
+
+# A load holds about four times the file's size at its peak (json's list
+# of every pair): a fresh process that loads a file of this size peaks near
+# 294 MiB of RSS, and one that refuses a larger file near its 30 MiB import.
+MAX_STATE_FILE_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -76,13 +83,33 @@ def _output(target):
 
 def _read_bytes(source):
     """The one read of every source: its bytes as given, a reader's str as
-    UTF-8, a lone surrogate included, so that _load_tree's decode refuses it."""
+    UTF-8, a lone surrogate included, so that _load_tree's decode refuses it.
+
+    A source of more than MAX_STATE_FILE_BYTES is DimensionTooLargeError:
+    a path by its size before the read, any source after reading at most
+    one byte more than the limit."""
     source = _stdio(source, "input")
-    if not hasattr(source, "read"):
+    if hasattr(source, "read"):
+        data = source.read(MAX_STATE_FILE_BYTES + 1)
+        data = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
+    else:
+        import os  # loaded at interpreter start-up, so this adds no import time
+
         with open(source, "rb") as fh:
-            return fh.read()
-    data = source.read()
-    return data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
+            size = os.fstat(fh.fileno()).st_size
+            _check_size(size)
+            # a buffer of the file's size, then what a stream (of size 0) or a
+            # file that grew holds past it, up to one byte over the limit
+            data = fh.read(size + 1) + fh.read(MAX_STATE_FILE_BYTES - size)
+    _check_size(len(data or b""))  # None: a reader with no data, which _load_tree refuses
+    return data
+
+
+def _check_size(size: int) -> None:
+    if size > MAX_STATE_FILE_BYTES:
+        raise DimensionTooLargeError(
+            f"state file exceeds the limit of {MAX_STATE_FILE_BYTES} bytes"
+        )
 
 
 _NUMBER_BYTES = b"0123456789+-.eE"  # the bytes a JSON number may hold
@@ -212,10 +239,6 @@ def _matrix_entries_json(mat: np.ndarray) -> str:
     its own spelling; ``%r`` is the ``repr`` that ``json.dumps`` uses.
     """
     flat = np.ascontiguousarray(mat.reshape(-1))
-    if not np.isfinite(flat).all():
-        raise StateFileError(
-            "matrix holds a value that is not finite; state files store finite numbers only"
-        )
     bits = flat.view(np.uint64).reshape(-1, 2)
     order = np.lexsort((bits[:, 1], bits[:, 0]))
     re, im = bits[order, 0], bits[order, 1]
@@ -233,14 +256,12 @@ def save_state(target, mat: np.ndarray, dims, label: str | None = None) -> None:
     """Write a state file; floats keep round-trip precision.
 
     The text is the one ``json.dumps`` gives for the schema document.
-    Before it opens ``target``, it raises NonSquareError unless ``mat`` is
-    a square matrix, DimMismatchError for the ``dims`` a load refuses (by
-    ``linalg._check_dims`` against its side), and StateFileError if it
-    holds NaN or an infinity or ``label`` is not a string.
+    Before it opens ``target``, it takes ``mat`` by the rule of every
+    single-matrix argument (``linalg.as_complex_matrix``), raises
+    DimMismatchError for the ``dims`` a load refuses (by ``linalg._check_dims``
+    against its side), and StateFileError if ``label`` is not a string.
     """
-    mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2:
-        raise NonSquareError(f"expected a square matrix, got shape {mat.shape}")
+    mat = linalg.as_complex_matrix(mat)
     dims = linalg._check_dims(dims, linalg.require_square(mat))
     if label is not None and not isinstance(label, str):
         raise StateFileError("field 'label' must be a string")

@@ -19,7 +19,6 @@ from .errors import (
     DimensionTooLargeError,
     DimMismatchError,
     InvalidBellParamsError,
-    NotHermitianError,
     NotPositiveError,
     TraceNotOneError,
     WeightOutOfRangeError,
@@ -97,14 +96,7 @@ def _check_densities(stack: np.ndarray, where) -> None:
     # the float limit may overflow to inf or NaN on the way, which these
     # decisions refuse, so numpy's warnings are noise.
     tol = linalg.DEFAULT_TOL
-    adj = stack.conj().swapaxes(-1, -2)
-    dev = linalg.max_abs_diffs(stack, adj)
-    bad = np.flatnonzero(~(dev <= tol))
-    if bad.size:
-        i = bad[0]
-        raise NotHermitianError(
-            f"{where(i)}not Hermitian within {tol:g} (deviation {dev[i]:.3e})"
-        )
+    part = linalg._hermitian_part(stack, where)
     tr = np.trace(stack, axis1=-2, axis2=-1)
     bad = np.flatnonzero(~(np.abs(tr - 1.0) <= tol))
     if bad.size:
@@ -112,8 +104,10 @@ def _check_densities(stack: np.ndarray, where) -> None:
         raise TraceNotOneError(
             f"{where(i)}trace is {complex(tr[i]):.12g}, expected 1 within {tol:g}"
         )
-    if _cholesky_proves_positive(stack, adj, tol):
+    if _cholesky_proves_positive(part, tol):
         return
+    # the input, whose part hermitian_eigvals forms bit for bit: a part that
+    # overflowed to inf is no finite matrix, which that function refuses
     min_eig = linalg.hermitian_eigvals(stack)[:, 0]
     bad = np.flatnonzero(~(min_eig >= -tol))
     if bad.size:
@@ -124,11 +118,11 @@ def _check_densities(stack: np.ndarray, where) -> None:
         )
 
 
-def _cholesky_proves_positive(stack: np.ndarray, adj: np.ndarray, tol: float) -> bool:
+def _cholesky_proves_positive(part: np.ndarray, tol: float) -> bool:
     """True when a Cholesky factorisation proves that every matrix of the
     stack has its min eigenvalue above -tol; False proves nothing.
 
-    The factor of a = h + (tol/2) I, with h the Hermitian part, is exact
+    The factor of a = part + (tol/2) I, with part the Hermitian part, is exact
     for a + E, and |E| is at most about (D + 1) eps tr(a) (Higham, Accuracy
     and Stability of Numerical Algorithms, Thm 10.3), in practice about
     D eps |a|.  The proof holds at every side D, so the screen is tried on
@@ -136,8 +130,8 @@ def _cholesky_proves_positive(stack: np.ndarray, adj: np.ndarray, tol: float) ->
     a success then puts every min eigenvalue above -3 tol/4, and a large
     non-positive matrix goes to the eigenvalues.
     """
-    d = stack.shape[-1]
-    a = 0.5 * (stack + adj)
+    d = part.shape[-1]
+    a = part.copy()
     diag = np.arange(d)
     a[:, diag, diag] += tol / 2
     scale = max(
@@ -225,23 +219,27 @@ def bloch_of_qubit_stack(mats) -> np.ndarray:
     )
 
 
-def _check_permutations(perms, d: int) -> np.ndarray:
-    """The one permutation rule: ``perms`` as an ``(n, d)`` array of an integer
-    dtype, each row holding 0..d-1, d >= 1 by ``linalg._check_count`` (a bool,
-    float, str or object array is refused, never truncated); else ValueError."""
-    d = linalg._check_count(d, "dimension", 1, ValueError)
+def _check_permutations(perms, shape: tuple[int, ...]) -> np.ndarray:
+    """The one permutation rule: ``perms`` as an array of ``shape`` and an
+    integer dtype, each row holding 0..d-1 for d = ``shape[-1]``, d >= 1 by
+    ``linalg._check_count`` (a bool, float, str or object array is refused,
+    never truncated); else ValueError, naming the shape ``perms`` has."""
+    d = linalg._check_count(shape[-1], "dimension", 1, ValueError)
     p = np.asarray(perms)
-    shaped = p.dtype.kind in "iu" and p.shape[1:] == (d,)
+    shaped = p.dtype.kind in "iu" and p.shape == shape
     if not (shaped and (np.sort(p, axis=-1) == np.arange(d)).all()):
         raise ValueError(f"not a permutation of 0..{d - 1} in each row: got {p.dtype} {p.shape}")
     return p
 
 
 def permutation_matrix(perm) -> np.ndarray:
-    """0/1 matrix sending basis vector i to basis vector perm[i]."""
+    """0/1 matrix sending basis vector i to basis vector perm[i], for a 1-d
+    ``perm``."""
     p = np.asarray(perm)
     d = p.size
-    (p,) = _check_permutations(p[None], d)
+    if p.ndim != 1:  # refused by the rule's shape, which names the caller's
+        _check_permutations(p, (d,))
+    (p,) = _check_permutations(p[None], (1, d))
     mat = np.zeros((d, d), dtype=complex)
     mat[p, np.arange(d)] = 1.0
     return mat
@@ -274,7 +272,7 @@ def conjugate_stack_by_permutations(mats, perms) -> np.ndarray:
             f"expected an (n, d, d) stack and (n, d) permutations, got shapes "
             f"{m.shape} and {p.shape}"
         )
-    inv = np.argsort(_check_permutations(p, d), axis=-1)
+    inv = np.argsort(_check_permutations(p, (len(m), d)), axis=-1)
     rows = np.arange(len(m))[:, None, None]
     return m[rows, inv[:, :, None], inv[:, None, :]]
 

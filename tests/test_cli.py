@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1121,6 +1122,9 @@ def test_help_exits_0(capsys, argv):
 # depth and digit count.
 
 _HUGE = "1" + "0" * 30
+# the state-file size limit while the contract runs: above every document
+# below but over-cap.json, so that no run reads a file of the real limit
+_CONTRACT_LIMIT = 1 << 18
 _CONTRACT_DOCS = {
     "d2.json": json.dumps(
         {"dims": [2], "matrix": [[0.5, 0], [0.25, -0.125], [0.25, 0.125], [0.5, 0]], "label": "é"}
@@ -1137,6 +1141,7 @@ _CONTRACT_DOCS = {
     # finite entries whose trace, or whose Hermitian part, overflows
     "near-limit-diag.json": b'{"dims": [2], "matrix": [[1e308, 0], [0, 0], [0, 0], [1e308, 0]]}',
     "near-limit-off.json": b'{"dims": [2], "matrix": [[0.5, 0], [1e308, 0], [1e308, 0], [0.5, 0]]}',
+    "over-cap.json": b'{"dims": [1], "matrix": [[1, 0]]}' + b" " * _CONTRACT_LIMIT,
 }
 
 
@@ -1209,7 +1214,8 @@ def _main_with_streams(argv, stdin_bytes, closed=None):
 def test_cli_contract(contract_dir, data):
     argv, stdin_bytes = data.draw(_contract_argv(contract_dir), label="argv, stdin")
     closed = data.draw(st.sampled_from([None, None, None, "stdin", "stdout"]), label="closed")
-    outcome, _, err = _main_with_streams(argv, stdin_bytes, closed)
+    with mock.patch.object(statefile, "MAX_STATE_FILE_BYTES", _CONTRACT_LIMIT):
+        outcome, _, err = _main_with_streams(argv, stdin_bytes, closed)
     if outcome == ("SystemExit", 0):
         assert "--help" in argv and err == ""
         return
@@ -1246,6 +1252,18 @@ def test_a_closed_stream_is_one_line_naming_it(contract_dir, monkeypatch, closed
     outcome, out, err = _main_with_streams(argv, _CONTRACT_DOCS["d2.json"], closed)
     direction = "input" if closed == "stdin" else "output"
     assert (outcome, out, err) == (cli.EXIT_INVALID, "", f"error: standard {direction} is closed\n")
+
+
+@pytest.mark.parametrize("source", ["path", "-"])
+@pytest.mark.parametrize("command", ["twirl", "coherence"])
+def test_a_state_file_over_the_size_limit_exits_2(contract_dir, monkeypatch, command, source):
+    monkeypatch.setattr(statefile, "MAX_STATE_FILE_BYTES", _CONTRACT_LIMIT)
+    path = str(contract_dir / "over-cap.json")
+    argv = [command, path if source == "path" else "-"]
+    outcome = _main_with_streams(argv, _CONTRACT_DOCS["over-cap.json"])
+    assert outcome == (
+        cli.EXIT_DIMENSION, "", f"error: state file exceeds the limit of {_CONTRACT_LIMIT} bytes\n"
+    )
 
 
 @pytest.mark.parametrize(

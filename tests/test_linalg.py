@@ -351,7 +351,7 @@ def test_a_matrix_of_side_0_is_refused(fn, args):
 
 # The same rule decides rank: each of these functions refuses an argument
 # that is neither a matrix nor a stack with DimMismatchError, and no
-# IndexError or reduced array; save_state keeps its documented NonSquareError.
+# IndexError or reduced array.
 NOT_MATRICES = {"1-d": np.ones(2), "4-d": np.zeros((1, 1, 2, 2))}
 
 
@@ -359,12 +359,11 @@ NOT_MATRICES = {"1-d": np.ones(2), "4-d": np.zeros((1, 1, 2, 2))}
 @pytest.mark.parametrize("fn, args", ZERO_SIDE_CASES.values(), ids=ZERO_SIDE_CASES)
 def test_an_argument_of_rank_other_than_2_or_3_is_refused(fn, args, rank):
     args = [NOT_MATRICES[rank] if isinstance(a, np.ndarray) else a for a in args]
-    error = NonSquareError if fn is statefile.save_state else DimMismatchError
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(error) as caught:
+        with pytest.raises(DimMismatchError) as caught:
             fn(*args)
-    assert caught.type is error
+    assert caught.type is DimMismatchError
 
 
 def test_dims_rule_reads_numpy_integers_as_ints():

@@ -1,6 +1,8 @@
 import io
 import json
+import os
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permutwirl import statefile, states
-from permutwirl.errors import DimMismatchError, NonSquareError, StateFileError, TraceNotOneError
+from permutwirl.errors import (
+    DimensionTooLargeError,
+    DimMismatchError,
+    NonSquareError,
+    StateFileError,
+    TraceNotOneError,
+)
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -176,7 +184,7 @@ def test_save_refuses_non_finite(tmp_path):
         mat = np.eye(2, dtype=complex)
         mat[1, 0] = bad
         path = tmp_path / "out.json"
-        with pytest.raises(StateFileError, match="not finite"):
+        with pytest.raises(ValueError, match="^matrix has a NaN or infinite entry$"):
             statefile.save_state(path, mat, (2,))
         assert not path.exists()
 
@@ -190,8 +198,8 @@ def test_save_refuses_non_finite(tmp_path):
         (np.eye(4) / 4, (True, 4), None, DimMismatchError),
         (np.eye(4) / 4, [], None, DimMismatchError),
         (np.ones((2, 3)) / 2, (2,), None, NonSquareError),
-        (np.eye(2)[None] / 2, (2,), None, NonSquareError),
-        (np.full(4, 0.25), (2,), None, NonSquareError),
+        (np.eye(2)[None] / 2, (2,), None, DimMismatchError),
+        (np.full(4, 0.25), (2,), None, DimMismatchError),
         (np.eye(2) / 2, (2,), 5, StateFileError),
     ],
     ids=["product", "zero", "float", "bool", "empty", "2x3", "stack", "vector", "label"],
@@ -490,7 +498,7 @@ def test_bytes_that_are_not_utf8_are_refused(tmp_path, monkeypatch):
 
 def test_a_reader_giving_neither_text_nor_bytes():
     class Reader:
-        def read(self):
+        def read(self, size=-1):
             return None
 
     assert _outcome(statefile.load_raw, Reader()) == _outcome(statefile._load_tree, None)
@@ -506,6 +514,35 @@ def test_every_source_takes_the_flat_route(tmp_path, monkeypatch, kind):
 
     monkeypatch.setattr(statefile, "_load_tree", tree_route)
     assert _outcome(statefile.load_raw, source) == want
+
+
+@pytest.mark.parametrize("kind", _SOURCES)
+def test_a_source_over_the_size_limit_is_refused(tmp_path, monkeypatch, kind):
+    # the limit counts bytes: a text reader's non-ASCII label counts as UTF-8
+    data = _one("[[1, 0]]", ', "label": "\u00e9"').encode()
+    monkeypatch.setattr(statefile, "MAX_STATE_FILE_BYTES", len(data))
+    assert statefile.load_raw(_source(tmp_path, monkeypatch, data, kind)).label == "\u00e9"
+    monkeypatch.setattr(statefile, "MAX_STATE_FILE_BYTES", len(data) - 1)
+    with pytest.raises(DimensionTooLargeError) as caught:
+        statefile.load_raw(_source(tmp_path, monkeypatch, data, kind))
+    assert str(caught.value) == f"state file exceeds the limit of {len(data) - 1} bytes"
+
+
+@pytest.mark.parametrize("over", [False, True])
+def test_a_path_to_a_stream_is_read_to_the_size_limit(tmp_path, monkeypatch, over):
+    # a FIFO's size reads 0, so its load reads on past it, up to the limit
+    data = _one("[[1, 0]]").encode()
+    monkeypatch.setattr(statefile, "MAX_STATE_FILE_BYTES", len(data) - over)
+    os.mkfifo(tmp_path / "fifo")
+    writer = threading.Thread(target=(tmp_path / "fifo").write_bytes, args=(data,), daemon=True)
+    writer.start()
+    try:
+        outcome = _outcome(statefile.load_raw, tmp_path / "fifo")
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    limit = f"state file exceeds the limit of {len(data) - 1} bytes"
+    assert outcome == ((DimensionTooLargeError, limit) if over else _outcome(statefile._load_tree, data))
 
 
 def test_dims_size_no_allocation_before_the_matrix_is_measured():

@@ -131,9 +131,18 @@ def test_permutation_matrix_rejects_non_bijection():
         states.permutation_matrix((0, 0, 2))
 
 
-def test_permutation_matrix_of_no_entries_is_refused_by_the_count_rule():
-    with pytest.raises(ValueError, match=r"^dimension must be >= 1, got 0$"):
-        states.permutation_matrix([])
+@pytest.mark.parametrize(
+    "perm, message",
+    [
+        ([], r"^dimension must be >= 1, got 0$"),
+        # a row that is not 1-d is refused naming the shape given
+        ([[0, 1]], r"^not a permutation of 0\.\.1 in each row: got int\d+ \(1, 2\)$"),
+    ],
+    ids=["empty", "one-row-2-d"],
+)
+def test_permutation_matrix_refusals_name_what_was_given(perm, message):
+    with pytest.raises(ValueError, match=message):
+        states.permutation_matrix(perm)
 
 
 def test_permutation_inverse_is_transpose():
@@ -645,7 +654,23 @@ def test_positivity_decisions_equal_the_eigenvalues_at_the_boundary(d):
 )
 def test_cholesky_screen_proves_no_min_eigenvalue_below_minus_half_tol(lam_min, proved):
     rho = _density_with_min_eigenvalue(64, lam_min, seed=5)[None]
-    assert states._cholesky_proves_positive(rho, rho.conj().swapaxes(-1, -2), TOL) is proved
+    part = linalg._hermitian_part(rho, lambda i: "")
+    assert states._cholesky_proves_positive(part, TOL) is proved
+
+
+def test_eigenvalues_after_a_failed_screen_keep_their_bits(monkeypatch):
+    # every matrix is within tol of Hermitian, not on it, and matrix 2 is not
+    # positive: the bits are those the fallback gave when validation formed
+    # its own Hermitian part
+    monkeypatch.setattr(states, "_cholesky_proves_positive", lambda *_: False)
+    rng = np.random.default_rng(41)
+    stack = states.random_density_stack(6, 4, rng)
+    stack[2] += 0.25 * np.diag([1.0, -1.0, 0, 0, 0, 0])
+    noise = rng.standard_normal(stack.shape) + 1j * rng.standard_normal(stack.shape)
+    stack += 2e-11 * np.triu(noise, 1)
+    with pytest.raises(NotPositiveError, match="^matrix 2: min eigenvalue -1.809885e-01 below") as caught:
+        states.validate_density_stack(stack)
+    assert caught.value.min_eigenvalue.hex() == "-0x1.72aa19ec2704cp-3"
 
 
 def test_positive_densities_of_every_side_need_no_eigenvalues(monkeypatch):

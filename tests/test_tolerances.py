@@ -42,6 +42,14 @@ ROWS = {
         NotHermitianError,
         "not Hermitian within 1e-10 (deviation 2.000e-10)",
     ),
+    # the eigensolvers share the rule; a stack names its matrix
+    "eigvals-hermiticity": (
+        lambda s: linalg.hermitian_eigvals(
+            np.stack([np.eye(2), np.array([[0.5, s * TOL], [0.0, 0.5]])])
+        ),
+        NotHermitianError,
+        "matrix 1: not Hermitian within 1e-10 (deviation 2.000e-10)",
+    ),
     "bloch-ball": (
         lambda s: states.qubit_stack_from_bloch([[0.0, 0.0, 1.0 + s * TOL]]),
         BlochOutsideBallError,
